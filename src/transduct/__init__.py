@@ -56,7 +56,7 @@ from .priors import (
     softmax_with_temperature,
     uniform_prior,
 )
-from .similarity import handle_negatives, pearson_matrix, sparsify_knn
+from .similarity import handle_negatives, knn_graph, pearson_matrix, sparsify_knn
 from .synth import BlobSpec, make_synthetic, true_centroids
 
 __version__ = "0.1.0"
@@ -86,6 +86,7 @@ __all__ = [
     "ingest",
     "inject_anchors",
     "kmeans",
+    "knn_graph",
     "label_propagation",
     "label_spreading",
     "label_spreading_closed_form",

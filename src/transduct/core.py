@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
-from .errors import EmptyInput, LengthMismatch, NonFinite, OutOfRange, ZeroRowSum
+from .errors import EmptyInput, LengthMismatch, NonFinite, OutOfRange, ShapeMismatch, ZeroRowSum
 
 #: Sentinel for "no label known" entries in a label vector. Never a valid
 #: class index (class indices are always >= 0).
@@ -218,3 +219,19 @@ def argmax_decode(x) -> np.ndarray:
     """Per-row index of the maximum entry; ties go to the lowest index."""
     x = np.asarray(x, dtype=np.float64)
     return np.argmax(x, axis=1).astype(np.int64)
+
+
+def check_graph(w, rows: int, what: str):
+    """A similarity graph as every propagator takes it.
+
+    Dense input becomes a float64 array; scipy sparse input (the k-NN
+    graph) becomes a float64 CSR array. Raises ShapeMismatch unless the
+    graph is square with one vertex per row of ``what``, whose length is
+    ``rows``.
+    """
+    w = sparse.csr_array(w, dtype=np.float64) if sparse.issparse(w) else np.asarray(w, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ShapeMismatch("similarity matrix must be square")
+    if rows != w.shape[0]:
+        raise ShapeMismatch(f"{what} has {rows} rows but the similarity graph has {w.shape[0]} vertices")
+    return w

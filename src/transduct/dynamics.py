@@ -8,11 +8,13 @@ iteration behaves like an ascent method with an implicit step size.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
-from .core import AnchorSet, one_hot
+from .core import AnchorSet, check_graph, one_hot
 from .errors import ConfigError, EmptyInput, ShapeMismatch
 
 #: Probability floor used before taking logs in the cross-entropy readout.
@@ -40,8 +42,8 @@ class DynamicsConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
-        if self.tolerance < 0:
-            raise ConfigError("tolerance must be >= 0")
+        if not 0 <= self.tolerance < math.inf:
+            raise ConfigError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
         if self.fixed_iterations is not None and self.fixed_iterations < 1:
             raise ConfigError("fixed_iterations must be >= 1 when set")
 
@@ -57,15 +59,10 @@ class DynamicsTrace:
 
 
 def _check_shapes(w, x):
-    w = np.asarray(w, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ShapeMismatch("similarity matrix must be square")
-    if x.ndim != 2 or x.shape[0] != w.shape[0]:
-        raise ShapeMismatch(
-            f"assignment rows ({x.shape[0]}) must match similarity size ({w.shape[0]})"
-        )
-    return w, x
+    if x.ndim != 2:
+        raise ShapeMismatch("assignment matrix must be 2-d")
+    return check_graph(w, x.shape[0], "assignment matrix"), x
 
 
 def support(w, x) -> np.ndarray:
@@ -114,6 +111,8 @@ def replicator_step_elementwise(w, x) -> tuple[np.ndarray, np.ndarray]:
     agree to float precision on any input.
     """
     w, x = _check_shapes(w, x)
+    if sparse.issparse(w):
+        w = w.toarray()
     n, m = x.shape
     out = np.empty_like(x)
     degenerate = []

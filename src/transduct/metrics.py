@@ -7,6 +7,7 @@ import numpy as np
 
 from .core import FeatureSet
 from .errors import EmptyInput, InsufficientSamples, LengthMismatch
+from .similarity import BLOCK_ROWS, top_k
 
 
 def _aligned(pred, truth):
@@ -103,7 +104,9 @@ def recall_at_k(features, truth, ks) -> dict[int, float]:
     Neighbors are ranked by Euclidean distance with the query itself
     excluded; distance ties break toward the lower sample index. A query
     scores 1 for a given K if any of its K nearest neighbors shares its
-    class. Exact brute-force search; fine at desk scale.
+    class. Exact search: squared distances are computed one block of
+    queries at a time and only each query's max(ks) nearest are kept, so
+    every K is scored from one pass without an ``n x n`` matrix.
     """
     data = features.data if isinstance(features, FeatureSet) else np.asarray(features, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.int64)
@@ -116,12 +119,13 @@ def recall_at_k(features, truth, ks) -> dict[int, float]:
     if n < max(ks) + 1:
         raise InsufficientSamples(f"need at least {max(ks) + 1} samples for K={max(ks)}")
     sq = np.sum(data**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (data @ data.T)
-    np.fill_diagonal(d2, np.inf)
-    # stable sort: equal distances keep ascending index order
-    order = np.argsort(d2, axis=1, kind="stable")
-    hits = truth[order] == truth[:, None]
-    result = {}
-    for k in ks:
-        result[k] = float(np.mean(hits[:, :k].any(axis=1)))
-    return result
+    hits = np.empty((n, max(ks)), dtype=bool)
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        # -(|a|^2 + |b|^2 - 2 a.b), rounded exactly as the full-matrix form
+        closeness = sq[start:stop, None] + sq[None, :]
+        closeness -= 2.0 * (data[start:stop] @ data.T)
+        np.negative(closeness, out=closeness)
+        closeness[np.arange(stop - start), np.arange(start, stop)] = -np.inf
+        hits[start:stop] = truth[top_k(closeness, max(ks))] == truth[start:stop, None]
+    return {k: float(np.mean(hits[:, :k].any(axis=1))) for k in ks}

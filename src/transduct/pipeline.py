@@ -32,7 +32,10 @@ from .io import (
     write_report_json,
 )
 from .priors import PriorConfig, apply_class_mask, inject_anchors, softmax_with_temperature, uniform_prior
-from .similarity import handle_negatives, pearson_matrix, sparsify_knn
+# sparsify_knn is not called here (knn_graph replaced it on the run path);
+# it stays importable from this module because perfbench/tracer.py wraps it
+# under this name.
+from .similarity import handle_negatives, knn_graph, pearson_matrix, sparsify_knn  # noqa: F401
 
 METHODS = ("gtg", "group_loss", "label_spreading", "label_propagation", "harmonic")
 
@@ -164,10 +167,13 @@ def _stratified_anchors(labels: np.ndarray, num_classes: int, fraction: float, s
 
 
 def _build_similarity(features: FeatureSet, cfg: RunConfig):
-    w, zero_variance = pearson_matrix(features)
-    w = handle_negatives(w, cfg.negative_handling)
+    """Dense Pearson graph, or with --knn the same graph's k-NN form in CSR,
+    built without the dense matrix."""
     if cfg.knn is not None:
-        w = sparsify_knn(w, min(cfg.knn, features.n - 1))
+        w, zero_variance = knn_graph(features, min(cfg.knn, features.n - 1), cfg.negative_handling)
+    else:
+        w, zero_variance = pearson_matrix(features)
+        w = handle_negatives(w, cfg.negative_handling)
     return w, [int(i) for i in zero_variance]
 
 
@@ -199,9 +205,23 @@ def _initial_assignment(features, m, cfg: RunConfig, anchors: AnchorSet, id_to_r
     return inject_anchors(x0, anchors)
 
 
+def _cap_note(method: str, cap: int, tolerance: float) -> str:
+    return f"{method} stopped at its {cap}-step iteration cap without converging (tolerance {tolerance!r})"
+
+
 def _propagate(w, x0, anchors: AnchorSet, labels_for_baselines: LabelSet, cfg: RunConfig):
-    """Dispatch on method; returns (assignment, info dict with stable keys)."""
-    info = {"iterations_used": 0, "converged": True, "functional_trace": [], "degenerate_rows": [], "isolated_rows": []}
+    """Dispatch on method; returns (assignment, info dict with stable keys).
+
+    ``info["notes"]`` holds a line when an iterative method stopped at its
+    step cap without converging (fixed-step runs stop there by design)."""
+    info = {
+        "iterations_used": 0,
+        "converged": True,
+        "functional_trace": [],
+        "degenerate_rows": [],
+        "isolated_rows": [],
+        "notes": [],
+    }
     if cfg.method in ("gtg", "group_loss"):
         dyn = cfg.dynamics
         if cfg.method == "group_loss" and dyn.fixed_iterations is None:
@@ -211,16 +231,19 @@ def _propagate(w, x0, anchors: AnchorSet, labels_for_baselines: LabelSet, cfg: R
         info["converged"] = trace.converged
         info["functional_trace"] = trace.functional_values
         info["degenerate_rows"] = list(trace.degenerate_rows)
+        if dyn.fixed_iterations is None and not trace.converged:
+            info["notes"].append(_cap_note(cfg.method, dyn.max_iterations, dyn.tolerance))
         return x, info
+    if cfg.method == "harmonic":
+        return harmonic_function(w, labels_for_baselines), info
     if cfg.method == "label_spreading":
         x, meta = label_spreading(w, labels_for_baselines, cfg.baseline.alpha, cfg.baseline)
-        info.update(iterations_used=meta["iterations"], converged=meta["converged"], isolated_rows=meta["isolated"])
-        return x, info
-    if cfg.method == "label_propagation":
+        info["isolated_rows"] = meta["isolated"]
+    else:
         x, meta = label_propagation(w, labels_for_baselines, cfg.baseline)
-        info.update(iterations_used=meta["iterations"], converged=meta["converged"])
-        return x, info
-    x = harmonic_function(w, labels_for_baselines)
+    info.update(iterations_used=meta["iterations"], converged=meta["converged"])
+    if not meta["converged"]:
+        info["notes"].append(_cap_note(cfg.method, cfg.baseline.max_iterations, cfg.baseline.tolerance))
     return x, info
 
 
@@ -239,10 +262,11 @@ def _score(cfg, features, truth, pred, assignment, anchors, m) -> tuple[dict, li
     requested = list(cfg.metrics)
     if cfg.method == "group_loss" and "cross_entropy" not in requested:
         requested.append("cross_entropy")
+    recall = _recall(features.data[truth_rows], truth[truth_rows], requested, RUN_METRICS)
     for name in requested:
         kind, k = _parse_metric(name, RUN_METRICS)
         if kind == "recall":
-            values[name] = metrics_mod.recall_at_k(features.data[truth_rows], truth[truth_rows], [k])[k]
+            values[name] = recall[k]
             continue
         if held_out.size == 0:
             notes.append(f"metric {name} skipped: no held-out labeled rows")
@@ -258,6 +282,12 @@ def _score(cfg, features, truth, pred, assignment, anchors, m) -> tuple[dict, li
             masked[held_out] = truth[held_out]
             values[name] = group_loss_value(assignment, masked)
     return values, notes
+
+
+def _recall(data, truth, names, allowed) -> dict[int, float]:
+    """recall@K for every K among ``names``, from one neighbor search."""
+    ks = sorted({k for kind, k in (_parse_metric(name, allowed) for name in names) if kind == "recall"})
+    return metrics_mod.recall_at_k(data, truth, ks) if ks else {}
 
 
 def _config_echo(cfg: RunConfig) -> dict:
@@ -319,6 +349,7 @@ def run_pipeline(cfg: RunConfig) -> tuple[Path, dict]:
     predicted_names = [indexer.names[c] for c in pred]
 
     metric_values, notes = _score(cfg, features, truth, pred, assignment, anchors, m)
+    notes += info["notes"]
     if features.dim == 2:
         notes.append(PEARSON_2D_NOTE)
 
@@ -381,10 +412,11 @@ def run_eval(
 
     notes: list[str] = []
     values: dict[str, float] = {}
+    recall = _recall(features.data[rows], truth[rows], metric_names, EVAL_METRICS)
     for name in metric_names:
         kind, k = _parse_metric(name, EVAL_METRICS)
         if kind == "recall":
-            values[name] = metrics_mod.recall_at_k(features.data[rows], truth[rows], [k])[k]
+            values[name] = recall[k]
         elif kind == "nmi":
             clusters = kmeans(features.data[rows], m, BaselineConfig(seed=seed))
             values[name] = metrics_mod.nmi(clusters, truth[rows])

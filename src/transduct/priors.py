@@ -2,6 +2,7 @@
 anchor injection."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,8 @@ class PriorConfig:
     def __post_init__(self):
         if self.mode not in ("uniform", "logits"):
             raise ConfigError(f"unknown prior mode {self.mode!r}")
-        if not self.temperature > 0:
-            raise ConfigError("temperature must be positive")
+        if not 0 < self.temperature < math.inf:
+            raise ConfigError(f"temperature must be finite and positive, got {self.temperature!r}")
 
 
 def uniform_prior(n: int, m: int) -> np.ndarray:

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from transduct import (
     BaselineConfig,
@@ -146,6 +147,61 @@ class TestLabelPropagation:
             x, meta = label_propagation(w, ls, cfg)
             assert meta["converged"]
             np.testing.assert_allclose(x, harmonic_function(w, ls), atol=1e-6)
+
+
+class TestCsrGraph:
+    """The baselines take the k-NN graph's CSR form and agree with the
+    dense array."""
+
+    @staticmethod
+    def instances(seed, count=15):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            n = int(rng.integers(4, 40))
+            w = random_connected_graph(rng, n)
+            labels = np.full(n, -1)
+            labels[rng.choice(n, size=3, replace=False)] = [0, 1, 2]
+            yield w, LabelSet(3, labels)
+
+    def test_label_spreading(self):
+        for w, labels in self.instances(201):
+            dense, dense_meta = label_spreading(w, labels, alpha=0.9)
+            csr, csr_meta = label_spreading(sparse.csr_array(w), labels, alpha=0.9)
+            np.testing.assert_allclose(csr, dense, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(csr_meta["raw_scores"], dense_meta["raw_scores"], rtol=0, atol=1e-12)
+            assert csr_meta["iterations"] == dense_meta["iterations"]
+            np.testing.assert_allclose(
+                label_spreading_closed_form(sparse.csr_array(w), labels, alpha=0.9),
+                label_spreading_closed_form(w, labels, alpha=0.9),
+                rtol=0, atol=1e-12,
+            )
+
+    def test_label_propagation(self):
+        cfg = BaselineConfig(max_iterations=300)
+        for w, labels in self.instances(202):
+            dense, dense_meta = label_propagation(w, labels, cfg)
+            csr, csr_meta = label_propagation(sparse.csr_array(w), labels, cfg)
+            np.testing.assert_allclose(csr, dense, rtol=0, atol=1e-12)
+            assert csr_meta == dense_meta
+
+    def test_harmonic_function(self):
+        for w, labels in self.instances(203):
+            np.testing.assert_allclose(
+                harmonic_function(sparse.csr_array(w), labels), harmonic_function(w, labels), rtol=0, atol=1e-12
+            )
+
+    def test_checks_apply_to_csr(self):
+        w = np.zeros((3, 3))
+        w[0, 1] = w[1, 0] = 1.0
+        with pytest.raises(SingularSystem):
+            harmonic_function(sparse.csr_array(w), LabelSet(2, [0, -1, -1]))
+        with pytest.raises(DataError):
+            label_propagation(sparse.csr_array(-CHAIN_W), CHAIN_LABELS)
+
+    def test_config_rejects_non_finite_tolerance(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                BaselineConfig(tolerance=bad)
 
 
 def brute_force_kmeans(points, k):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from transduct import (
     AnchorSet,
@@ -190,6 +191,51 @@ class TestRunDynamics:
             DynamicsConfig(tolerance=-1.0)
         with pytest.raises(ConfigError):
             DynamicsConfig(fixed_iterations=0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                DynamicsConfig(tolerance=bad)
+
+
+class TestCsrGraph:
+    """Every entry point takes the k-NN graph's CSR form and agrees with
+    the dense array."""
+
+    @staticmethod
+    def sparse_instance(rng, n, m):
+        w, x = random_instance(rng, n=n, m=m)
+        w[w < 0.6] = 0.0  # keep roughly 40% of the edges
+        return w, x
+
+    def test_run_dynamics_matches_dense(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            n = int(rng.integers(3, 30))
+            w, x = self.sparse_instance(rng, n, int(rng.integers(2, 5)))
+            anchors = AnchorSet(((0, 0), (n - 1, 1)))
+            x0 = inject_anchors(x, anchors)
+            cfg = DynamicsConfig(max_iterations=200)
+            dense, dense_trace = run_dynamics(w, x0, cfg, anchors)
+            csr, csr_trace = run_dynamics(sparse.csr_array(w), x0, cfg, anchors)
+            np.testing.assert_allclose(csr, dense, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(csr_trace.functional_values, dense_trace.functional_values, rtol=1e-12)
+            assert csr_trace.degenerate_rows == dense_trace.degenerate_rows
+
+    def test_step_support_and_functional_match_dense(self):
+        rng = np.random.default_rng(13)
+        w, x = self.sparse_instance(rng, 9, 3)
+        csr = sparse.csr_array(w)
+        np.testing.assert_allclose(support(csr, x), support(w, x), rtol=0, atol=1e-12)
+        for fn in (replicator_step, replicator_step_elementwise):
+            (a, da), (b, db) = fn(csr, x), fn(w, x)
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(da, db)
+        assert consistency_functional(csr, x) == pytest.approx(consistency_functional(w, x), rel=1e-12)
+
+    def test_shape_checks(self):
+        with pytest.raises(ShapeMismatch):
+            support(sparse.csr_array((3, 3)), np.zeros((2, 2)))
+        with pytest.raises(ShapeMismatch):
+            support(sparse.csr_array((3, 2)), np.zeros((3, 2)))
 
 
 class TestGroupLossValue:

@@ -1,10 +1,22 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transduct import accuracy, macro_f1, nmi, recall_at_k
+from transduct import accuracy, macro_f1, metrics, nmi, recall_at_k
 from transduct.errors import EmptyInput, InsufficientSamples, LengthMismatch
+
+
+def brute_force_recall(data, truth, ks):
+    """Oracle: the full distance matrix, every row stably argsorted."""
+    sq = np.sum(data**2, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (data @ data.T)
+    np.fill_diagonal(d2, np.inf)
+    order = np.argsort(d2, axis=1, kind="stable")
+    hits = truth[order] == truth[:, None]
+    return {k: float(np.mean(hits[:, :k].any(axis=1))) for k in ks}
 
 
 class TestAccuracy:
@@ -137,3 +149,24 @@ class TestRecallAtK:
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples):
             recall_at_k(np.zeros((3, 2)), [0, 1, 0], [3])
+
+    @given(st.integers(2, 40), st.integers(1, 4), st.sampled_from([1, 3, 7, 256]), st.integers(0, 5000))
+    @settings(max_examples=100, deadline=None)
+    def test_blocked_equals_brute_force_on_ties(self, n, d, block, seed):
+        """Small-integer coordinates: exact distances, many of them tied
+        and duplicated points, every K up to n - 1, blocks that do not
+        divide n."""
+        rng = np.random.default_rng(seed)
+        data = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+        truth = rng.integers(0, 3, size=n)
+        ks = list(range(1, n))
+        with mock.patch.object(metrics, "BLOCK_ROWS", block):
+            assert recall_at_k(data, truth, ks) == brute_force_recall(data, truth, ks)
+
+    def test_blocked_equals_brute_force_across_default_blocks(self):
+        rng = np.random.default_rng(6)
+        n = 2 * metrics.BLOCK_ROWS + 45
+        data = rng.normal(size=(n, 8))
+        truth = rng.integers(0, 4, size=n)
+        ks = [1, 2, 4, 8, 50]
+        assert recall_at_k(data, truth, ks) == brute_force_recall(data, truth, ks)

@@ -16,6 +16,7 @@ from transduct import (
     pearson_matrix,
     run_eval,
     run_pipeline,
+    sparsify_knn,
     true_centroids,
 )
 from transduct.errors import (
@@ -26,6 +27,9 @@ from transduct.errors import (
     ParseError,
     UnknownId,
 )
+from transduct import pipeline
+from transduct.baselines import BaselineConfig
+from transduct.dynamics import DynamicsConfig
 from transduct.io import read_features_csv, write_features_csv, write_labels_csv
 from transduct.pipeline import PEARSON_2D_NOTE
 
@@ -296,6 +300,87 @@ class TestRunPipeline:
         _, report = run_pipeline(cfg)
         assert report["metrics"]["accuracy"] >= 0.98
 
+    @pytest.mark.parametrize("method", ["gtg", "group_loss", "label_spreading", "label_propagation", "harmonic"])
+    @pytest.mark.parametrize("mode", ["clamp", "shift"])
+    def test_knn_run_matches_dense_reference_graph(self, blob_dataset, tmp_path, monkeypatch, method, mode):
+        """--knn propagates over knn_graph's CSR output; the same run over
+        the dense reference graph gives the same assignment."""
+        fpath, lpath, *_ = blob_dataset
+        assignments = []
+        for name in ("csr", "dense"):
+            if name == "dense":
+                monkeypatch.setattr(
+                    pipeline,
+                    "knn_graph",
+                    lambda features, k, m: (
+                        sparsify_knn(handle_negatives(pearson_matrix(features)[0], m), k),
+                        pearson_matrix(features)[1],
+                    ),
+                )
+            cfg = RunConfig(
+                method=method,
+                features_path=str(fpath),
+                labels_path=str(lpath),
+                truth_path=str(lpath),
+                anchor_fraction=0.1,
+                negative_handling=mode,
+                knn=5,
+                seed=3,
+                out_dir=str(tmp_path / name),
+            )
+            predictions_path, report = run_pipeline(cfg)
+            rows = [line.split(",") for line in predictions_path.read_text().strip().splitlines()[1:]]
+            assignments.append(np.array([[float(v) for v in row[3:]] for row in rows]))
+        np.testing.assert_allclose(assignments[0], assignments[1], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "method, overrides, note",
+        [
+            ("gtg", {"dynamics": DynamicsConfig(max_iterations=2, tolerance=0.0)},
+             "gtg stopped at its 2-step iteration cap without converging (tolerance 0.0)"),
+            ("label_spreading", {"baseline": BaselineConfig(max_iterations=3)},
+             "label_spreading stopped at its 3-step iteration cap without converging (tolerance 1e-08)"),
+            ("label_propagation", {"baseline": BaselineConfig(max_iterations=4)},
+             "label_propagation stopped at its 4-step iteration cap without converging (tolerance 1e-08)"),
+        ],
+    )
+    def test_iteration_cap_is_reported(self, blob_dataset, tmp_path, method, overrides, note):
+        fpath, lpath, *_ = blob_dataset
+        reports = []
+        for _ in range(2):
+            cfg = RunConfig(
+                method=method,
+                features_path=str(fpath),
+                labels_path=str(lpath),
+                anchor_fraction=0.1,
+                seed=3,
+                metrics=(),
+                out_dir=str(tmp_path),
+                **overrides,
+            )
+            _, report = run_pipeline(cfg)
+            assert not report["converged"]
+            assert report["warnings"]["notes"] == [note]
+            reports.append((tmp_path / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_fixed_steps_and_convergence_add_no_cap_note(self, blob_dataset, tmp_path):
+        fpath, lpath, *_ = blob_dataset
+        for method, dynamics in (("group_loss", DynamicsConfig()), ("gtg", DynamicsConfig(fixed_iterations=2)),
+                                 ("gtg", DynamicsConfig())):
+            cfg = RunConfig(
+                method=method,
+                features_path=str(fpath),
+                labels_path=str(lpath),
+                anchor_fraction=0.1,
+                dynamics=dynamics,
+                seed=3,
+                metrics=(),
+                out_dir=str(tmp_path / method),
+            )
+            _, report = run_pipeline(cfg)
+            assert report["warnings"]["notes"] == []
+
 
 class TestRunEval:
     def test_eval_metrics(self, blob_dataset, tmp_path):
@@ -358,6 +443,16 @@ class TestCli:
     def test_exit_code_config_error(self, tmp_path):
         r = self.run_cli("run", "--features", "f.csv", "--method", "gtg")
         assert r.returncode == 1
+
+    def test_non_finite_tolerance_is_a_config_error(self, tmp_path):
+        fpath = tmp_path / "f.csv"
+        fpath.write_text("id,f0,f1,f2\na,1,2,3\nb,3,2,1\n")
+        r = self.run_cli(
+            "run", "--features", str(fpath), "--method", "gtg", "--anchor-fraction", "0.5",
+            "--tol", "nan", "--out-dir", str(tmp_path / "out"),
+        )
+        assert r.returncode == 1
+        assert r.stderr.splitlines() == ["config error: tolerance must be finite and >= 0, got nan"]
 
     def test_exit_code_data_error(self, tmp_path):
         missing = tmp_path / "nope.csv"

@@ -114,3 +114,6 @@ def test_prior_config_validation():
         PriorConfig(mode="oracle")
     with pytest.raises(ConfigError):
         PriorConfig(temperature=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            PriorConfig(temperature=bad)

@@ -1,10 +1,15 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
-from transduct import handle_negatives, pearson_matrix, sparsify_knn
+from transduct import handle_negatives, knn_graph, pearson_matrix, similarity, sparsify_knn
 from transduct.errors import ConfigError, OutOfRange, ShapeMismatch
+from transduct.similarity import top_k
 
 
 def naive_pearson(data):
@@ -146,3 +151,106 @@ class TestSparsifyKnn:
         # symmetrization mirrors each pick, so the global count is <= 2kn
         # (a popular hub row can exceed 2k nonzeros on its own)
         assert int((out > 0).sum()) <= 2 * k * n
+
+
+def dense_knn(data, k, mode):
+    """The dense reference for knn_graph."""
+    return sparsify_knn(handle_negatives(pearson_matrix(data)[0], mode), k)
+
+
+def exact_samples(rng, n, d):
+    """Samples whose correlations are computed without rounding.
+
+    Each row is ``a * s + b`` for a balanced +-1 vector ``s`` and small
+    integers ``a >= 1`` and ``b``, so its z-scores are exactly ``s`` and
+    every product is an integer: the dense and the blocked paths see the
+    same exact values, and the few distinct patterns make duplicated
+    samples and ties at the k-th value common. About one row in ten is
+    constant (zero variance).
+    """
+    signs = rng.permuted(np.tile(np.r_[np.ones(d // 2), -np.ones(d // 2)], (n, 1)), axis=1)
+    data = rng.integers(1, 4, size=(n, 1)) * signs + rng.integers(-3, 4, size=(n, 1))
+    data[rng.random(n) < 0.1] = 2.0
+    return data.astype(np.float64)
+
+
+class TestTopK:
+    @given(st.integers(2, 30), st.integers(0, 5000))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_stable_argsort_on_ties(self, n, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 4, size=(5, n)).astype(np.float64)
+        for k in range(1, n):
+            expected = np.argsort(-values, axis=1, kind="stable")[:, :k]
+            np.testing.assert_array_equal(top_k(values, k), expected)
+
+    def test_k_out_of_range(self):
+        with pytest.raises(OutOfRange):
+            top_k(np.zeros((2, 3)), 3)
+
+
+class TestKnnGraph:
+    @given(st.integers(2, 40), st.sampled_from([2, 4, 6, 8]), st.sampled_from([1, 3, 7, 256]),
+           st.sampled_from(["clamp", "shift"]), st.integers(0, 5000))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_dense_exactly_with_ties(self, n, d, block, mode, seed):
+        """Duplicated samples, zero-variance rows and blocks that do not
+        divide n: the same edges with the same weights for every k."""
+        data = exact_samples(np.random.default_rng(seed), n, d)
+        for k in range(1, n):
+            with mock.patch.object(similarity, "BLOCK_ROWS", block):
+                graph, flagged = knn_graph(data, k, mode)
+            expected = dense_knn(data, k, mode)
+            np.testing.assert_array_equal(graph.toarray(), expected)
+            np.testing.assert_array_equal(flagged, pearson_matrix(data)[1])
+
+    @given(st.integers(3, 30), st.integers(3, 10), st.sampled_from([1, 3, 7, 256]),
+           st.sampled_from(["clamp", "shift"]), st.integers(0, 5000))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_dense_on_real_valued_data(self, n, d, block, mode, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(n, d))
+        data[rng.integers(0, n)] = 1.5  # one zero-variance sample
+        for k in range(1, n):
+            with mock.patch.object(similarity, "BLOCK_ROWS", block):
+                graph = knn_graph(data, k, mode)[0].toarray()
+            expected = dense_knn(data, k, mode)
+            np.testing.assert_array_equal(graph != 0, expected != 0)
+            np.testing.assert_allclose(graph, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["clamp", "shift"])
+    def test_several_default_blocks(self, mode):
+        rng = np.random.default_rng(4)
+        n = 2 * similarity.BLOCK_ROWS + 45
+        data = rng.normal(size=(n, 12))
+        data[[3, n - 2]] = 7.0
+        graph = knn_graph(data, 6, mode)[0]
+        expected = dense_knn(data, 6, mode)
+        np.testing.assert_array_equal(graph.toarray() != 0, expected != 0)
+        np.testing.assert_allclose(graph.toarray(), expected, rtol=0, atol=1e-12)
+
+    def test_symmetric_csr_without_stored_zeros(self):
+        data = exact_samples(np.random.default_rng(9), 30, 6)
+        graph = knn_graph(data, 4, "clamp")[0]
+        assert isinstance(graph, sparse.csr_array)
+        assert graph.has_canonical_format and np.all(graph.data > 0)
+        assert (graph != graph.T).nnz == 0
+
+    def test_rejects_bad_k_and_mode(self):
+        data = np.random.default_rng(0).normal(size=(4, 3))
+        with pytest.raises(OutOfRange):
+            knn_graph(data, 4)
+        with pytest.raises(ConfigError):
+            knn_graph(data, 2, "abs")
+
+    def test_peak_memory_below_one_dense_matrix(self):
+        """The k-NN path must never hold an n x n float64 matrix."""
+        n = 4000
+        data = np.random.default_rng(1).normal(size=(n, 16))
+        tracemalloc.start()
+        try:
+            knn_graph(data, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
