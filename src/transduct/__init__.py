@@ -28,14 +28,10 @@ from .baselines import (
 from .core import (
     UNLABELED,
     AnchorSet,
-    AssignmentMatrix,
-    EvaluationReport,
     FeatureSet,
     LabelSet,
-    SimilarityMatrix,
     argmax_decode,
     one_hot,
-    row_normalize,
 )
 from .dynamics import (
     DynamicsConfig,
@@ -45,13 +41,11 @@ from .dynamics import (
     replicator_step,
     replicator_step_elementwise,
     run_dynamics,
-    support,
 )
 from .metrics import accuracy, macro_f1, nmi, recall_at_k
-from .pipeline import RunConfig, ingest, run_eval, run_pipeline
+from .pipeline import RunConfig, run_eval, run_pipeline
 from .priors import (
     PriorConfig,
-    apply_class_mask,
     inject_anchors,
     softmax_with_temperature,
     uniform_prior,
@@ -64,26 +58,21 @@ __version__ = "0.1.0"
 __all__ = [
     "UNLABELED",
     "AnchorSet",
-    "AssignmentMatrix",
     "BaselineConfig",
     "BlobSpec",
     "DynamicsConfig",
     "DynamicsTrace",
-    "EvaluationReport",
     "FeatureSet",
     "LabelSet",
     "PriorConfig",
     "RunConfig",
-    "SimilarityMatrix",
     "accuracy",
-    "apply_class_mask",
     "argmax_decode",
     "consistency_functional",
     "errors",
     "group_loss_value",
     "handle_negatives",
     "harmonic_function",
-    "ingest",
     "inject_anchors",
     "kmeans",
     "knn_graph",
@@ -99,13 +88,11 @@ __all__ = [
     "recall_at_k",
     "replicator_step",
     "replicator_step_elementwise",
-    "row_normalize",
     "run_dynamics",
     "run_eval",
     "run_pipeline",
     "softmax_with_temperature",
     "sparsify_knn",
-    "support",
     "true_centroids",
     "uniform_prior",
 ]

@@ -19,7 +19,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
-from .core import FeatureSet, LabelSet, check_graph
+from .core import FeatureSet, LabelSet, check_graph, normalize_rows
 from .errors import ConfigError, DataError, OutOfRange, SingularSystem
 
 
@@ -79,23 +79,20 @@ def _require_labeled_components(w, labels: LabelSet):
         )
 
 
-def label_spreading(
-    w, labels: LabelSet, alpha: float = 0.99, cfg: BaselineConfig | None = None
-) -> tuple[np.ndarray, dict]:
+def label_spreading(w, labels: LabelSet, cfg: BaselineConfig | None = None) -> tuple[np.ndarray, dict]:
     """Iterative label spreading on the normalized similarity graph.
 
-    Runs F <- alpha*S*F + (1-alpha)*Y from F(0)=Y until the L1 change
-    drops below cfg.tolerance or cfg.max_iterations is hit. Rows are
-    renormalized onto the simplex for decoding; isolated vertices (degree
-    zero, so their S row vanishes) end up uniform and are flagged.
+    Runs F <- alpha*S*F + (1-alpha)*Y with alpha = cfg.alpha from F(0)=Y
+    until the L1 change drops below cfg.tolerance or cfg.max_iterations
+    is hit. Rows are renormalized onto the simplex for decoding; isolated
+    vertices (degree zero, so their S row vanishes) end up uniform and are
+    flagged.
 
     Returns (assignment, meta); meta carries the raw fixed-point scores
     (before renormalization), iteration count, convergence flag and the
     isolated indices.
     """
     cfg = cfg or BaselineConfig()
-    if not 0 < alpha < 1:
-        raise ConfigError("alpha must lie in (0, 1)")
     w, n = _check_graph(w, labels)
     if labels.labeled_indices().size == 0:
         raise DataError("label spreading needs at least one labeled sample")
@@ -108,14 +105,14 @@ def label_spreading(
     converged = False
     iterations = 0
     for _ in range(cfg.max_iterations):
-        f_next = alpha * (s @ f) + (1 - alpha) * y
+        f_next = cfg.alpha * (s @ f) + (1 - cfg.alpha) * y
         delta = float(np.abs(f_next - f).sum())
         f = f_next
         iterations += 1
         if delta < cfg.tolerance:
             converged = True
             break
-    x = _normalize_for_decoding(f)
+    x = _to_simplex(f)
     meta = {
         "raw_scores": f,
         "iterations": iterations,
@@ -140,11 +137,10 @@ def label_spreading_closed_form(w, labels: LabelSet, alpha: float = 0.99) -> np.
     return (1 - alpha) * np.linalg.solve(np.eye(n) - alpha * s, y)
 
 
-def _normalize_for_decoding(scores) -> np.ndarray:
+def _to_simplex(scores) -> np.ndarray:
     """Rows onto the simplex; zero rows become uniform."""
-    sums = scores.sum(axis=1)
-    m = scores.shape[1]
-    out = np.where(sums[:, None] > 0, scores / np.where(sums > 0, sums, 1.0)[:, None], 1.0 / m)
+    out, zero = normalize_rows(scores)
+    out[zero] = 1.0 / scores.shape[1]
     return out
 
 
@@ -217,7 +213,7 @@ def label_propagation(
             converged = True
             break
     meta = {"iterations": iterations, "converged": converged}
-    return _normalize_for_decoding(f), meta
+    return _to_simplex(f), meta
 
 
 # --- K-means -----------------------------------------------------------

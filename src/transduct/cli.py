@@ -154,7 +154,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:  # OSError: a path that is missing, unreadable or of the wrong kind
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, TransductError) as exc:

@@ -2,19 +2,18 @@
 
 Numerical code in this package passes plain float64 ``numpy`` arrays
 around; the dataclasses below are validating containers used at module
-boundaries (file ingestion, pipeline plumbing, tests). All containers are
+boundaries (file loading, pipeline plumbing). All containers are
 frozen and their arrays are marked read-only, so instances can be shared
 freely across threads.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .errors import EmptyInput, LengthMismatch, NonFinite, OutOfRange, ShapeMismatch, ZeroRowSum
+from .errors import EmptyInput, LengthMismatch, NonFinite, OutOfRange, ShapeMismatch
 
 #: Sentinel for "no label known" entries in a label vector. Never a valid
 #: class index (class indices are always >= 0).
@@ -112,98 +111,17 @@ class AnchorSet:
                 raise OutOfRange(f"anchor class {c} out of range for m={m}")
 
 
-@dataclass(frozen=True)
-class AssignmentMatrix:
-    """A row-stochastic ``n x m`` matrix of per-sample label probabilities."""
-
-    x: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _frozen_array(self.x, ndim=2))
-        if not np.all(np.isfinite(self.x)):
-            raise NonFinite("assignment matrix contains non-finite entries")
-        if np.any(self.x < -1e-12) or np.any(self.x > 1 + 1e-12):
-            raise ValueError("assignment entries must lie in [0, 1]")
-        sums = self.x.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-9):
-            raise ValueError("assignment rows must sum to 1 within 1e-9")
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.x.shape[1]
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Square pairwise-weight matrix with a zero diagonal.
-
-    Entries may be negative straight out of a correlation measure; the
-    propagation engines require the non-negative form produced by the
-    negative-handling step (check with ``nonnegative()``).
-    """
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", _frozen_array(self.w, ndim=2))
-        n = self.w.shape[0]
-        if self.w.shape != (n, n):
-            raise ValueError("similarity matrix must be square")
-        if not np.all(np.isfinite(self.w)):
-            raise NonFinite("similarity matrix contains non-finite entries")
-        if np.any(np.diag(self.w) != 0):
-            raise ValueError("similarity diagonal must be zero")
-
-    @property
-    def n(self) -> int:
-        return self.w.shape[0]
-
-    def nonnegative(self) -> bool:
-        return bool(self.w.min() >= 0)
-
-
-@dataclass(frozen=True)
-class EvaluationReport:
-    """Metric values plus run metadata; every metric must be finite."""
-
-    metrics: dict
-    config_echo: dict
-    iterations_used: int
-    converged: bool
-    extra: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name, value in self.metrics.items():
-            if not math.isfinite(value):
-                raise NonFinite(f"metric {name!r} is not finite: {value!r}")
-
-    def to_dict(self) -> dict:
-        payload = {
-            "metrics": dict(self.metrics),
-            "config": dict(self.config_echo),
-            "iterations_used": self.iterations_used,
-            "converged": self.converged,
-        }
-        payload.update(self.extra)
-        return payload
-
-
-def row_normalize(raw) -> np.ndarray:
+def normalize_rows(raw) -> tuple[np.ndarray, np.ndarray]:
     """Divide each row of a non-negative matrix by its sum.
 
-    Raises ZeroRowSum for the first row whose sum is not strictly
-    positive; such a row signals degenerate support upstream.
+    Returns the normalized matrix and the indices of the rows whose sum is
+    not positive. Those rows cannot be normalized and are returned
+    unchanged; each caller chooses its own fallback.
     """
     raw = np.asarray(raw, dtype=np.float64)
     sums = raw.sum(axis=1)
-    bad = np.flatnonzero(sums <= 0)
-    if bad.size:
-        raise ZeroRowSum(int(bad[0]))
-    return raw / sums[:, None]
+    positive = sums > 0
+    return raw / np.where(positive, sums, 1.0)[:, None], np.flatnonzero(~positive)
 
 
 def one_hot(cls: int, m: int) -> np.ndarray:

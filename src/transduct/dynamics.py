@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .core import AnchorSet, check_graph, one_hot
+from .core import AnchorSet, check_graph, normalize_rows, one_hot
 from .errors import ConfigError, EmptyInput, ShapeMismatch
 
 #: Probability floor used before taking logs in the cross-entropy readout.
@@ -29,15 +29,11 @@ class DynamicsConfig:
     assignment matrices drops below ``tolerance``. When
     ``fixed_iterations`` is set the loop runs exactly that many steps and
     the tolerance check is skipped (the fixed-step refinement mode).
-    Anchored rows are mathematically exact fixed points of the update, but
-    ``reclamp_anchors`` re-pins them after every step anyway to guard
-    against float drift on very long runs.
     """
 
     max_iterations: int = 100
     tolerance: float = 1e-6
     fixed_iterations: int | None = None
-    reclamp_anchors: bool = True
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -65,16 +61,6 @@ def _check_shapes(w, x):
     return check_graph(w, x.shape[0], "assignment matrix"), x
 
 
-def support(w, x) -> np.ndarray:
-    """Aggregated per-class evidence from similar samples: W @ X.
-
-    Entry (i, lam) sums the similarity-weighted probability that i's
-    neighbors assign to class lam; it is non-negative whenever W is.
-    """
-    w, x = _check_shapes(w, x)
-    return w @ x
-
-
 def _refine(x, pi):
     """One multiplicative reweighting of x by its support pi.
 
@@ -82,11 +68,7 @@ def _refine(x, pi):
     vanishing on the row's surviving classes) cannot be normalized; they
     are frozen as-is and reported instead of dividing by zero.
     """
-    weighted = x * pi
-    sums = weighted.sum(axis=1)
-    degenerate = np.flatnonzero(sums <= 0)
-    safe = np.where(sums > 0, sums, 1.0)
-    out = weighted / safe[:, None]
+    out, degenerate = normalize_rows(x * pi)
     if degenerate.size:
         out[degenerate] = x[degenerate]
     return out, degenerate
@@ -151,6 +133,9 @@ def run_dynamics(
     convergence flag and the union of degenerate rows seen. In
     fixed-iteration mode exactly ``cfg.fixed_iterations`` steps run and
     ``converged`` is reported False since no tolerance test is made.
+    Anchored rows are exact fixed points of the update; they are pinned to
+    their one-hot labels at the start and re-pinned after every step
+    anyway, so float drift on very long runs cannot move them.
 
     The loop is deterministic: identical inputs produce bit-identical
     iterates and traces.
@@ -163,8 +148,7 @@ def run_dynamics(
         anchors.validate_against(*x.shape)
         anchor_rows = anchors.indices()
         anchor_onehots = np.stack([one_hot(c, x.shape[1]) for c in anchors.classes()])
-        if cfg.reclamp_anchors:
-            x[anchor_rows] = anchor_onehots
+        x[anchor_rows] = anchor_onehots
 
     fixed_mode = cfg.fixed_iterations is not None
     total = cfg.fixed_iterations if fixed_mode else cfg.max_iterations
@@ -178,7 +162,7 @@ def run_dynamics(
         trace.functional_values.append(float(np.sum(x * pi)))
         x_next, degen = _refine(x, pi)
         degenerate.update(int(i) for i in degen)
-        if cfg.reclamp_anchors and anchor_rows is not None:
+        if anchor_rows is not None:
             x_next[anchor_rows] = anchor_onehots
         delta = float(np.abs(x_next - x).sum())
         x = x_next

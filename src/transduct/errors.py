@@ -76,14 +76,6 @@ class NonFinite(NumericalError):
     """An input or intermediate value is NaN or infinite."""
 
 
-class ZeroRowSum(NumericalError):
-    """A row that must be normalized sums to zero (degenerate support)."""
-
-    def __init__(self, row, message=None):
-        super().__init__(message or f"row {row} sums to zero, cannot normalize")
-        self.row = row
-
-
 class SingularSystem(NumericalError):
     """The harmonic system is singular: an unlabeled component has no
     labeled attachment."""

@@ -10,25 +10,39 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .core import FeatureSet
-from .errors import DimensionMismatch, DuplicateId, ParseError
+from .errors import DataError, DimensionMismatch, DuplicateId, ParseError
 
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+@contextmanager
+def _open_utf8(path):
+    """A text file opened for reading as UTF-8; bytes that do not decode
+    raise a DataError that names the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_features_csv(path) -> FeatureSet:
-    """Parse `id,f0,f1,...` rows into a FeatureSet."""
+    """Parse `id,f0,f1,...` rows into a FeatureSet; a NaN or infinite
+    value is a ParseError naming its line."""
     path = Path(path)
     ids: list[str] = []
     rows: list[list[float]] = []
+    lines: list[int] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "id" or len(header) < 2:
@@ -50,9 +64,14 @@ def read_features_csv(path) -> FeatureSet:
             except ValueError as exc:
                 raise ParseError(path, lineno, f"bad float: {exc}") from None
             ids.append(sample_id)
+            lines.append(lineno)
     if not rows:
         raise ParseError(path, 1, "no data rows")
-    return FeatureSet(np.array(rows), tuple(ids))
+    data = np.array(rows)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise ParseError(path, lines[int(np.argmin(finite))], "value is NaN or infinite")
+    return FeatureSet(data, tuple(ids))
 
 
 def read_label_pairs(path) -> list[tuple[str, str | None]]:
@@ -64,7 +83,7 @@ def read_label_pairs(path) -> list[tuple[str, str | None]]:
     path = Path(path)
     pairs: list[tuple[str, str | None]] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "id" or len(header) < 2:
@@ -83,12 +102,6 @@ def read_label_pairs(path) -> list[tuple[str, str | None]]:
             label = row[1]
             pairs.append((sample_id, label if label != "" else None))
     return pairs
-
-
-def read_logits_csv(path) -> tuple[list[str], np.ndarray]:
-    """Parse `id,l0,l1,...` prediction logits."""
-    features = read_features_csv(path)
-    return list(features.ids), np.asarray(features.data)
 
 
 def write_features_csv(path, features: FeatureSet) -> None:

@@ -1,6 +1,6 @@
 """End-to-end label generation over CSV files.
 
-Flow: ingest features and labels, build the similarity graph, set up the
+Flow: load features and labels, build the similarity graph, set up the
 initial assignment (priors plus anchors), run the chosen propagator,
 decode pseudo-labels, score them against held-out truth and write a
 predictions CSV plus a JSON report. Runs are deterministic given
@@ -8,6 +8,7 @@ predictions CSV plus a JSON report. Runs are deterministic given
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -21,17 +22,11 @@ from .baselines import (
     label_propagation,
     label_spreading,
 )
-from .core import UNLABELED, AnchorSet, EvaluationReport, FeatureSet, LabelSet, argmax_decode
+from .core import UNLABELED, AnchorSet, FeatureSet, LabelSet, argmax_decode
 from .dynamics import DynamicsConfig, group_loss_value, run_dynamics
-from .errors import ConfigError, DataError, UnknownId
-from .io import (
-    read_features_csv,
-    read_label_pairs,
-    read_logits_csv,
-    write_predictions_csv,
-    write_report_json,
-)
-from .priors import PriorConfig, apply_class_mask, inject_anchors, softmax_with_temperature, uniform_prior
+from .errors import ConfigError, DataError, NonFinite, UnknownId
+from .io import read_features_csv, read_label_pairs, write_predictions_csv, write_report_json
+from .priors import PriorConfig, inject_anchors, softmax_with_temperature, uniform_prior
 # sparsify_knn is not called here (knn_graph replaced it on the run path);
 # it stays importable from this module because perfbench/tracer.py wraps it
 # under this name.
@@ -106,43 +101,39 @@ def _parse_metric(name: str, allowed) -> tuple[str, int | None]:
     raise ConfigError(f"unknown metric {name!r}")
 
 
-class _ClassIndexer:
-    """Assigns class indices by first appearance of each label string."""
+def _load_inputs(features_path, labels_path=None, anchors_path=None, truth_path=None):
+    """Read the feature file and the label files joined to it by exact id.
 
-    def __init__(self):
-        self.names: list[str] = []
-        self._index: dict[str, int] = {}
-
-    def index(self, name: str) -> int:
-        if name not in self._index:
-            self._index[name] = len(self.names)
-            self.names.append(name)
-        return self._index[name]
-
-
-def _pairs_to_vector(pairs, id_to_row, n, indexer, path) -> np.ndarray:
-    vector = np.full(n, UNLABELED, dtype=np.int64)
-    for sample_id, name in pairs:
-        if sample_id not in id_to_row:
-            raise UnknownId(f"{path}: id {sample_id!r} does not appear in the feature file")
-        if name is not None:
-            vector[id_to_row[sample_id]] = indexer.index(name)
-    return vector
-
-
-def ingest(features_path, labels_path) -> tuple[FeatureSet, LabelSet, tuple[str, ...]]:
-    """Load a feature CSV and a label CSV joined by exact id match.
-
-    Label strings become class indices in first-appearance order; the
-    returned tuple of names maps indices back to strings. Feature rows
-    missing from the label file are unlabeled.
+    Returns (features, labels, anchors, truth, classes, m). Label strings
+    become class indices in first-appearance order over the labels and
+    then the anchors; those first m classes are the model's. Classes that
+    appear only in the truth file are indexed after them, so truth never
+    changes what the model sees. Feature rows missing from a label file
+    are unlabeled; ``anchors`` and ``truth`` are None without their file.
     """
     features = read_features_csv(features_path)
     id_to_row = {sid: i for i, sid in enumerate(features.ids)}
-    indexer = _ClassIndexer()
-    vector = _pairs_to_vector(read_label_pairs(labels_path), id_to_row, features.n, indexer, labels_path)
-    labels = LabelSet(num_classes=max(1, len(indexer.names)), labels=vector)
-    return features, labels, tuple(indexer.names)
+    index: dict[str, int] = {}
+
+    def to_vector(path, blank_ok=True) -> np.ndarray:
+        vector = np.full(features.n, UNLABELED, dtype=np.int64)
+        for sample_id, name in read_label_pairs(path) if path is not None else ():
+            if sample_id not in id_to_row:
+                raise UnknownId(f"{path}: id {sample_id!r} does not appear in the feature file")
+            if name is not None:
+                vector[id_to_row[sample_id]] = index.setdefault(name, len(index))
+            elif not blank_ok:
+                raise DataError(f"{path}: anchor rows must carry a label (id {sample_id!r})")
+        return vector
+
+    labels = to_vector(labels_path)
+    anchors = None
+    if anchors_path is not None:
+        vector = to_vector(anchors_path, blank_ok=False)
+        anchors = AnchorSet(tuple((int(i), int(vector[i])) for i in np.flatnonzero(vector != UNLABELED)))
+    m = len(index)
+    truth = to_vector(truth_path) if truth_path is not None else None
+    return features, labels, anchors, truth, tuple(index), m
 
 
 def _stratified_anchors(labels: np.ndarray, num_classes: int, fraction: float, seed: int) -> AnchorSet:
@@ -177,16 +168,15 @@ def _build_similarity(features: FeatureSet, cfg: RunConfig):
     return w, [int(i) for i in zero_variance]
 
 
-def _initial_assignment(features, m, cfg: RunConfig, anchors: AnchorSet, id_to_row):
+def _initial_assignment(features, m, cfg: RunConfig, anchors: AnchorSet):
     if cfg.prior.mode == "logits":
-        ids, logit_rows = read_logits_csv(cfg.logits_path)
-        if logit_rows.shape[1] != m:
-            raise DataError(
-                f"logits have {logit_rows.shape[1]} columns for {m} classes"
-            )
+        logits = read_features_csv(cfg.logits_path)
+        if logits.dim != m:
+            raise DataError(f"logits have {logits.dim} columns for {m} classes")
+        id_to_row = {sid: i for i, sid in enumerate(features.ids)}
         x0 = np.zeros((features.n, m))
         seen = np.zeros(features.n, dtype=bool)
-        for sid, row in zip(ids, logit_rows):
+        for sid, row in zip(logits.ids, logits.data):
             if sid not in id_to_row:
                 raise UnknownId(f"{cfg.logits_path}: id {sid!r} does not appear in the feature file")
             x0[id_to_row[sid]] = row
@@ -196,12 +186,6 @@ def _initial_assignment(features, m, cfg: RunConfig, anchors: AnchorSet, id_to_r
         x0 = softmax_with_temperature(x0, cfg.prior.temperature)
     else:
         x0 = uniform_prior(features.n, m)
-    if cfg.prior.class_mask is not None:
-        x0 = apply_class_mask(x0, cfg.prior.class_mask)
-        allowed = {i: set(classes) for i, classes in enumerate(cfg.prior.class_mask)}
-        for i, c in anchors.entries:
-            if c not in allowed.get(i, {c}):
-                raise ConfigError(f"anchor {i} has class {c} excluded by its class mask")
     return inject_anchors(x0, anchors)
 
 
@@ -209,12 +193,9 @@ def _cap_note(method: str, cap: int, tolerance: float) -> str:
     return f"{method} stopped at its {cap}-step iteration cap without converging (tolerance {tolerance!r})"
 
 
-def _propagate(w, x0, anchors: AnchorSet, labels_for_baselines: LabelSet, cfg: RunConfig):
-    """Dispatch on method; returns (assignment, info dict with stable keys).
-
-    ``info["notes"]`` holds a line when an iterative method stopped at its
-    step cap without converging (fixed-step runs stop there by design)."""
-    info = {
+def _no_propagation() -> dict:
+    """The propagation facts of a run that iterates nothing."""
+    return {
         "iterations_used": 0,
         "converged": True,
         "functional_trace": [],
@@ -222,6 +203,15 @@ def _propagate(w, x0, anchors: AnchorSet, labels_for_baselines: LabelSet, cfg: R
         "isolated_rows": [],
         "notes": [],
     }
+
+
+def _propagate(w, x0, anchors: AnchorSet, labels_for_baselines: LabelSet, cfg: RunConfig):
+    """Dispatch on method; returns (assignment, info dict with the keys of
+    ``_no_propagation``).
+
+    ``info["notes"]`` holds a line when an iterative method stopped at its
+    step cap without converging (fixed-step runs stop there by design)."""
+    info = _no_propagation()
     if cfg.method in ("gtg", "group_loss"):
         dyn = cfg.dynamics
         if cfg.method == "group_loss" and dyn.fixed_iterations is None:
@@ -237,7 +227,7 @@ def _propagate(w, x0, anchors: AnchorSet, labels_for_baselines: LabelSet, cfg: R
     if cfg.method == "harmonic":
         return harmonic_function(w, labels_for_baselines), info
     if cfg.method == "label_spreading":
-        x, meta = label_spreading(w, labels_for_baselines, cfg.baseline.alpha, cfg.baseline)
+        x, meta = label_spreading(w, labels_for_baselines, cfg.baseline)
         info["isolated_rows"] = meta["isolated"]
     else:
         x, meta = label_propagation(w, labels_for_baselines, cfg.baseline)
@@ -247,10 +237,11 @@ def _propagate(w, x0, anchors: AnchorSet, labels_for_baselines: LabelSet, cfg: R
     return x, info
 
 
-def _score(cfg, features, truth, pred, assignment, anchors, m) -> tuple[dict, list[str]]:
+def _score(cfg, features, truth, pred, assignment, anchors, num_classes) -> tuple[dict, list[str]]:
     """Requested metrics on held-out labeled rows (truth minus anchors);
     recall@K runs over all truth-labeled rows since it scores the
-    embedding space, not the predictions."""
+    embedding space, not the predictions. ``num_classes`` counts the
+    truth-only classes too: the model gives them probability 0."""
     notes: list[str] = []
     values: dict[str, float] = {}
     if truth is None:
@@ -274,13 +265,14 @@ def _score(cfg, features, truth, pred, assignment, anchors, m) -> tuple[dict, li
         if kind == "accuracy":
             values[name] = metrics_mod.accuracy(pred[held_out], truth[held_out])
         elif kind == "macro_f1":
-            values[name] = metrics_mod.macro_f1(pred[held_out], truth[held_out], m)
+            values[name] = metrics_mod.macro_f1(pred[held_out], truth[held_out], num_classes)
         elif kind == "nmi":
             values[name] = metrics_mod.nmi(pred[held_out], truth[held_out])
         elif kind == "cross_entropy":
             masked = np.full_like(truth, UNLABELED)
             masked[held_out] = truth[held_out]
-            values[name] = group_loss_value(assignment, masked)
+            padded = np.pad(assignment, ((0, 0), (0, num_classes - assignment.shape[1])))
+            values[name] = group_loss_value(padded, masked)
     return values, notes
 
 
@@ -290,93 +282,67 @@ def _recall(data, truth, names, allowed) -> dict[int, float]:
     return metrics_mod.recall_at_k(data, truth, ks) if ks else {}
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    echo = asdict(cfg)
-    echo["metrics"] = list(cfg.metrics)
-    if cfg.prior.class_mask is not None:
-        echo["prior"]["class_mask"] = [sorted(int(c) for c in s) for s in cfg.prior.class_mask]
-    return echo
+def _report(metrics, config, classes, num_samples, notes, num_anchors=0, zero_variance=(), info=None) -> dict:
+    """The report.json payload of a run or an eval; ``info`` is what
+    ``_propagate`` returned. Raises NonFinite for a non-finite metric."""
+    for name, value in metrics.items():
+        if not math.isfinite(value):
+            raise NonFinite(f"metric {name!r} is not finite: {value!r}")
+    info = info or _no_propagation()
+    return {
+        "metrics": metrics,
+        "config": config,
+        "iterations_used": info["iterations_used"],
+        "converged": info["converged"],
+        "num_samples": num_samples,
+        "num_classes": len(classes),
+        "classes": list(classes),
+        "num_anchors": num_anchors,
+        "functional_trace": info["functional_trace"],
+        "warnings": {
+            "zero_variance_samples": list(zero_variance),
+            "degenerate_rows": info["degenerate_rows"],
+            "isolated_rows": info["isolated_rows"],
+            "notes": notes,
+        },
+    }
 
 
 def run_pipeline(cfg: RunConfig) -> tuple[Path, dict]:
     """Execute a full run; writes predictions.csv and report.json into
     cfg.out_dir and returns (predictions path, report dict)."""
-    features = read_features_csv(cfg.features_path)
-    id_to_row = {sid: i for i, sid in enumerate(features.ids)}
-    indexer = _ClassIndexer()
-
-    labels = np.full(features.n, UNLABELED, dtype=np.int64)
-    if cfg.labels_path is not None:
-        labels = _pairs_to_vector(
-            read_label_pairs(cfg.labels_path), id_to_row, features.n, indexer, cfg.labels_path
-        )
-
-    anchor_entries = None
-    if cfg.anchors_path is not None:
-        pairs = read_label_pairs(cfg.anchors_path)
-        blank = [sid for sid, name in pairs if name is None]
-        if blank:
-            raise DataError(f"{cfg.anchors_path}: anchor rows must carry a label (id {blank[0]!r})")
-        vector = _pairs_to_vector(pairs, id_to_row, features.n, indexer, cfg.anchors_path)
-        anchor_entries = AnchorSet(
-            tuple(sorted((int(i), int(vector[i])) for i in np.flatnonzero(vector != UNLABELED)))
-        )
-
-    truth = None
-    if cfg.truth_path is not None:
-        truth = _pairs_to_vector(
-            read_label_pairs(cfg.truth_path), id_to_row, features.n, indexer, cfg.truth_path
-        )
-
-    m = len(indexer.names)
+    features, labels, anchors, truth, classes, m = _load_inputs(
+        cfg.features_path, cfg.labels_path, cfg.anchors_path, cfg.truth_path
+    )
     if m < 2:
         raise ConfigError(f"need at least two distinct classes, found {m}")
-
-    anchors = anchor_entries if anchor_entries is not None else _stratified_anchors(
-        labels, m, cfg.anchor_fraction, cfg.seed
-    )
+    if anchors is None:
+        anchors = _stratified_anchors(labels, m, cfg.anchor_fraction, cfg.seed)
     if len(anchors) == 0:
         raise ConfigError("anchor set is empty")
 
     w, zero_variance = _build_similarity(features, cfg)
-    x0 = _initial_assignment(features, m, cfg, anchors, id_to_row)
+    x0 = _initial_assignment(features, m, cfg, anchors)
 
     baseline_labels = np.full(features.n, UNLABELED, dtype=np.int64)
     baseline_labels[anchors.indices()] = anchors.classes()
     assignment, info = _propagate(w, x0, anchors, LabelSet(m, baseline_labels), cfg)
 
     pred = argmax_decode(assignment)
-    predicted_names = [indexer.names[c] for c in pred]
-
-    metric_values, notes = _score(cfg, features, truth, pred, assignment, anchors, m)
+    metric_values, notes = _score(cfg, features, truth, pred, assignment, anchors, len(classes))
     notes += info["notes"]
+    if len(classes) > m:
+        notes.append(f"classes only in the truth file are never predicted: {', '.join(classes[m:])}")
     if features.dim == 2:
         notes.append(PEARSON_2D_NOTE)
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     predictions_path = out_dir / "predictions.csv"
-    write_predictions_csv(predictions_path, features.ids, predicted_names, assignment)
+    write_predictions_csv(predictions_path, features.ids, [classes[c] for c in pred], assignment)
 
-    report = EvaluationReport(
-        metrics=metric_values,
-        config_echo=_config_echo(cfg),
-        iterations_used=info["iterations_used"],
-        converged=info["converged"],
-        extra={
-            "num_samples": features.n,
-            "num_classes": m,
-            "classes": list(indexer.names),
-            "num_anchors": len(anchors),
-            "functional_trace": info["functional_trace"],
-            "warnings": {
-                "zero_variance_samples": zero_variance,
-                "degenerate_rows": info["degenerate_rows"],
-                "isolated_rows": info["isolated_rows"],
-                "notes": notes,
-            },
-        },
-    ).to_dict()
+    config = asdict(cfg) | {"metrics": list(cfg.metrics)}
+    report = _report(metric_values, config, classes[:m], features.n, notes, len(anchors), zero_variance, info)
     write_report_json(out_dir / "report.json", report)
     return predictions_path, report
 
@@ -398,17 +364,11 @@ def run_eval(
     """
     for name in metric_names:
         _parse_metric(name, EVAL_METRICS)
-    features = read_features_csv(features_path)
-    id_to_row = {sid: i for i, sid in enumerate(features.ids)}
-    indexer = _ClassIndexer()
-    truth = _pairs_to_vector(read_label_pairs(truth_path), id_to_row, features.n, indexer, truth_path)
-    pred = None
-    if labels_path is not None:
-        pred = _pairs_to_vector(read_label_pairs(labels_path), id_to_row, features.n, indexer, labels_path)
+    features, pred, _, truth, classes, _ = _load_inputs(features_path, labels_path, truth_path=truth_path)
     rows = np.flatnonzero(truth != UNLABELED)
     if rows.size == 0:
         raise DataError(f"{truth_path}: no labeled rows to evaluate")
-    m = len(indexer.names)
+    m = len(classes)
 
     notes: list[str] = []
     values: dict[str, float] = {}
@@ -420,7 +380,7 @@ def run_eval(
         elif kind == "nmi":
             clusters = kmeans(features.data[rows], m, BaselineConfig(seed=seed))
             values[name] = metrics_mod.nmi(clusters, truth[rows])
-        elif pred is None:
+        elif labels_path is None:
             notes.append(f"metric {name} skipped: needs a predictions file (--labels)")
         else:
             both = rows[pred[rows] != UNLABELED]
@@ -431,33 +391,16 @@ def run_eval(
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = EvaluationReport(
-        metrics=values,
-        config_echo={
-            "method": "eval",
-            "features_path": str(features_path),
-            "truth_path": str(truth_path),
-            "labels_path": None if labels_path is None else str(labels_path),
-            "metrics": list(metric_names),
-            "seed": seed,
-            "out_dir": str(out_dir),
-        },
-        iterations_used=0,
-        converged=True,
-        extra={
-            "num_samples": int(rows.size),
-            "num_classes": m,
-            "classes": list(indexer.names),
-            "num_anchors": 0,
-            "functional_trace": [],
-            "warnings": {
-                "zero_variance_samples": [],
-                "degenerate_rows": [],
-                "isolated_rows": [],
-                "notes": notes,
-            },
-        },
-    ).to_dict()
+    config = {
+        "method": "eval",
+        "features_path": str(features_path),
+        "truth_path": str(truth_path),
+        "labels_path": None if labels_path is None else str(labels_path),
+        "metrics": list(metric_names),
+        "seed": seed,
+        "out_dir": str(out_dir),
+    }
+    report = _report(values, config, classes, int(rows.size), notes)
     report_path = out_dir / "report.json"
     write_report_json(report_path, report)
     return report_path, report

@@ -141,7 +141,7 @@ def test_anchor_fixed_point():
         np.fill_diagonal(w, 0)
         anchors = AnchorSet(tuple((i, int(rng.integers(m))) for i in range(0, n, 3)))
         x0 = inject_anchors(rng.dirichlet(np.ones(m), size=n), anchors)
-        cfg = DynamicsConfig(max_iterations=100, tolerance=0.0, reclamp_anchors=False)
+        cfg = DynamicsConfig(max_iterations=100, tolerance=0.0)
         x, trace = run_dynamics(w, x0, cfg, anchors=None)
         assert trace.iterations_used == 100
         worst = max(worst, float(np.abs(x[anchors.indices()] - x0[anchors.indices()]).max()))
@@ -219,7 +219,7 @@ def test_baseline_oracle_equivalence():
     """On 50 random connected graphs (n <= 20): iterative spreading vs its
     closed form within 1e-8, propagation vs harmonic within 1e-6."""
     rng = np.random.default_rng(404)
-    cfg = BaselineConfig(tolerance=1e-13, max_iterations=100_000)
+    cfg = BaselineConfig(alpha=0.9, tolerance=1e-13, max_iterations=100_000)
     worst_ls = worst_lp = 0.0
     for _ in range(50):
         n = int(rng.integers(4, 21))
@@ -227,7 +227,7 @@ def test_baseline_oracle_equivalence():
         vec = np.full(n, -1)
         vec[rng.choice(n, size=min(3, n), replace=False)] = [0, 1, 2][: min(3, n)]
         labels = LabelSet(3, vec)
-        _, meta = label_spreading(w, labels, alpha=0.9, cfg=cfg)
+        _, meta = label_spreading(w, labels, cfg)
         oracle = label_spreading_closed_form(w, labels, alpha=0.9)
         worst_ls = max(worst_ls, float(np.abs(meta["raw_scores"] - oracle).max()))
         lp, lp_meta = label_propagation(w, labels, cfg)

@@ -41,7 +41,7 @@ class TestLabelSpreading:
         labels = LabelSet(2, [0, -1])
         raw = label_spreading_closed_form(w, labels, alpha=0.5)
         np.testing.assert_allclose(raw, [[2 / 3, 0], [1 / 3, 0]], atol=1e-12)
-        x, meta = label_spreading(w, labels, alpha=0.5, cfg=BaselineConfig(tolerance=1e-13, max_iterations=10_000))
+        x, meta = label_spreading(w, labels, BaselineConfig(alpha=0.5, tolerance=1e-13, max_iterations=10_000))
         assert meta["converged"]
         np.testing.assert_allclose(meta["raw_scores"], raw, atol=1e-10)
         assert x.argmax(axis=1).tolist() == [0, 0]
@@ -49,27 +49,27 @@ class TestLabelSpreading:
     def test_alpha_to_zero_recovers_labels(self):
         w = np.array([[0, 1], [1, 0.0]])
         labels = LabelSet(2, [0, 1])
-        x, _ = label_spreading(w, labels, alpha=1e-9)
+        x, _ = label_spreading(w, labels, BaselineConfig(alpha=1e-9))
         np.testing.assert_allclose(x, [[1, 0], [0, 1]], atol=1e-6)
 
     def test_isolated_unlabeled_vertex_uniform_and_flagged(self):
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = 1.0
         labels = LabelSet(2, [0, -1, -1])
-        x, meta = label_spreading(w, labels, alpha=0.5)
+        x, meta = label_spreading(w, labels, BaselineConfig(alpha=0.5))
         assert meta["isolated"] == [2]
         np.testing.assert_allclose(x[2], [0.5, 0.5])
 
     def test_iterative_matches_closed_form_on_random_graphs(self):
         rng = np.random.default_rng(101)
-        cfg = BaselineConfig(tolerance=1e-13, max_iterations=50_000)
+        cfg = BaselineConfig(alpha=0.9, tolerance=1e-13, max_iterations=50_000)
         for _ in range(10):
             n = int(rng.integers(4, 15))
             w = random_connected_graph(rng, n)
             labels = np.full(n, -1)
             labels[rng.choice(n, size=2, replace=False)] = [0, 1]
             ls = LabelSet(2, labels)
-            _, meta = label_spreading(w, ls, alpha=0.9, cfg=cfg)
+            _, meta = label_spreading(w, ls, cfg)
             oracle = label_spreading_closed_form(w, ls, alpha=0.9)
             np.testing.assert_allclose(meta["raw_scores"], oracle, atol=1e-8)
 
@@ -79,7 +79,7 @@ class TestLabelSpreading:
 
     def test_alpha_range(self):
         with pytest.raises(ConfigError):
-            label_spreading(CHAIN_W, CHAIN_LABELS, alpha=1.0)
+            label_spreading(CHAIN_W, CHAIN_LABELS, BaselineConfig(alpha=1.0))
 
 
 class TestHarmonicFunction:
@@ -165,8 +165,8 @@ class TestCsrGraph:
 
     def test_label_spreading(self):
         for w, labels in self.instances(201):
-            dense, dense_meta = label_spreading(w, labels, alpha=0.9)
-            csr, csr_meta = label_spreading(sparse.csr_array(w), labels, alpha=0.9)
+            dense, dense_meta = label_spreading(w, labels, BaselineConfig(alpha=0.9))
+            csr, csr_meta = label_spreading(sparse.csr_array(w), labels, BaselineConfig(alpha=0.9))
             np.testing.assert_allclose(csr, dense, rtol=0, atol=1e-12)
             np.testing.assert_allclose(csr_meta["raw_scores"], dense_meta["raw_scores"], rtol=0, atol=1e-12)
             assert csr_meta["iterations"] == dense_meta["iterations"]

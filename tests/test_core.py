@@ -3,18 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transduct import (
-    AnchorSet,
-    AssignmentMatrix,
-    EvaluationReport,
-    FeatureSet,
-    LabelSet,
-    SimilarityMatrix,
-    argmax_decode,
-    one_hot,
-    row_normalize,
-)
-from transduct.errors import NonFinite, OutOfRange, ZeroRowSum
+from transduct import AnchorSet, FeatureSet, LabelSet, argmax_decode, one_hot
+from transduct.core import normalize_rows
+from transduct.errors import NonFinite, OutOfRange
+from transduct.pipeline import _report
 
 
 def random_positive_matrix(draw_n, draw_m, seed):
@@ -24,21 +16,22 @@ def random_positive_matrix(draw_n, draw_m, seed):
 
 class TestRowNormalize:
     def test_direct(self):
-        out = row_normalize([[2, 2], [1, 3]])
+        out, zero = normalize_rows([[2, 2], [1, 3]])
         np.testing.assert_allclose(out, [[0.5, 0.5], [0.25, 0.75]])
+        assert zero.size == 0
 
     def test_one_hot_already(self):
-        np.testing.assert_array_equal(row_normalize([[1, 0]]), [[1, 0]])
+        np.testing.assert_array_equal(normalize_rows([[1, 0]])[0], [[1, 0]])
 
     def test_zero_row(self):
-        with pytest.raises(ZeroRowSum) as exc:
-            row_normalize([[0.0, 0.0]])
-        assert exc.value.row == 0
+        out, zero = normalize_rows([[0.0, 0.0], [1.0, 3.0]])
+        assert zero.tolist() == [0]
+        np.testing.assert_array_equal(out, [[0.0, 0.0], [0.25, 0.75]])
 
     @given(st.integers(1, 20), st.integers(2, 8), st.integers(0, 10_000))
     @settings(max_examples=200, deadline=None)
     def test_rows_sum_to_one(self, n, m, seed):
-        out = row_normalize(random_positive_matrix(n, m, seed))
+        out, _ = normalize_rows(random_positive_matrix(n, m, seed))
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
     @given(st.integers(2, 6), st.integers(0, 1000))
@@ -46,7 +39,7 @@ class TestRowNormalize:
     def test_one_hot_rows_are_fixed_points(self, m, seed):
         rng = np.random.default_rng(seed)
         rows = np.stack([one_hot(int(rng.integers(m)), m) for _ in range(5)])
-        np.testing.assert_array_equal(row_normalize(rows), rows)
+        np.testing.assert_array_equal(normalize_rows(rows)[0], rows)
 
 
 class TestOneHot:
@@ -106,23 +99,9 @@ class TestContainers:
         with pytest.raises(ValueError):
             AnchorSet(((0, 1), (0, 0)))
 
-    def test_assignment_matrix_row_sums(self):
-        with pytest.raises(ValueError):
-            AssignmentMatrix([[0.6, 0.6]])
-        am = AssignmentMatrix([[0.25, 0.75]])
-        assert am.num_classes == 2
-
-    def test_similarity_matrix_diagonal_and_sign(self):
-        with pytest.raises(ValueError):
-            SimilarityMatrix([[1.0, 0.5], [0.5, 0.0]])
-        sm = SimilarityMatrix([[0.0, -0.5], [-0.5, 0.0]])
-        assert not sm.nonnegative()
-        assert SimilarityMatrix([[0.0, 0.5], [0.5, 0.0]]).nonnegative()
-
     def test_evaluation_report_requires_finite_metrics(self):
         with pytest.raises(NonFinite):
-            EvaluationReport({"accuracy": float("nan")}, {}, 1, True)
-        report = EvaluationReport({"accuracy": 0.5}, {"seed": 1}, 3, True, {"classes": ["a"]})
-        payload = report.to_dict()
-        assert payload["metrics"]["accuracy"] == 0.5
-        assert payload["classes"] == ["a"]
+            _report({"accuracy": float("nan")}, {}, ("a",), 1, [])
+        report = _report({"accuracy": 0.5}, {"seed": 1}, ("a",), 1, [])
+        assert report["metrics"]["accuracy"] == 0.5
+        assert report["classes"] == ["a"]

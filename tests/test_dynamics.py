@@ -11,7 +11,6 @@ from transduct import (
     replicator_step,
     replicator_step_elementwise,
     run_dynamics,
-    support,
     uniform_prior,
 )
 from transduct.errors import ConfigError, EmptyInput, ShapeMismatch
@@ -32,22 +31,32 @@ THREE_NODE_ANCHORS = AnchorSet(((0, 0), (2, 1)))
 
 
 class TestSupport:
+    """The support W @ X as the replicator step and the functional use it."""
+
     def test_hand_product(self):
+        # W @ X = [[0.5, 0.5], [1, 0]]
         w = np.array([[0, 1], [1, 0.0]])
         x = np.array([[1, 0], [0.5, 0.5]])
-        np.testing.assert_allclose(support(w, x), [[0.5, 0.5], [1, 0]])
+        assert consistency_functional(w, x) == pytest.approx(0.5 + 0.5, abs=1e-15)
+        np.testing.assert_allclose(replicator_step(w, x)[0], [[1, 0], [1, 0]])
 
     def test_zero_graph(self):
-        assert np.all(support(np.zeros((3, 3)), uniform_prior(3, 2)) == 0)
+        x = uniform_prior(3, 2)
+        out, degen = replicator_step(np.zeros((3, 3)), x)
+        assert degen.tolist() == [0, 1, 2]
+        np.testing.assert_array_equal(out, x)
 
     def test_same_class_onehots(self):
+        # W @ X = [[1, 0], [1, 0]]: each row keeps its one-hot
         w = np.array([[0, 1], [1, 0.0]])
         x = np.array([[1, 0], [1, 0.0]])
-        np.testing.assert_allclose(support(w, x), [[1, 0], [1, 0]])
+        out, degen = replicator_step(w, x)
+        np.testing.assert_array_equal(out, x)
+        assert degen.size == 0
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            support(np.zeros((3, 3)), np.zeros((2, 2)))
+            replicator_step(np.zeros((3, 3)), np.zeros((2, 2)))
 
 
 class TestReplicatorStep:
@@ -224,7 +233,6 @@ class TestCsrGraph:
         rng = np.random.default_rng(13)
         w, x = self.sparse_instance(rng, 9, 3)
         csr = sparse.csr_array(w)
-        np.testing.assert_allclose(support(csr, x), support(w, x), rtol=0, atol=1e-12)
         for fn in (replicator_step, replicator_step_elementwise):
             (a, da), (b, db) = fn(csr, x), fn(w, x)
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
@@ -233,9 +241,9 @@ class TestCsrGraph:
 
     def test_shape_checks(self):
         with pytest.raises(ShapeMismatch):
-            support(sparse.csr_array((3, 3)), np.zeros((2, 2)))
+            replicator_step(sparse.csr_array((3, 3)), np.zeros((2, 2)))
         with pytest.raises(ShapeMismatch):
-            support(sparse.csr_array((3, 2)), np.zeros((3, 2)))
+            replicator_step(sparse.csr_array((3, 2)), np.zeros((3, 2)))
 
 
 class TestGroupLossValue:

@@ -11,7 +11,6 @@ from transduct import (
     FeatureSet,
     RunConfig,
     handle_negatives,
-    ingest,
     make_synthetic,
     pearson_matrix,
     run_eval,
@@ -60,12 +59,17 @@ class TestIngest:
     def test_join_with_unlabeled(self, tmp_path):
         fpath = tmp_path / "f.csv"
         lpath = tmp_path / "l.csv"
+        tpath = tmp_path / "t.csv"
         fpath.write_text("id,f0,f1\na,1,2\nb,3,4\nc,5,6\n")
         lpath.write_text("id,label\na,cat\nb,\nc,dog\n")
-        features, labels, classes = ingest(fpath, lpath)
+        tpath.write_text("id,label\na,ghost\nb,dog\n")
+        features, labels, anchors, truth, classes, m = pipeline._load_inputs(fpath, lpath, truth_path=tpath)
         assert features.n == 3
-        assert classes == ("cat", "dog")
-        assert labels.labels.tolist() == [0, UNLABELED, 1]
+        assert labels.tolist() == [0, UNLABELED, 1]
+        assert anchors is None
+        # truth-only classes are indexed after the model's m classes
+        assert classes == ("cat", "dog", "ghost") and m == 2
+        assert truth.tolist() == [2, 1, UNLABELED]
 
     def test_unknown_id(self, tmp_path):
         fpath = tmp_path / "f.csv"
@@ -73,7 +77,7 @@ class TestIngest:
         fpath.write_text("id,f0,f1\na,1,2\n")
         lpath.write_text("id,label\nzz,cat\n")
         with pytest.raises(UnknownId):
-            ingest(fpath, lpath)
+            pipeline._load_inputs(fpath, lpath)
 
     def test_ragged_row(self, tmp_path):
         fpath = tmp_path / "f.csv"
@@ -275,6 +279,41 @@ class TestRunPipeline:
         assert report["num_anchors"] == 3
         assert report["metrics"]["accuracy"] >= 0.95
 
+    @pytest.mark.parametrize("method", ["gtg", "group_loss"])
+    def test_truth_never_reaches_the_model(self, blob_dataset, tmp_path, method):
+        """A class that appears only in --truth changes no byte of the
+        predictions, and its row scores as a miss."""
+        fpath, _, features, labels = blob_dataset
+        apath = tmp_path / "anchors.csv"
+        picks = [0, 40, 80]
+        write_labels_csv(apath, [features.ids[i] for i in picks], [f"c{labels.labels[i]}" for i in picks])
+        truth = [f"c{v}" for v in labels.labels]
+        truth[5] = "ghost"
+        tpath = tmp_path / "truth.csv"
+        write_labels_csv(tpath, features.ids, truth)
+        outputs = []
+        for name, truth_path in (("plain", None), ("ghost", str(tpath))):
+            cfg = RunConfig(
+                method=method,
+                features_path=str(fpath),
+                truth_path=truth_path,
+                anchors_path=str(apath),
+                metrics=("accuracy", "macro_f1"),
+                out_dir=str(tmp_path / name),
+            )
+            predictions_path, report = run_pipeline(cfg)
+            outputs.append(predictions_path.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert report["classes"] == ["c0", "c1", "c2"]
+        predicted = [line.split(",")[1] for line in outputs[1].decode().splitlines()[1:]]
+        held_out = [i for i in range(features.n) if i not in picks]
+        hits = sum(predicted[i] == truth[i] for i in held_out)
+        assert predicted[5] != "ghost"
+        assert report["metrics"]["accuracy"] == hits / len(held_out)
+        # ghost has F1 0, so the mean over four classes is at most 3/4
+        assert report["metrics"]["macro_f1"] <= 0.75
+        assert np.isfinite(report["metrics"].get("cross_entropy", 0.0))
+
     def test_logits_prior_with_temperature(self, blob_dataset, tmp_path):
         fpath, lpath, features, labels = blob_dataset
         # logits already point at the right class; gtg should keep them
@@ -454,13 +493,31 @@ class TestCli:
         assert r.returncode == 1
         assert r.stderr.splitlines() == ["config error: tolerance must be finite and >= 0, got nan"]
 
-    def test_exit_code_data_error(self, tmp_path):
-        missing = tmp_path / "nope.csv"
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "nan", "inf", "out-dir-is-a-file"])
+    def test_exit_code_data_error(self, tmp_path, case):
+        fpath = tmp_path / "f.csv"
+        fpath.write_text("id,f0,f1,f2\na,1,2,3\nb,3,2,1\n")
+        lpath = tmp_path / "l.csv"
+        lpath.write_text("id,label\na,x\nb,y\n")
+        out_dir = tmp_path / "out"
+        if case == "missing":
+            fpath = tmp_path / "nope.csv"
+        elif case == "directory":
+            fpath = tmp_path
+        elif case == "not-utf8":
+            fpath.write_bytes(b"id,f0,f1,f2\na,1,2,3\nb,3,\xff,1\n")
+        elif case in ("nan", "inf"):
+            fpath.write_text(f"id,f0,f1,f2\na,1,2,3\nb,3,{case},1\n")
+        else:
+            out_dir.write_text("")
         r = self.run_cli(
-            "run", "--features", str(missing), "--method", "gtg",
-            "--anchor-fraction", "0.5", "--out-dir", str(tmp_path),
+            "run", "--features", str(fpath), "--labels", str(lpath), "--method", "gtg",
+            "--anchor-fraction", "1.0", "--out-dir", str(out_dir),
         )
-        assert r.returncode == 2
+        assert r.returncode == 2, r.stderr
+        assert len(r.stderr.splitlines()) == 1, r.stderr
+        if case in ("nan", "inf"):
+            assert f"{fpath}:3:" in r.stderr
 
     def test_exit_code_numerical_error(self, tmp_path):
         # two disconnected pairs, harmonic labeling with one side unlabeled:

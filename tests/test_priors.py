@@ -3,14 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transduct import (
-    AnchorSet,
-    apply_class_mask,
-    inject_anchors,
-    softmax_with_temperature,
-    uniform_prior,
-)
-from transduct.errors import ConfigError, EmptyInput, NonFinite, ZeroRowSum
+from transduct import AnchorSet, inject_anchors, softmax_with_temperature, uniform_prior
+from transduct.errors import ConfigError, EmptyInput, NonFinite
 from transduct.priors import PriorConfig
 
 
@@ -66,23 +60,6 @@ class TestSoftmax:
         bumped = logits.copy()
         bumped[0, 2] += 1.0
         assert softmax_with_temperature(bumped, t)[0, 2] > softmax_with_temperature(logits, t)[0, 2]
-
-
-class TestClassMask:
-    def test_exclusion_renormalizes(self):
-        out = apply_class_mask([[1 / 3, 1 / 3, 1 / 3]], [{0, 2}])
-        np.testing.assert_allclose(out, [[0.5, 0, 0.5]])
-
-    def test_full_mask_is_noop(self):
-        np.testing.assert_allclose(apply_class_mask([[0.8, 0.2]], [{0, 1}]), [[0.8, 0.2]])
-
-    def test_conflicting_mask(self):
-        with pytest.raises(ZeroRowSum):
-            apply_class_mask([[1.0, 0.0]], [{1}])
-
-    def test_empty_mask_rejected(self):
-        with pytest.raises(ConfigError):
-            apply_class_mask([[0.5, 0.5]], [set()])
 
 
 class TestInjectAnchors:
