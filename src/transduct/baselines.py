@@ -15,11 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import spsolve
 
-from .core import FeatureSet, LabelSet, check_graph, normalize_rows
+from .core import FeatureSet, LabelSet, check_graph, is_sparse, normalize_rows
 from .errors import ConfigError, DataError, OutOfRange, SingularSystem
 
 
@@ -44,7 +41,7 @@ class BaselineConfig:
 
 def _check_graph(w, labels: LabelSet):
     w = check_graph(w, labels.labels.shape[0], "label vector")
-    if np.any((w.data if sparse.issparse(w) else w) < 0):
+    if np.any((w.data if is_sparse(w) else w) < 0):
         raise DataError("similarity weights must be non-negative")
     return w, w.shape[0]
 
@@ -52,7 +49,9 @@ def _check_graph(w, labels: LabelSet):
 def _scale(w, fn):
     """``fn(w_ij, i, j)`` on every stored entry of a dense or CSR graph;
     ``i`` and ``j`` index the entry's row and column."""
-    if sparse.issparse(w):
+    if is_sparse(w):
+        from scipy import sparse
+
         rows = np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
         return sparse.csr_array((fn(w.data, rows, w.indices), w.indices, w.indptr), shape=w.shape)
     i, j = np.ogrid[: w.shape[0], : w.shape[1]]
@@ -70,6 +69,9 @@ def _one_hot_targets(labels: LabelSet) -> np.ndarray:
 def _require_labeled_components(w, labels: LabelSet):
     """Every unlabeled vertex must reach a labeled one, else the harmonic
     system is singular."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
     _, comp = connected_components(sparse.csr_array(w != 0), directed=False)
     labeled_comps = comp[labels.labeled_indices()]
     orphans = np.flatnonzero((labels.labels < 0) & ~np.isin(comp, labeled_comps))
@@ -128,7 +130,7 @@ def label_spreading_closed_form(w, labels: LabelSet, alpha: float = 0.99) -> np.
     if not 0 < alpha < 1:
         raise ConfigError("alpha must lie in (0, 1)")
     w, n = _check_graph(w, labels)
-    if sparse.issparse(w):
+    if is_sparse(w):
         w = w.toarray()
     degree = w.sum(axis=1)
     inv_sqrt = np.where(degree > 0, 1.0 / np.sqrt(np.where(degree > 0, degree, 1.0)), 0.0)
@@ -167,7 +169,10 @@ def harmonic_function(w, labels: LabelSet) -> np.ndarray:
         w_uu = w[np.ix_(u, u)]
         w_ul = w[np.ix_(u, l)]
         deg = w[u].sum(axis=1)
-        if sparse.issparse(w):
+        if is_sparse(w):
+            from scipy import sparse
+            from scipy.sparse.linalg import spsolve
+
             laplacian_uu = (sparse.diags_array(deg) - w_uu).tocsc()
             # the system is symmetric: a minimum-degree ordering of A^T + A
             # fills in far less than spsolve's default COLAMD (about 3x

@@ -8,10 +8,10 @@ freely across threads.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import EmptyInput, LengthMismatch, NonFinite, OutOfRange, ShapeMismatch
 
@@ -139,6 +139,17 @@ def argmax_decode(x) -> np.ndarray:
     return np.argmax(x, axis=1).astype(np.int64)
 
 
+def is_sparse(w) -> bool:
+    """Whether ``w`` is a scipy sparse matrix or array.
+
+    No such object can exist unless ``scipy.sparse`` has been imported, so
+    the check reads the module table instead of importing scipy: a dense
+    run never pays for loading it.
+    """
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(w)
+
+
 def check_graph(w, rows: int, what: str):
     """A similarity graph as every propagator takes it.
 
@@ -147,7 +158,12 @@ def check_graph(w, rows: int, what: str):
     graph is square with one vertex per row of ``what``, whose length is
     ``rows``.
     """
-    w = sparse.csr_array(w, dtype=np.float64) if sparse.issparse(w) else np.asarray(w, dtype=np.float64)
+    if is_sparse(w):
+        from scipy import sparse
+
+        w = sparse.csr_array(w, dtype=np.float64)
+    else:
+        w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ShapeMismatch("similarity matrix must be square")
     if rows != w.shape[0]:

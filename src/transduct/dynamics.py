@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
-from .core import AnchorSet, check_graph, normalize_rows, one_hot
+from .core import AnchorSet, check_graph, is_sparse, normalize_rows, one_hot
 from .errors import ConfigError, EmptyInput, ShapeMismatch
 
 #: Probability floor used before taking logs in the cross-entropy readout.
@@ -93,7 +92,7 @@ def replicator_step_elementwise(w, x) -> tuple[np.ndarray, np.ndarray]:
     agree to float precision on any input.
     """
     w, x = _check_shapes(w, x)
-    if sparse.issparse(w):
+    if is_sparse(w):
         w = w.toarray()
     n, m = x.shape
     out = np.empty_like(x)

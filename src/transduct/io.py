@@ -4,12 +4,13 @@ All files are UTF-8 comma-separated with a header row and `.` decimal
 points. Floats are written with 17 significant digits so a write/read
 round trip reproduces float64 values exactly. The JSON report is
 pretty-printed with sorted keys; it is the machine interface, the CSVs
-are the data interface.
+are the data interface. Every writer replaces its target atomically.
 """
 from __future__ import annotations
 
 import csv
 import json
+import os
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -32,6 +33,27 @@ def _open_utf8(path):
             yield fh
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+@contextmanager
+def _atomic_write(path, newline=None):
+    """A text file opened for writing as UTF-8 that replaces ``path`` only
+    once it is complete.
+
+    The text goes to a temporary file in the target's directory, which is
+    renamed over ``path`` when the block ends. If the block raises, the
+    temporary file is removed and ``path`` keeps its previous bytes, so
+    an interrupted run never leaves a half-written output.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_features_csv(path) -> FeatureSet:
@@ -105,8 +127,7 @@ def read_label_pairs(path) -> list[tuple[str, str | None]]:
 
 
 def write_features_csv(path, features: FeatureSet) -> None:
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id"] + [f"f{j}" for j in range(features.dim)])
         for i, sample_id in enumerate(features.ids):
@@ -115,8 +136,7 @@ def write_features_csv(path, features: FeatureSet) -> None:
 
 def write_labels_csv(path, ids, label_names) -> None:
     """`id,label` rows; None entries are written as an empty field."""
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "label"])
         for sample_id, name in zip(ids, label_names):
@@ -128,10 +148,9 @@ def write_predictions_csv(path, ids, predicted_names, assignment) -> None:
 
     Confidence is the row maximum of the final assignment.
     """
-    path = Path(path)
     assignment = np.asarray(assignment, dtype=np.float64)
     m = assignment.shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "predicted_label", "confidence"] + [f"p_{j}" for j in range(m)])
         for i, sample_id in enumerate(ids):
@@ -141,7 +160,6 @@ def write_predictions_csv(path, ids, predicted_names, assignment) -> None:
 
 
 def write_report_json(path, report: dict) -> None:
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_write(path) as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

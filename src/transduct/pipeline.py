@@ -4,7 +4,9 @@ Flow: load features and labels, build the similarity graph, set up the
 initial assignment (priors plus anchors), run the chosen propagator,
 decode pseudo-labels, score them against held-out truth and write a
 predictions CSV plus a JSON report. Runs are deterministic given
-(config, seed): reruns produce byte-identical outputs.
+(config, seed): at a fixed ``TRANSDUCT_THREADS`` reruns produce
+byte-identical outputs (a different BLAS thread count can change the
+last bits of the probabilities).
 """
 from __future__ import annotations
 
@@ -358,7 +360,8 @@ def run_eval(
     """Score an embedding file against truth labels.
 
     recall@K queries the feature space directly; nmi clusters the
-    features with K-means (one cluster per truth class) and compares the
+    features with K-means (one cluster per truth class among the scored
+    rows, whatever classes ``labels_path`` adds) and compares the
     partition to truth; accuracy and macro_f1 require a predictions file
     via ``labels_path``.
     """
@@ -368,7 +371,6 @@ def run_eval(
     rows = np.flatnonzero(truth != UNLABELED)
     if rows.size == 0:
         raise DataError(f"{truth_path}: no labeled rows to evaluate")
-    m = len(classes)
 
     notes: list[str] = []
     values: dict[str, float] = {}
@@ -378,7 +380,7 @@ def run_eval(
         if kind == "recall":
             values[name] = recall[k]
         elif kind == "nmi":
-            clusters = kmeans(features.data[rows], m, BaselineConfig(seed=seed))
+            clusters = kmeans(features.data[rows], np.unique(truth[rows]).size, BaselineConfig(seed=seed))
             values[name] = metrics_mod.nmi(clusters, truth[rows])
         elif labels_path is None:
             notes.append(f"metric {name} skipped: needs a predictions file (--labels)")
@@ -387,7 +389,7 @@ def run_eval(
             if kind == "accuracy":
                 values[name] = metrics_mod.accuracy(pred[both], truth[both])
             else:
-                values[name] = metrics_mod.macro_f1(pred[both], truth[both], m)
+                values[name] = metrics_mod.macro_f1(pred[both], truth[both], len(classes))
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -8,11 +8,15 @@ accept either a FeatureSet or a bare ``n x d`` array.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
 
 from .core import FeatureSet
 from .errors import ConfigError, NonFinite, OutOfRange, ShapeMismatch
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 #: Rows of an ``n x n`` similarity or distance matrix held at once by the
 #: blocked builders (``knn_graph`` here, ``recall_at_k`` in metrics).
@@ -93,13 +97,31 @@ def pearson_matrix(features) -> tuple[np.ndarray, np.ndarray]:
         samples.
     """
     z, zero_variance = _standardize(features)
-    w = (z @ z.T) / z.shape[1]
-    w = (w + w.T) / 2.0  # kill last-ulp asymmetry from the matrix product
+    w = z @ z.T
+    w /= z.shape[1]
+    _symmetrize(w)
     if zero_variance.size:
         w[zero_variance, :] = 0.0
         w[:, zero_variance] = 0.0
     np.fill_diagonal(w, 0.0)
     return w, zero_variance
+
+
+def _symmetrize(w: np.ndarray) -> None:
+    """Replace ``w`` by ``(w + w.T) / 2`` in place, bit for bit.
+
+    The matrix product can leave last-ulp asymmetry. Each ``BLOCK_ROWS``
+    tile on or above the diagonal is averaged with its mirror tile, so
+    the only temporaries are tile-sized.
+    """
+    n = w.shape[0]
+    for top in range(0, n, BLOCK_ROWS):
+        rows = slice(top, top + BLOCK_ROWS)
+        for left in range(top, n, BLOCK_ROWS):
+            cols = slice(left, left + BLOCK_ROWS)
+            mean = (w[rows, cols] + w[cols, rows].T) / 2.0
+            w[rows, cols] = mean
+            w[cols, rows] = mean.T
 
 
 def handle_negatives(w, mode: str = "clamp") -> np.ndarray:
@@ -110,17 +132,20 @@ def handle_negatives(w, mode: str = "clamp") -> np.ndarray:
     from the whole matrix, then re-zeroes the diagonal; small spurious
     positives created this way can add up over large groups, which is why
     clamping is the default. Both are no-ops on already non-negative input.
+
+    A float64 array is modified in place and returned, so the graph never
+    needs a second ``n x n`` buffer; pass a copy to keep the raw
+    correlations. Other input is converted to a new float64 array first.
     """
     w = np.asarray(w, dtype=np.float64)
     if mode == "clamp":
-        return np.maximum(w, 0.0)
+        return np.maximum(w, 0.0, out=w)
     if mode == "shift":
         lowest = w.min() if w.size else 0.0
-        if lowest >= 0:
-            return w.copy()
-        shifted = w - lowest
-        np.fill_diagonal(shifted, 0.0)
-        return shifted
+        if lowest < 0:
+            w -= lowest
+            np.fill_diagonal(w, 0.0)
+        return w
     raise ConfigError(f"unknown negative-handling mode {mode!r} (use clamp or shift)")
 
 
@@ -164,6 +189,8 @@ def knn_graph(features, k: int, mode: str = "clamp") -> tuple[sparse.csr_array, 
     """
     if mode not in ("clamp", "shift"):
         raise ConfigError(f"unknown negative-handling mode {mode!r} (use clamp or shift)")
+    from scipy import sparse
+
     z, zero_variance = _standardize(features)
     n, d = z.shape
     if not 1 <= k < n:

@@ -29,7 +29,13 @@ from transduct.errors import (
 from transduct import pipeline
 from transduct.baselines import BaselineConfig
 from transduct.dynamics import DynamicsConfig
-from transduct.io import read_features_csv, write_features_csv, write_labels_csv
+from transduct.io import (
+    read_features_csv,
+    write_features_csv,
+    write_labels_csv,
+    write_predictions_csv,
+    write_report_json,
+)
 from transduct.pipeline import PEARSON_2D_NOTE
 
 
@@ -97,6 +103,29 @@ class TestIngest:
         with pytest.raises(ParseError) as exc:
             read_features_csv(fpath)
         assert exc.value.line == 3
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("previous", [b"previous run\n", None])
+    @pytest.mark.parametrize("name", ["predictions.csv", "report.json"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, name, previous):
+        """A writer that raises part way through leaves the target as it
+        was, or absent, and no temporary file behind."""
+        ids = [f"s{i}" for i in range(50)]
+        writers = {
+            "predictions.csv": lambda path: write_predictions_csv(path, ids, ["a"] * 49, np.full((50, 2), 0.5)),
+            "report.json": lambda path: write_report_json(path, {"a": list(range(100)), "z": object()}),
+        }
+        path = tmp_path / name
+        if previous is not None:
+            path.write_bytes(previous)
+        with pytest.raises((IndexError, TypeError)):
+            writers[name](path)
+        if previous is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert list(tmp_path.iterdir()) == [path]
+            assert path.read_bytes() == previous
 
 
 class TestMakeSynthetic:
@@ -433,6 +462,23 @@ class TestRunEval:
         )
         assert report["metrics"]["recall@1"] >= 0.98
         assert report["metrics"]["nmi"] >= 0.9
+
+    def test_nmi_ignores_classes_only_in_labels(self, tmp_path):
+        """nmi clusters into one group per truth class; a predictions file
+        that adds a class must not change it."""
+        features, labels = make_synthetic(BlobSpec(blobs=4, per_blob=60, dim=16), seed=0)
+        fpath, tpath, ppath = tmp_path / "f.csv", tmp_path / "t.csv", tmp_path / "p.csv"
+        names = [f"blob{c}" for c in labels.labels]
+        write_features_csv(fpath, features)
+        write_labels_csv(tpath, features.ids, names)
+        write_labels_csv(ppath, features.ids, ["extra"] + names[1:])
+
+        def nmi(labels_path):
+            _, report = run_eval(fpath, tpath, labels_path=labels_path, metric_names=("nmi",),
+                                 out_dir=str(tmp_path / "ev"))
+            return report["metrics"]["nmi"]
+
+        assert nmi(str(ppath)) == nmi(str(tpath)) == nmi(None) == 1.0
 
     def test_eval_with_predictions(self, blob_dataset, tmp_path):
         fpath, lpath, *_ = blob_dataset

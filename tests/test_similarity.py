@@ -58,7 +58,7 @@ class TestPearson:
         rng = np.random.default_rng(seed)
         w, _ = pearson_matrix(rng.normal(size=(n, d)))
         assert np.all(w >= -1 - 1e-12) and np.all(w <= 1 + 1e-12)
-        np.testing.assert_allclose(w, w.T, atol=1e-12)
+        np.testing.assert_array_equal(w, w.T)
         assert np.all(np.diag(w) == 0)
 
     @given(st.integers(2, 10), st.integers(2, 8), st.integers(0, 5000))
@@ -78,6 +78,31 @@ class TestPearson:
         with pytest.raises(ShapeMismatch):
             pearson_matrix(np.array([[1.0], [2.0]]))
 
+    @pytest.mark.parametrize("block", [1, 3, 7, 256])
+    def test_tiled_symmetrize_is_bit_identical_to_the_mean(self, block):
+        """Every entry equals ``(w + w.T) / 2`` exactly, also where n is
+        not a multiple of the tile size."""
+        n = 2 * 256 + 37
+        w = np.random.default_rng(8).normal(size=(n, n))
+        expected = (w + w.T) / 2.0
+        with mock.patch.object(similarity, "BLOCK_ROWS", block):
+            similarity._symmetrize(w)
+        np.testing.assert_array_equal(w, expected)
+
+    @pytest.mark.parametrize("mode", ["clamp", "shift"])
+    def test_dense_graph_peaks_near_one_matrix(self, mode):
+        """Pearson plus negative handling hold one n x n float64 buffer
+        and tile-sized temporaries, not several full copies."""
+        n = 2000
+        data = np.random.default_rng(2).normal(size=(n, 16))
+        tracemalloc.start()
+        try:
+            handle_negatives(pearson_matrix(data)[0], mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
+
 
 class TestHandleNegatives:
     def test_clamp(self):
@@ -90,8 +115,17 @@ class TestHandleNegatives:
 
     def test_noop_when_nonnegative(self):
         w = np.array([[0, 0.7], [0.7, 0]])
-        np.testing.assert_array_equal(handle_negatives(w, "clamp"), w)
-        np.testing.assert_array_equal(handle_negatives(w, "shift"), w)
+        np.testing.assert_array_equal(handle_negatives(w.copy(), "clamp"), w)
+        np.testing.assert_array_equal(handle_negatives(w.copy(), "shift"), w)
+
+    @pytest.mark.parametrize("mode", ["clamp", "shift"])
+    def test_works_in_place_on_float64(self, mode):
+        w = np.array([[0, -0.5], [0.3, 0]])
+        assert handle_negatives(w, mode) is w
+        assert w.min() == 0
+        raw = [[0, -1], [2, 0]]
+        assert handle_negatives(raw, mode).min() == 0
+        assert raw == [[0, -1], [2, 0]]
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
@@ -105,7 +139,7 @@ class TestHandleNegatives:
         np.fill_diagonal(w, 0)
         once = handle_negatives(w, "clamp")
         assert once.min() >= 0
-        np.testing.assert_array_equal(handle_negatives(once, "clamp"), once)
+        np.testing.assert_array_equal(handle_negatives(once.copy(), "clamp"), once)
 
 
 class TestSparsifyKnn:
