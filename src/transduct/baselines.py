@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import FeatureSet, LabelSet, check_graph, is_sparse, normalize_rows
 from .errors import ConfigError, DataError, OutOfRange, SingularSystem
+from .similarity import BLOCK_ROWS
 
 
 @dataclass(frozen=True)
@@ -41,21 +42,10 @@ class BaselineConfig:
 
 def _check_graph(w, labels: LabelSet):
     w = check_graph(w, labels.labels.shape[0], "label vector")
-    if np.any((w.data if is_sparse(w) else w) < 0):
+    # a CSR minimum counts its implicit zeros; an empty graph has no minimum
+    if w.shape[0] and w.min() < 0:
         raise DataError("similarity weights must be non-negative")
     return w, w.shape[0]
-
-
-def _scale(w, fn):
-    """``fn(w_ij, i, j)`` on every stored entry of a dense or CSR graph;
-    ``i`` and ``j`` index the entry's row and column."""
-    if is_sparse(w):
-        from scipy import sparse
-
-        rows = np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
-        return sparse.csr_array((fn(w.data, rows, w.indices), w.indices, w.indptr), shape=w.shape)
-    i, j = np.ogrid[: w.shape[0], : w.shape[1]]
-    return fn(w, i, j)
 
 
 def _one_hot_targets(labels: LabelSet) -> np.ndarray:
@@ -68,13 +58,20 @@ def _one_hot_targets(labels: LabelSet) -> np.ndarray:
 
 def _require_labeled_components(w, labels: LabelSet):
     """Every unlabeled vertex must reach a labeled one, else the harmonic
-    system is singular."""
-    from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
-
-    _, comp = connected_components(sparse.csr_array(w != 0), directed=False)
-    labeled_comps = comp[labels.labeled_indices()]
-    orphans = np.flatnonzero((labels.labels < 0) & ~np.isin(comp, labeled_comps))
+    system is singular. Breadth-first from the labeled vertices along
+    nonzero entries in either direction (an asymmetric graph counts as
+    undirected), ``BLOCK_ROWS`` frontier vertices at a time."""
+    reached = labels.labeled_mask()
+    frontier = np.flatnonzero(reached)
+    while frontier.size:
+        found = np.zeros_like(reached)
+        for start in range(0, frontier.size, BLOCK_ROWS):
+            block = frontier[start:start + BLOCK_ROWS]
+            found[w[block].nonzero()[1]] = True
+            found[w[:, block].nonzero()[0]] = True
+        frontier = np.flatnonzero(found & ~reached)
+        reached |= found
+    orphans = np.flatnonzero(~reached)
     if orphans.size:
         raise SingularSystem(
             f"unlabeled vertices {orphans[:8].tolist()} have no path to any labeled vertex"
@@ -100,14 +97,14 @@ def label_spreading(w, labels: LabelSet, cfg: BaselineConfig | None = None) -> t
         raise DataError("label spreading needs at least one labeled sample")
     degree = w.sum(axis=1)
     isolated = np.flatnonzero(degree == 0)
-    inv_sqrt = np.where(degree > 0, 1.0 / np.sqrt(np.where(degree > 0, degree, 1.0)), 0.0)
-    s = _scale(w, lambda v, i, j: v * inv_sqrt[i] * inv_sqrt[j])
+    inv_sqrt = np.where(degree > 0, 1.0 / np.sqrt(np.where(degree > 0, degree, 1.0)), 0.0)[:, None]
     y = _one_hot_targets(labels)
     f = y.copy()
     converged = False
     iterations = 0
     for _ in range(cfg.max_iterations):
-        f_next = cfg.alpha * (s @ f) + (1 - cfg.alpha) * y
+        # S F = D^-1/2 (W (D^-1/2 F)): the graph itself is never scaled
+        f_next = cfg.alpha * (inv_sqrt * (w @ (inv_sqrt * f))) + (1 - cfg.alpha) * y
         delta = float(np.abs(f_next - f).sum())
         f = f_next
         iterations += 1
@@ -168,7 +165,7 @@ def harmonic_function(w, labels: LabelSet) -> np.ndarray:
         l = np.flatnonzero(labeled)
         w_uu = w[np.ix_(u, u)]
         w_ul = w[np.ix_(u, l)]
-        deg = w[u].sum(axis=1)
+        deg = w.sum(axis=1)[u]
         if is_sparse(w):
             from scipy import sparse
             from scipy.sparse.linalg import spsolve
@@ -179,7 +176,10 @@ def harmonic_function(w, labels: LabelSet) -> np.ndarray:
             # faster on a 10k-sample k=10 graph)
             out[u] = spsolve(laplacian_uu, w_ul @ y[l], permc_spec="MMD_AT_PLUS_A").reshape(u.size, -1)
         else:
-            out[u] = np.linalg.solve(np.diag(deg) - w_uu, w_ul @ y[l])
+            # D_uu - W_uu in the one u x u copy; 0 - w keeps zeros at +0
+            laplacian_uu = np.subtract(0.0, w_uu, out=w_uu)
+            laplacian_uu.flat[:: u.size + 1] += deg
+            out[u] = np.linalg.solve(laplacian_uu, w_ul @ y[l])
     return out
 
 
@@ -188,10 +188,10 @@ def label_propagation(
 ) -> tuple[np.ndarray, dict]:
     """Random-walk label propagation with labeled rows re-clamped each step.
 
-    Iterates F <- P F with P = D^{-1} W; on connected graphs this
-    converges to the harmonic solution. If the step cap is hit first the
-    best iterate is returned with converged=False in the metadata rather
-    than raising.
+    Iterates F <- D^{-1} (W F), the walk P = D^{-1} W applied without
+    scaling the graph; on connected graphs this converges to the harmonic
+    solution. If the step cap is hit first the best iterate is returned
+    with converged=False in the metadata rather than raising.
     """
     cfg = cfg or BaselineConfig()
     w, n = _check_graph(w, labels)
@@ -201,15 +201,15 @@ def label_propagation(
     labeled = labels.labeled_indices()
     y_labeled = _one_hot_targets(labels)[labeled]
     degree = w.sum(axis=1)
-    safe = np.where(degree > 0, degree, 1.0)
-    p = _scale(w, lambda v, i, j: v / safe[i])
+    safe = np.where(degree > 0, degree, 1.0)[:, None]
     m = labels.num_classes
     f = np.full((n, m), 1.0 / m)
     f[labeled] = y_labeled
     converged = False
     iterations = 0
     for _ in range(cfg.max_iterations):
-        f_next = p @ f
+        f_next = w @ f
+        f_next /= safe
         f_next[labeled] = y_labeled
         delta = float(np.abs(f_next - f).sum())
         f = f_next

@@ -1,18 +1,25 @@
 import itertools
+import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from transduct import (
     BaselineConfig,
     LabelSet,
+    baselines,
+    handle_negatives,
     harmonic_function,
     kmeans,
     label_propagation,
     label_spreading,
     label_spreading_closed_form,
     lloyd,
+    pearson_matrix,
 )
 from transduct.errors import ConfigError, DataError, SingularSystem
 
@@ -76,6 +83,10 @@ class TestLabelSpreading:
     def test_needs_labels(self):
         with pytest.raises(DataError):
             label_spreading(CHAIN_W, LabelSet(2, [-1, -1, -1]))
+        for empty in (np.zeros((0, 0)), sparse.csr_array((0, 0))):
+            for method in (label_spreading, label_propagation, harmonic_function):
+                with pytest.raises(DataError):
+                    method(empty, LabelSet(2, []))
 
     def test_alpha_range(self):
         with pytest.raises(ConfigError):
@@ -202,6 +213,105 @@ class TestCsrGraph:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ConfigError):
                 BaselineConfig(tolerance=bad)
+
+
+class TestLabeledComponents:
+    """The breadth-first connectivity check gives the same verdict and
+    orphan list as scipy's connected components, kept here as the oracle."""
+
+    @staticmethod
+    def check(w, labels):
+        _, comp = connected_components(sparse.csr_array(w != 0), directed=False)
+        orphans = np.flatnonzero((labels.labels < 0) & ~np.isin(comp, comp[labels.labeled_indices()]))
+        if orphans.size:
+            message = f"unlabeled vertices {orphans[:8].tolist()} have no path"
+            with pytest.raises(SingularSystem, match=re.escape(message)):
+                baselines._require_labeled_components(w, labels)
+        else:
+            baselines._require_labeled_components(w, labels)
+        return orphans.size > 0
+
+    @staticmethod
+    def forms(rng, w):
+        """The graph dense, as CSR, and as CSR storing extra explicit zeros."""
+        padded = sparse.csr_array(np.where((rng.random(w.shape) < 0.2) & (w == 0), 2.0, w))
+        padded.data[padded.data == 2.0] = 0.0
+        return w, sparse.csr_array(w), padded
+
+    @pytest.mark.parametrize("block", [1, 3, 256])
+    def test_random_graphs_match_connected_components(self, block):
+        rng = np.random.default_rng(301)
+        verdicts = set()
+        with mock.patch.object(baselines, "BLOCK_ROWS", block):
+            for _ in range(150):
+                n = int(rng.integers(1, 40))
+                density = rng.choice([0.0, 0.02, 0.05, 0.1, 0.3])
+                w = np.where(rng.random((n, n)) < density, rng.uniform(0.1, 1.0, (n, n)), 0.0)
+                if rng.random() < 0.5:
+                    w = np.maximum(w, w.T)
+                labels = np.full(n, -1)
+                picked = rng.choice(n, size=int(rng.integers(0, min(n, 4) + 1)), replace=False)
+                labels[picked] = rng.integers(0, 2, picked.size)
+                for form in self.forms(rng, w):
+                    verdicts.add(self.check(form, LabelSet(2, labels)))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_frontier_wider_than_a_block(self, symmetric):
+        """A labeled hub whose frontier spans two blocks; each hub vertex
+        has a leaf, and a separate component has no label."""
+        rng = np.random.default_rng(302)
+        hub = baselines.BLOCK_ROWS + 50
+        n = 2 * hub + 1 + 20
+        w = np.zeros((n, n))
+        w[0, 1:hub + 1] = 1.0
+        w[np.arange(1, hub + 1), np.arange(hub + 1, 2 * hub + 1)] = 0.5
+        w[2 * hub + 1:, 2 * hub + 1:] = 0.25
+        if symmetric:
+            w = np.maximum(w, w.T)
+        else:
+            flip = rng.random((n, n)) < 0.5
+            w = np.where(flip, 0.0, w) + np.where(flip, w, 0.0).T
+        labels = np.full(n, -1)
+        labels[0] = 0
+        for form in self.forms(rng, w):
+            assert self.check(form, LabelSet(2, labels))
+        labels[n - 1] = 1
+        for form in self.forms(rng, w):
+            assert not self.check(form, LabelSet(2, labels))
+
+
+@pytest.fixture(scope="module")
+def blob_graph():
+    """A clamped Pearson graph of four blobs at n=2000, d=64, 2% labeled."""
+    n = 2000
+    rng = np.random.default_rng(0)
+    truth = rng.integers(0, 4, n)
+    w = handle_negatives(pearson_matrix(rng.normal(0, 3, (4, 64))[truth] + rng.normal(0, 2.5, (n, 64)))[0], "clamp")
+    labels = np.full(n, -1)
+    picked = rng.choice(n, n // 50, replace=False)
+    labels[picked] = truth[picked]
+    return w, LabelSet(4, labels)
+
+
+@pytest.mark.parametrize("method, bound", [
+    (lambda w, labels: label_spreading(w, labels, BaselineConfig(max_iterations=5)), 0.5),
+    (lambda w, labels: label_propagation(w, labels, BaselineConfig(max_iterations=5)), 0.5),
+    # the u x u grounded Laplacian; np.linalg.solve's own copy of it is
+    # allocated outside tracemalloc's view and doubles the RSS
+    (harmonic_function, 1.1),
+], ids=["label_spreading", "label_propagation", "harmonic"])
+def test_dense_baselines_hold_little_beyond_the_graph(blob_graph, method, bound):
+    """Traced memory a dense baseline holds beyond the graph, in units of
+    one 8·n² matrix; a scaled or converted copy of the graph costs 1."""
+    w, labels = blob_graph
+    tracemalloc.start()
+    try:
+        method(w, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * 8 * w.shape[0] ** 2
 
 
 def brute_force_kmeans(points, k):

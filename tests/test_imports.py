@@ -1,9 +1,10 @@
 """scipy loads only when a sparse graph is built or solved.
 
 Importing scipy.sparse and its csgraph and linalg submodules costs about
-0.3 s, more than the rest of the package's import. A dense run and
-``eval`` never touch a sparse object, so they must not load it; a module
-level ``from scipy ...`` anywhere in the package fails these tests.
+0.3 s, more than the rest of the package's import. A dense run of any
+method and ``eval`` never touch a sparse object, so they must not load
+it; a module level ``from scipy ...`` anywhere in the package fails these
+tests.
 """
 import json
 import os
@@ -48,9 +49,12 @@ def data(tmp_path_factory):
     return out
 
 
-def run_args(data, out, *extra):
+METHODS = ["gtg", "group_loss", "label_spreading", "label_propagation", "harmonic"]
+
+
+def run_args(data, out, *extra, method="gtg"):
     return ["run", "--features", str(data / "features.csv"), "--labels", str(data / "labels.csv"),
-            "--truth", str(data / "labels.csv"), "--method", "gtg", "--anchor-fraction", "0.1",
+            "--truth", str(data / "labels.csv"), "--method", method, "--anchor-fraction", "0.1",
             "--metrics", "accuracy,nmi,recall@1", "--out-dir", str(out), *extra]
 
 
@@ -59,10 +63,11 @@ def test_import_loads_no_scipy():
 
 
 def test_dense_run_and_eval_load_no_scipy(data, tmp_path):
+    runs = [run_args(data, tmp_path / method, method=method) for method in METHODS]
     eval_args = ["eval", "--features", str(data / "features.csv"), "--truth", str(data / "labels.csv"),
-                 "--labels", str(tmp_path / "run" / "predictions.csv"), "--out-dir", str(tmp_path / "ev"),
+                 "--labels", str(tmp_path / "gtg" / "predictions.csv"), "--out-dir", str(tmp_path / "ev"),
                  "--metrics", "accuracy,macro_f1,nmi,recall@1,recall@4"]
-    assert scipy_modules_after(run_args(data, tmp_path / "run"), eval_args) == []
+    assert scipy_modules_after(*runs, eval_args) == []
 
 
 def test_knn_run_loads_scipy_sparse(data, tmp_path):
