@@ -22,16 +22,12 @@ from .baselines import (
     kmeans,
     label_propagation,
     label_spreading,
-    label_spreading_closed_form,
-    lloyd,
 )
 from .core import (
     UNLABELED,
-    AnchorSet,
     FeatureSet,
     LabelSet,
     argmax_decode,
-    one_hot,
 )
 from .dynamics import (
     DynamicsConfig,
@@ -39,7 +35,6 @@ from .dynamics import (
     consistency_functional,
     group_loss_value,
     replicator_step,
-    replicator_step_elementwise,
     run_dynamics,
 )
 from .metrics import accuracy, macro_f1, nmi, recall_at_k
@@ -57,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "UNLABELED",
-    "AnchorSet",
     "BaselineConfig",
     "BlobSpec",
     "DynamicsConfig",
@@ -78,16 +72,12 @@ __all__ = [
     "knn_graph",
     "label_propagation",
     "label_spreading",
-    "label_spreading_closed_form",
-    "lloyd",
     "macro_f1",
     "make_synthetic",
     "nmi",
-    "one_hot",
     "pearson_matrix",
     "recall_at_k",
     "replicator_step",
-    "replicator_step_elementwise",
     "run_dynamics",
     "run_eval",
     "run_pipeline",

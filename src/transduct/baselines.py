@@ -2,8 +2,8 @@
 
 Label spreading follows Zhou et al. (2004): iterate
 F <- alpha * S * F + (1 - alpha) * Y with the symmetrically normalized
-similarity S = D^{-1/2} W D^{-1/2}; the fixed point has the closed form
-(1 - alpha) (I - alpha S)^{-1} Y, which is kept as an independent oracle.
+similarity S = D^{-1/2} W D^{-1/2} to its fixed point
+(1 - alpha) (I - alpha S)^{-1} Y.
 The harmonic function solution of Zhu et al. (2003) solves the grounded
 Laplacian system directly, and label propagation (Zhu, 2002) iterates the
 row-normalized walk matrix with labeled rows re-clamped; on connected
@@ -26,8 +26,6 @@ class BaselineConfig:
     alpha: float = 0.99
     max_iterations: int = 1000
     tolerance: float = 1e-8
-    kmeans_restarts: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
@@ -36,8 +34,6 @@ class BaselineConfig:
             raise ConfigError("max_iterations must be >= 1")
         if not 0 <= self.tolerance < math.inf:
             raise ConfigError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
-        if self.kmeans_restarts < 1:
-            raise ConfigError("kmeans_restarts must be >= 1")
 
 
 def _check_graph(w, labels: LabelSet):
@@ -119,21 +115,6 @@ def label_spreading(w, labels: LabelSet, cfg: BaselineConfig | None = None) -> t
         "isolated": [int(i) for i in isolated if labels.labels[i] < 0],
     }
     return x, meta
-
-
-def label_spreading_closed_form(w, labels: LabelSet, alpha: float = 0.99) -> np.ndarray:
-    """Exact fixed point (1-alpha)(I - alpha S)^{-1} Y; oracle for the
-    iterative solver."""
-    if not 0 < alpha < 1:
-        raise ConfigError("alpha must lie in (0, 1)")
-    w, n = _check_graph(w, labels)
-    if is_sparse(w):
-        w = w.toarray()
-    degree = w.sum(axis=1)
-    inv_sqrt = np.where(degree > 0, 1.0 / np.sqrt(np.where(degree > 0, degree, 1.0)), 0.0)
-    s = w * inv_sqrt[:, None] * inv_sqrt[None, :]
-    y = _one_hot_targets(labels)
-    return (1 - alpha) * np.linalg.solve(np.eye(n) - alpha * s, y)
 
 
 def _to_simplex(scores) -> np.ndarray:
@@ -223,6 +204,9 @@ def label_propagation(
 
 # --- K-means -----------------------------------------------------------
 
+#: Independently seeded k-means++ starts per kmeans call; the best wins.
+KMEANS_RESTARTS = 10
+
 
 def _wcss(points, assign, centroids) -> float:
     return float(np.sum((points - centroids[assign]) ** 2))
@@ -277,21 +261,20 @@ def lloyd(points, centroids, max_iterations: int = 300) -> tuple[np.ndarray, np.
     return assign, centroids, history
 
 
-def kmeans(features, k: int, cfg: BaselineConfig | None = None) -> np.ndarray:
-    """Best-of-restarts Lloyd's algorithm with k-means++ seeding.
+def kmeans(features, k: int, seed: int = 0) -> np.ndarray:
+    """Best-of-``KMEANS_RESTARTS`` Lloyd's algorithm with k-means++ seeding.
 
-    Deterministic given cfg.seed: restart r uses its own generator seeded
+    Deterministic given ``seed``: restart r uses its own generator seeded
     from (seed, r) and the winner is the lowest (WCSS, restart index)
     pair.
     """
-    cfg = cfg or BaselineConfig()
     points = features.data if isinstance(features, FeatureSet) else np.asarray(features, dtype=np.float64)
     n = points.shape[0]
     if not 1 <= k <= n:
         raise OutOfRange(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     best = None
-    for restart in range(cfg.kmeans_restarts):
-        rng = np.random.default_rng([cfg.seed, restart])
+    for restart in range(KMEANS_RESTARTS):
+        rng = np.random.default_rng([seed, restart])
         centroids = _kmeans_pp_init(points, k, rng)
         assign, centroids, history = lloyd(points, centroids)
         score = history[-1]

@@ -88,16 +88,13 @@ def _cmd_run(args) -> int:
         anchor_fraction=args.anchor_fraction,
         negative_handling=args.negative_handling,
         knn=args.knn,
-        prior=PriorConfig(
-            mode="logits" if args.logits else "uniform",
-            temperature=args.temperature,
-        ),
+        prior=PriorConfig(temperature=args.temperature),
         dynamics=DynamicsConfig(
             max_iterations=args.max_iters,
             tolerance=args.tol,
             fixed_iterations=args.fixed_iters,
         ),
-        baseline=BaselineConfig(alpha=args.alpha, seed=args.seed),
+        baseline=BaselineConfig(alpha=args.alpha),
         seed=args.seed,
         metrics=_metric_tuple(args.metrics),
         out_dir=args.out_dir,

@@ -79,36 +79,19 @@ class LabelSet:
         return np.flatnonzero(self.labels != UNLABELED)
 
 
-@dataclass(frozen=True)
-class AnchorSet:
-    """Samples whose assignment rows stay pinned to their known one-hot label."""
+def anchor_rows(anchors: LabelSet, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The anchored rows of an ``n x m`` assignment matrix and their classes.
 
-    entries: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        entries = tuple((int(i), int(c)) for i, c in self.entries)
-        object.__setattr__(self, "entries", entries)
-        indices = [i for i, _ in entries]
-        if len(set(indices)) != len(indices):
-            raise ValueError("anchor indices must be unique")
-        if any(i < 0 for i in indices) or any(c < 0 for _, c in entries):
-            raise OutOfRange("anchor indices and classes must be non-negative")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def indices(self) -> np.ndarray:
-        return np.array([i for i, _ in self.entries], dtype=np.int64)
-
-    def classes(self) -> np.ndarray:
-        return np.array([c for _, c in self.entries], dtype=np.int64)
-
-    def validate_against(self, n: int, m: int) -> None:
-        for i, c in self.entries:
-            if i >= n:
-                raise OutOfRange(f"anchor index {i} out of range for n={n}")
-            if c >= m:
-                raise OutOfRange(f"anchor class {c} out of range for m={m}")
+    Raises ShapeMismatch unless ``anchors`` has one entry per row, and
+    OutOfRange for a class that is not one of the m columns.
+    """
+    if anchors.labels.shape[0] != n:
+        raise ShapeMismatch(f"anchor vector has {anchors.labels.shape[0]} entries for {n} rows")
+    rows = anchors.labeled_indices()
+    classes = anchors.labels[rows]
+    if classes.size and classes.max() >= m:
+        raise OutOfRange(f"anchor class {int(classes.max())} out of range for m={m}")
+    return rows, classes
 
 
 def normalize_rows(raw) -> tuple[np.ndarray, np.ndarray]:
@@ -122,15 +105,6 @@ def normalize_rows(raw) -> tuple[np.ndarray, np.ndarray]:
     sums = raw.sum(axis=1)
     positive = sums > 0
     return raw / np.where(positive, sums, 1.0)[:, None], np.flatnonzero(~positive)
-
-
-def one_hot(cls: int, m: int) -> np.ndarray:
-    """Simplex vertex: 1 at position ``cls``, 0 elsewhere."""
-    if not 0 <= cls < m:
-        raise OutOfRange(f"class {cls} out of range for m={m}")
-    row = np.zeros(m, dtype=np.float64)
-    row[cls] = 1.0
-    return row
 
 
 def argmax_decode(x) -> np.ndarray:

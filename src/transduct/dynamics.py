@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AnchorSet, check_graph, is_sparse, normalize_rows, one_hot
+from .core import LabelSet, anchor_rows, check_graph, normalize_rows
 from .errors import ConfigError, EmptyInput, ShapeMismatch
 
 #: Probability floor used before taking logs in the cross-entropy readout.
@@ -85,30 +85,6 @@ def replicator_step(w, x) -> tuple[np.ndarray, np.ndarray]:
     return _refine(x, w @ x)
 
 
-def replicator_step_elementwise(w, x) -> tuple[np.ndarray, np.ndarray]:
-    """Reference implementation of the update with explicit scalar loops.
-
-    Exists as an independent cross-check of replicator_step; the two must
-    agree to float precision on any input.
-    """
-    w, x = _check_shapes(w, x)
-    if is_sparse(w):
-        w = w.toarray()
-    n, m = x.shape
-    out = np.empty_like(x)
-    degenerate = []
-    for i in range(n):
-        pi = [sum(w[i, j] * x[j, lam] for j in range(n)) for lam in range(m)]
-        weighted = [x[i, lam] * pi[lam] for lam in range(m)]
-        denom = sum(weighted)
-        if denom <= 0:
-            out[i] = x[i]
-            degenerate.append(i)
-        else:
-            out[i] = [wv / denom for wv in weighted]
-    return out, np.array(degenerate, dtype=np.int64)
-
-
 def consistency_functional(w, x) -> float:
     """Quadratic consistency of an assignment: sum_ij w_ij <x_i, x_j>.
 
@@ -123,7 +99,7 @@ def run_dynamics(
     w,
     x0,
     cfg: DynamicsConfig | None = None,
-    anchors: AnchorSet | None = None,
+    anchors: LabelSet | None = None,
 ) -> tuple[np.ndarray, DynamicsTrace]:
     """Iterate replicator steps from x0 until convergence or the step cap.
 
@@ -142,12 +118,11 @@ def run_dynamics(
     cfg = cfg or DynamicsConfig()
     w, x = _check_shapes(w, x0)
     x = x.copy()
-    anchor_rows = anchor_onehots = None
-    if anchors is not None and len(anchors):
-        anchors.validate_against(*x.shape)
-        anchor_rows = anchors.indices()
-        anchor_onehots = np.stack([one_hot(c, x.shape[1]) for c in anchors.classes()])
-        x[anchor_rows] = anchor_onehots
+    pinned = onehots = None
+    if anchors is not None:
+        pinned, classes = anchor_rows(anchors, *x.shape)
+        onehots = np.eye(x.shape[1])[classes]
+        x[pinned] = onehots
 
     fixed_mode = cfg.fixed_iterations is not None
     total = cfg.fixed_iterations if fixed_mode else cfg.max_iterations
@@ -161,8 +136,8 @@ def run_dynamics(
         trace.functional_values.append(float(np.sum(x * pi)))
         x_next, degen = _refine(x, pi)
         degenerate.update(int(i) for i in degen)
-        if anchor_rows is not None:
-            x_next[anchor_rows] = anchor_onehots
+        if pinned is not None:
+            x_next[pinned] = onehots
         delta = float(np.abs(x_next - x).sum())
         x = x_next
         iterations += 1

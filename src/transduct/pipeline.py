@@ -24,7 +24,7 @@ from .baselines import (
     label_propagation,
     label_spreading,
 )
-from .core import UNLABELED, AnchorSet, FeatureSet, LabelSet, argmax_decode
+from .core import UNLABELED, FeatureSet, LabelSet, argmax_decode
 from .dynamics import DynamicsConfig, group_loss_value, run_dynamics
 from .errors import ConfigError, DataError, NonFinite, UnknownId
 from .io import read_features_csv, read_label_pairs, write_predictions_csv, write_report_json
@@ -85,8 +85,6 @@ class RunConfig:
             raise ConfigError("knn must be >= 1")
         for name in self.metrics:
             _parse_metric(name, RUN_METRICS)
-        if self.prior.mode == "logits" and self.logits_path is None:
-            raise ConfigError("prior mode 'logits' requires a logits file")
 
 
 def _parse_metric(name: str, allowed) -> tuple[str, int | None]:
@@ -106,12 +104,14 @@ def _parse_metric(name: str, allowed) -> tuple[str, int | None]:
 def _load_inputs(features_path, labels_path=None, anchors_path=None, truth_path=None):
     """Read the feature file and the label files joined to it by exact id.
 
-    Returns (features, labels, anchors, truth, classes, m). Label strings
-    become class indices in first-appearance order over the labels and
-    then the anchors; those first m classes are the model's. Classes that
-    appear only in the truth file are indexed after them, so truth never
-    changes what the model sees. Feature rows missing from a label file
-    are unlabeled; ``anchors`` and ``truth`` are None without their file.
+    Returns (features, labels, anchors, truth, classes, m); the three
+    label vectors hold one class index or UNLABELED per feature row. Label
+    strings become class indices in first-appearance order over the
+    labels and then the anchors; those first m classes are the model's.
+    Classes that appear only in the truth file are indexed after them, so
+    truth never changes what the model sees. Feature rows missing from a
+    label file are unlabeled; ``anchors`` and ``truth`` are None without
+    their file.
     """
     features = read_features_csv(features_path)
     id_to_row = {sid: i for i, sid in enumerate(features.ids)}
@@ -129,34 +129,29 @@ def _load_inputs(features_path, labels_path=None, anchors_path=None, truth_path=
         return vector
 
     labels = to_vector(labels_path)
-    anchors = None
-    if anchors_path is not None:
-        vector = to_vector(anchors_path, blank_ok=False)
-        anchors = AnchorSet(tuple((int(i), int(vector[i])) for i in np.flatnonzero(vector != UNLABELED)))
+    anchors = to_vector(anchors_path, blank_ok=False) if anchors_path is not None else None
     m = len(index)
     truth = to_vector(truth_path) if truth_path is not None else None
     return features, labels, anchors, truth, tuple(index), m
 
 
-def _stratified_anchors(labels: np.ndarray, num_classes: int, fraction: float, seed: int) -> AnchorSet:
+def _stratified_anchors(labels: np.ndarray, num_classes: int, fraction: float, seed: int) -> np.ndarray:
     """Seeded per-class sampling of labeled rows, at least one per class
-    where available."""
+    where available; returns the anchor vector (UNLABELED off the picks)."""
     labeled = np.flatnonzero(labels != UNLABELED)
     if labeled.size == 0:
         raise ConfigError("anchor fraction mode needs labeled rows to sample from")
     if fraction * labeled.size < 1:
         raise ConfigError("anchor_fraction times the labeled count must be at least 1")
     rng = np.random.default_rng(seed)
-    entries = []
+    anchors = np.full(labels.shape[0], UNLABELED, dtype=np.int64)
     for c in range(num_classes):
         pool = np.flatnonzero(labels == c)
         if pool.size == 0:
             continue
         count = min(pool.size, max(1, int(np.floor(fraction * pool.size + 0.5))))
-        picked = rng.choice(pool, size=count, replace=False)
-        entries.extend((int(i), c) for i in picked)
-    entries.sort()
-    return AnchorSet(tuple(entries))
+        anchors[rng.choice(pool, size=count, replace=False)] = c
+    return anchors
 
 
 def _build_similarity(features: FeatureSet, cfg: RunConfig):
@@ -170,8 +165,8 @@ def _build_similarity(features: FeatureSet, cfg: RunConfig):
     return w, [int(i) for i in zero_variance]
 
 
-def _initial_assignment(features, m, cfg: RunConfig, anchors: AnchorSet):
-    if cfg.prior.mode == "logits":
+def _initial_assignment(features, m, cfg: RunConfig, anchors: LabelSet):
+    if cfg.logits_path is not None:
         logits = read_features_csv(cfg.logits_path)
         if logits.dim != m:
             raise DataError(f"logits have {logits.dim} columns for {m} classes")
@@ -207,7 +202,7 @@ def _no_propagation() -> dict:
     }
 
 
-def _propagate(w, x0, anchors: AnchorSet, labels_for_baselines: LabelSet, cfg: RunConfig):
+def _propagate(w, x0, anchors: LabelSet, cfg: RunConfig):
     """Dispatch on method; returns (assignment, info dict with the keys of
     ``_no_propagation``).
 
@@ -227,12 +222,12 @@ def _propagate(w, x0, anchors: AnchorSet, labels_for_baselines: LabelSet, cfg: R
             info["notes"].append(_cap_note(cfg.method, dyn.max_iterations, dyn.tolerance))
         return x, info
     if cfg.method == "harmonic":
-        return harmonic_function(w, labels_for_baselines), info
+        return harmonic_function(w, anchors), info
     if cfg.method == "label_spreading":
-        x, meta = label_spreading(w, labels_for_baselines, cfg.baseline)
+        x, meta = label_spreading(w, anchors, cfg.baseline)
         info["isolated_rows"] = meta["isolated"]
     else:
-        x, meta = label_propagation(w, labels_for_baselines, cfg.baseline)
+        x, meta = label_propagation(w, anchors, cfg.baseline)
     info.update(iterations_used=meta["iterations"], converged=meta["converged"])
     if not meta["converged"]:
         info["notes"].append(_cap_note(cfg.method, cfg.baseline.max_iterations, cfg.baseline.tolerance))
@@ -251,7 +246,7 @@ def _score(cfg, features, truth, pred, assignment, anchors, num_classes) -> tupl
             notes.append("metrics skipped: no truth file supplied")
         return values, notes
     truth_rows = np.flatnonzero(truth != UNLABELED)
-    held_out = np.setdiff1d(truth_rows, anchors.indices())
+    held_out = truth_rows[anchors.labels[truth_rows] == UNLABELED]
     requested = list(cfg.metrics)
     if cfg.method == "group_loss" and "cross_entropy" not in requested:
         requested.append("cross_entropy")
@@ -313,22 +308,21 @@ def _report(metrics, config, classes, num_samples, notes, num_anchors=0, zero_va
 def run_pipeline(cfg: RunConfig) -> tuple[Path, dict]:
     """Execute a full run; writes predictions.csv and report.json into
     cfg.out_dir and returns (predictions path, report dict)."""
-    features, labels, anchors, truth, classes, m = _load_inputs(
+    features, labels, anchor_vector, truth, classes, m = _load_inputs(
         cfg.features_path, cfg.labels_path, cfg.anchors_path, cfg.truth_path
     )
     if m < 2:
         raise ConfigError(f"need at least two distinct classes, found {m}")
-    if anchors is None:
-        anchors = _stratified_anchors(labels, m, cfg.anchor_fraction, cfg.seed)
-    if len(anchors) == 0:
+    if anchor_vector is None:
+        anchor_vector = _stratified_anchors(labels, m, cfg.anchor_fraction, cfg.seed)
+    anchors = LabelSet(m, anchor_vector)
+    num_anchors = int(np.count_nonzero(anchors.labeled_mask()))
+    if num_anchors == 0:
         raise ConfigError("anchor set is empty")
 
     w, zero_variance = _build_similarity(features, cfg)
     x0 = _initial_assignment(features, m, cfg, anchors)
-
-    baseline_labels = np.full(features.n, UNLABELED, dtype=np.int64)
-    baseline_labels[anchors.indices()] = anchors.classes()
-    assignment, info = _propagate(w, x0, anchors, LabelSet(m, baseline_labels), cfg)
+    assignment, info = _propagate(w, x0, anchors, cfg)
 
     pred = argmax_decode(assignment)
     metric_values, notes = _score(cfg, features, truth, pred, assignment, anchors, len(classes))
@@ -344,7 +338,7 @@ def run_pipeline(cfg: RunConfig) -> tuple[Path, dict]:
     write_predictions_csv(predictions_path, features.ids, [classes[c] for c in pred], assignment)
 
     config = asdict(cfg) | {"metrics": list(cfg.metrics)}
-    report = _report(metric_values, config, classes[:m], features.n, notes, len(anchors), zero_variance, info)
+    report = _report(metric_values, config, classes[:m], features.n, notes, num_anchors, zero_variance, info)
     write_report_json(out_dir / "report.json", report)
     return predictions_path, report
 
@@ -380,7 +374,7 @@ def run_eval(
         if kind == "recall":
             values[name] = recall[k]
         elif kind == "nmi":
-            clusters = kmeans(features.data[rows], np.unique(truth[rows]).size, BaselineConfig(seed=seed))
+            clusters = kmeans(features.data[rows], np.unique(truth[rows]).size, seed)
             values[name] = metrics_mod.nmi(clusters, truth[rows])
         elif labels_path is None:
             notes.append(f"metric {name} skipped: needs a predictions file (--labels)")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AnchorSet, one_hot
+from .core import LabelSet, anchor_rows
 from .errors import ConfigError, EmptyInput, NonFinite
 
 
@@ -15,17 +15,14 @@ from .errors import ConfigError, EmptyInput, NonFinite
 class PriorConfig:
     """How the starting assignment X(0) is built.
 
-    mode "uniform" spreads mass evenly over the classes; mode "logits"
-    expects externally produced prediction logits and applies a softmax
-    sharpened or flattened by ``temperature``.
+    Without a logits file the prior spreads mass evenly over the classes;
+    with one it is a softmax of those logits sharpened or flattened by
+    ``temperature``.
     """
 
-    mode: str = "uniform"
     temperature: float = 1.0
 
     def __post_init__(self):
-        if self.mode not in ("uniform", "logits"):
-            raise ConfigError(f"unknown prior mode {self.mode!r}")
         if not 0 < self.temperature < math.inf:
             raise ConfigError(f"temperature must be finite and positive, got {self.temperature!r}")
 
@@ -56,11 +53,10 @@ def softmax_with_temperature(logits, temperature: float = 1.0) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def inject_anchors(x, anchors: AnchorSet) -> np.ndarray:
+def inject_anchors(x, anchors: LabelSet) -> np.ndarray:
     """Replace each anchored row by the one-hot of its known label."""
     x = np.array(x, dtype=np.float64)
-    n, m = x.shape
-    anchors.validate_against(n, m)
-    for i, c in anchors.entries:
-        x[i] = one_hot(c, m)
+    rows, classes = anchor_rows(anchors, *x.shape)
+    x[rows] = 0.0
+    x[rows, classes] = 1.0
     return x

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transduct import AnchorSet, FeatureSet, LabelSet, argmax_decode, one_hot
+from transduct import FeatureSet, LabelSet, argmax_decode
 from transduct.core import normalize_rows
 from transduct.errors import NonFinite, OutOfRange
 from transduct.pipeline import _report
@@ -38,20 +38,8 @@ class TestRowNormalize:
     @settings(max_examples=50, deadline=None)
     def test_one_hot_rows_are_fixed_points(self, m, seed):
         rng = np.random.default_rng(seed)
-        rows = np.stack([one_hot(int(rng.integers(m)), m) for _ in range(5)])
+        rows = np.stack([np.eye(m)[int(rng.integers(m))] for _ in range(5)])
         np.testing.assert_array_equal(normalize_rows(rows)[0], rows)
-
-
-class TestOneHot:
-    def test_middle(self):
-        np.testing.assert_array_equal(one_hot(1, 3), [0, 1, 0])
-
-    def test_first(self):
-        np.testing.assert_array_equal(one_hot(0, 2), [1, 0])
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            one_hot(5, 3)
 
 
 class TestArgmaxDecode:
@@ -94,10 +82,6 @@ class TestContainers:
     def test_label_set_sentinel_ok(self):
         ls = LabelSet(num_classes=2, labels=[0, -1, 1])
         assert ls.labeled_indices().tolist() == [0, 2]
-
-    def test_anchor_set_unique_indices(self):
-        with pytest.raises(ValueError):
-            AnchorSet(((0, 1), (0, 0)))
 
     def test_evaluation_report_requires_finite_metrics(self):
         with pytest.raises(NonFinite):

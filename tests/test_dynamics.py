@@ -3,17 +3,18 @@ import pytest
 from scipy import sparse
 
 from transduct import (
-    AnchorSet,
     DynamicsConfig,
+    LabelSet,
     consistency_functional,
     group_loss_value,
     inject_anchors,
     replicator_step,
-    replicator_step_elementwise,
     run_dynamics,
     uniform_prior,
 )
-from transduct.errors import ConfigError, EmptyInput, ShapeMismatch
+from transduct.errors import ConfigError, EmptyInput, OutOfRange, ShapeMismatch
+
+from oracles import replicator_step_elementwise
 
 
 def random_instance(rng, n=None, m=None):
@@ -27,7 +28,7 @@ def random_instance(rng, n=None, m=None):
 
 
 THREE_NODE_W = np.array([[0, 0.9, 0.1], [0.9, 0, 0.1], [0.1, 0.1, 0]])
-THREE_NODE_ANCHORS = AnchorSet(((0, 0), (2, 1)))
+THREE_NODE_ANCHORS = LabelSet(2, [0, -1, 1])
 
 
 class TestSupport:
@@ -177,7 +178,7 @@ class TestRunDynamics:
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(8)
         w, x = random_instance(rng, n=12, m=3)
-        anchors = AnchorSet(((0, 0), (5, 2)))
+        anchors = LabelSet(3, [0, -1, -1, -1, -1, 2] + [-1] * 6)
         x0 = inject_anchors(x, anchors)
         a, ta = run_dynamics(w, x0, DynamicsConfig(), anchors)
         b, tb = run_dynamics(w, x0, DynamicsConfig(), anchors)
@@ -188,10 +189,26 @@ class TestRunDynamics:
     def test_isolated_row_flagged_degenerate(self):
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = 1.0
-        x0 = inject_anchors(uniform_prior(3, 2), AnchorSet(((0, 0),)))
-        x, trace = run_dynamics(w, x0, DynamicsConfig(), AnchorSet(((0, 0),)))
+        anchors = LabelSet(2, [0, -1, -1])
+        x0 = inject_anchors(uniform_prior(3, 2), anchors)
+        x, trace = run_dynamics(w, x0, DynamicsConfig(), anchors)
         assert 2 in trace.degenerate_rows
         np.testing.assert_allclose(x[2], [0.5, 0.5])
+
+    def test_anchors_repinned_and_range_checked(self):
+        # start from an x0 whose anchored row is not one-hot: run_dynamics
+        # pins it itself, and keeps it pinned on every step
+        cfg = DynamicsConfig(fixed_iterations=3)
+        x, trace = run_dynamics(THREE_NODE_W, uniform_prior(3, 2), cfg, THREE_NODE_ANCHORS)
+        np.testing.assert_array_equal(x[[0, 2]], [[1, 0], [0, 1]])
+        pinned_first = inject_anchors(uniform_prior(3, 2), THREE_NODE_ANCHORS)
+        same, same_trace = run_dynamics(THREE_NODE_W, pinned_first, cfg, THREE_NODE_ANCHORS)
+        np.testing.assert_array_equal(x, same)
+        assert trace.functional_values == same_trace.functional_values
+        with pytest.raises(ShapeMismatch):
+            run_dynamics(THREE_NODE_W, uniform_prior(3, 2), DynamicsConfig(), LabelSet(2, [0, -1]))
+        with pytest.raises(OutOfRange, match="anchor class 2 out of range for m=2"):
+            run_dynamics(THREE_NODE_W, uniform_prior(3, 2), DynamicsConfig(), LabelSet(3, [0, -1, 2]))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -220,7 +237,9 @@ class TestCsrGraph:
         for _ in range(20):
             n = int(rng.integers(3, 30))
             w, x = self.sparse_instance(rng, n, int(rng.integers(2, 5)))
-            anchors = AnchorSet(((0, 0), (n - 1, 1)))
+            vector = np.full(n, -1)
+            vector[[0, n - 1]] = [0, 1]
+            anchors = LabelSet(2, vector)
             x0 = inject_anchors(x, anchors)
             cfg = DynamicsConfig(max_iterations=200)
             dense, dense_trace = run_dynamics(w, x0, cfg, anchors)
@@ -233,8 +252,8 @@ class TestCsrGraph:
         rng = np.random.default_rng(13)
         w, x = self.sparse_instance(rng, 9, 3)
         csr = sparse.csr_array(w)
-        for fn in (replicator_step, replicator_step_elementwise):
-            (a, da), (b, db) = fn(csr, x), fn(w, x)
+        a, da = replicator_step(csr, x)
+        for b, db in (replicator_step(w, x), replicator_step_elementwise(w, x)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(da, db)
         assert consistency_functional(csr, x) == pytest.approx(consistency_functional(w, x), rel=1e-12)

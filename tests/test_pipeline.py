@@ -360,7 +360,7 @@ class TestRunPipeline:
             labels_path=str(lpath),
             truth_path=str(lpath),
             logits_path=str(lg),
-            prior=PriorConfig(mode="logits", temperature=0.5),
+            prior=PriorConfig(temperature=0.5),
             anchor_fraction=0.05,
             seed=1,
             out_dir=str(tmp_path / "out"),
@@ -564,6 +564,27 @@ class TestCli:
         assert len(r.stderr.splitlines()) == 1, r.stderr
         if case in ("nan", "inf"):
             assert f"{fpath}:3:" in r.stderr
+
+    @pytest.mark.parametrize("anchors, with_labels, code, message", [
+        ("id,label\na,x\na,y\n", True, 2, "data error: {path}:3: duplicate id 'a'"),
+        ("id,label\na,x\nb,\n", True, 2, "data error: {path}: anchor rows must carry a label (id 'b')"),
+        ("id,label\n", True, 1, "config error: anchor set is empty"),
+        ("id,label\n", False, 1, "config error: need at least two distinct classes, found 0"),
+    ], ids=["duplicate-id", "blank-label", "header-only", "header-only-no-labels"])
+    def test_exit_code_anchors_file(self, tmp_path, anchors, with_labels, code, message):
+        fpath = tmp_path / "f.csv"
+        fpath.write_text("id,f0,f1,f2\na,1,2,3\nb,3,2,1\nc,1,3,2\n")
+        lpath = tmp_path / "l.csv"
+        lpath.write_text("id,label\na,x\nb,y\nc,\n")
+        apath = tmp_path / "anchors.csv"
+        apath.write_text(anchors)
+        labels = ["--labels", str(lpath)] if with_labels else []
+        r = self.run_cli(
+            "run", "--features", str(fpath), *labels, "--method", "gtg",
+            "--anchors-file", str(apath), "--out-dir", str(tmp_path / "out"),
+        )
+        assert r.returncode == code, r.stderr
+        assert r.stderr.splitlines() == [message.format(path=apath)]
 
     def test_exit_code_numerical_error(self, tmp_path):
         # two disconnected pairs, harmonic labeling with one side unlabeled:

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transduct import AnchorSet, inject_anchors, softmax_with_temperature, uniform_prior
-from transduct.errors import ConfigError, EmptyInput, NonFinite
+from transduct import LabelSet, inject_anchors, softmax_with_temperature, uniform_prior
+from transduct.errors import ConfigError, EmptyInput, NonFinite, OutOfRange, ShapeMismatch
 from transduct.priors import PriorConfig
 
 
@@ -64,15 +64,15 @@ class TestSoftmax:
 
 class TestInjectAnchors:
     def test_basic(self):
-        out = inject_anchors([[0.5, 0.5], [0.5, 0.5]], AnchorSet(((0, 1),)))
+        out = inject_anchors([[0.5, 0.5], [0.5, 0.5]], LabelSet(2, [1, -1]))
         np.testing.assert_array_equal(out, [[0, 1], [0.5, 0.5]])
 
     def test_empty_anchor_set(self):
         x = [[0.3, 0.7]]
-        np.testing.assert_array_equal(inject_anchors(x, AnchorSet(())), x)
+        np.testing.assert_array_equal(inject_anchors(x, LabelSet(2, [-1])), x)
 
     def test_all_rows_anchored(self):
-        out = inject_anchors(np.full((3, 2), 0.5), AnchorSet(((0, 0), (1, 1), (2, 0))))
+        out = inject_anchors(np.full((3, 2), 0.5), LabelSet(2, [0, 1, 0]))
         np.testing.assert_array_equal(out, [[1, 0], [0, 1], [1, 0]])
 
     @given(st.integers(2, 8), st.integers(2, 4), st.integers(0, 1000))
@@ -80,15 +80,26 @@ class TestInjectAnchors:
     def test_idempotent(self, n, m, seed):
         rng = np.random.default_rng(seed)
         x = rng.dirichlet(np.ones(m), size=n)
-        entries = tuple((i, int(rng.integers(m))) for i in range(0, n, 2))
-        anchors = AnchorSet(entries)
+        vector = np.full(n, -1)
+        for i in range(0, n, 2):
+            vector[i] = rng.integers(m)
+        anchors = LabelSet(m, vector)
         once = inject_anchors(x, anchors)
         np.testing.assert_array_equal(inject_anchors(once, anchors), once)
 
+    def test_anchors_must_fit_the_matrix(self):
+        x = np.full((3, 2), 0.5)
+        for short_or_long in ([0, -1], [0, -1, -1, 1]):
+            with pytest.raises(ShapeMismatch):
+                inject_anchors(x, LabelSet(2, short_or_long))
+        with pytest.raises(OutOfRange, match="anchor class 2 out of range for m=2"):
+            inject_anchors(x, LabelSet(3, [0, -1, 2]))
+        # a label set with more classes than columns is fine while its
+        # anchors use only the columns there are
+        np.testing.assert_array_equal(inject_anchors(x, LabelSet(3, [-1, 1, -1]))[1], [0, 1])
+
 
 def test_prior_config_validation():
-    with pytest.raises(ConfigError):
-        PriorConfig(mode="oracle")
     with pytest.raises(ConfigError):
         PriorConfig(temperature=0.0)
     for bad in (float("nan"), float("inf")):

@@ -54,3 +54,51 @@ def test_cli_targets_resolve():
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+#: Counters each method's run must add, beyond the graph's nnz.
+METHOD_COUNTERS = {
+    "gtg": {"dynamics.iterations", "dynamics.matvec_flops"},
+    "group_loss": {"dynamics.iterations", "dynamics.matvec_flops"},
+    "label_spreading": {"baselines.label_spreading.iterations"},
+    "label_propagation": {
+        "baselines.label_propagation.iterations",
+        "baselines.label_propagation.calls",
+        "baselines.label_propagation.converged",
+    },
+    "harmonic": set(),
+}
+
+
+def test_every_method_fires_its_counter_hooks(tmp_path):
+    """Each method, dense and --knn, runs under the in-process targets and
+    feeds the counters the benchmark's per-layer metrics are read from."""
+    features, labels = make_synthetic(BlobSpec(blobs=2, per_blob=10, dim=8), seed=0)
+    fpath, lpath = tmp_path / "f.csv", tmp_path / "l.csv"
+    write_features_csv(fpath, features)
+    write_labels_csv(lpath, features.ids, [f"c{v}" for v in labels.labels])
+    tracer = Tracer(IN_PROCESS_TARGETS)
+    try:
+        tracer.install()
+        for method, expected in METHOD_COUNTERS.items():
+            for knn in (None, 5):
+                pipeline.run_pipeline(
+                    RunConfig(
+                        method=method,
+                        features_path=str(fpath),
+                        labels_path=str(lpath),
+                        truth_path=str(lpath),
+                        anchor_fraction=0.2,
+                        knn=knn,
+                        out_dir=str(tmp_path / f"{method}-{knn}"),
+                    )
+                )
+                spans, counts = tracer.take()
+                assert "priors.inject_anchors" in {span[0] for span in spans}
+                assert expected <= set(counts), (method, knn, dict(counts))
+                assert counts["similarity.graph_nnz"] > 0, (method, knn)
+                # the dense graph is counted by its builder; the k-NN graph
+                # has no dense form
+                assert (counts["similarity.dense_bytes"] > 0) == (knn is None), (method, knn)
+    finally:
+        tracer.uninstall()
