@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeatureSet, LabelSet, check_graph, is_sparse, normalize_rows
+from .core import FeatureSet, LabelSet, check_graph, is_sparse, iterate, normalize_rows
 from .errors import ConfigError, DataError, OutOfRange, SingularSystem
+from .priors import inject_anchors
 from .similarity import BLOCK_ROWS
 
 
@@ -34,22 +35,6 @@ class BaselineConfig:
             raise ConfigError("max_iterations must be >= 1")
         if not 0 <= self.tolerance < math.inf:
             raise ConfigError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
-
-
-def _check_graph(w, labels: LabelSet):
-    w = check_graph(w, labels.labels.shape[0], "label vector")
-    # a CSR minimum counts its implicit zeros; an empty graph has no minimum
-    if w.shape[0] and w.min() < 0:
-        raise DataError("similarity weights must be non-negative")
-    return w, w.shape[0]
-
-
-def _one_hot_targets(labels: LabelSet) -> np.ndarray:
-    n = labels.labels.shape[0]
-    y = np.zeros((n, labels.num_classes))
-    idx = labels.labeled_indices()
-    y[idx, labels.labels[idx]] = 1.0
-    return y
 
 
 def _require_labeled_components(w, labels: LabelSet):
@@ -88,25 +73,19 @@ def label_spreading(w, labels: LabelSet, cfg: BaselineConfig | None = None) -> t
     isolated indices.
     """
     cfg = cfg or BaselineConfig()
-    w, n = _check_graph(w, labels)
+    w = check_graph(w, labels.labels.shape[0], "label vector")
     if labels.labeled_indices().size == 0:
         raise DataError("label spreading needs at least one labeled sample")
     degree = w.sum(axis=1)
     isolated = np.flatnonzero(degree == 0)
     inv_sqrt = np.where(degree > 0, 1.0 / np.sqrt(np.where(degree > 0, degree, 1.0)), 0.0)[:, None]
-    y = _one_hot_targets(labels)
-    f = y.copy()
-    converged = False
-    iterations = 0
-    for _ in range(cfg.max_iterations):
+    y = inject_anchors(np.zeros((w.shape[0], labels.num_classes)), labels)
+
+    def step(f):
         # S F = D^-1/2 (W (D^-1/2 F)): the graph itself is never scaled
-        f_next = cfg.alpha * (inv_sqrt * (w @ (inv_sqrt * f))) + (1 - cfg.alpha) * y
-        delta = float(np.abs(f_next - f).sum())
-        f = f_next
-        iterations += 1
-        if delta < cfg.tolerance:
-            converged = True
-            break
+        return cfg.alpha * (inv_sqrt * (w @ (inv_sqrt * f))) + (1 - cfg.alpha) * y
+
+    f, iterations, converged = iterate(step, y, cfg.max_iterations, cfg.tolerance)
     x = _to_simplex(f)
     meta = {
         "raw_scores": f,
@@ -133,15 +112,13 @@ def harmonic_function(w, labels: LabelSet) -> np.ndarray:
     sparse LU (``spsolve``). Raises SingularSystem when an unlabeled
     vertex has no path to any labeled vertex.
     """
-    w, n = _check_graph(w, labels)
+    w = check_graph(w, labels.labels.shape[0], "label vector")
     if labels.labeled_indices().size == 0:
         raise DataError("harmonic labeling needs at least one labeled sample")
     _require_labeled_components(w, labels)
     labeled = labels.labeled_mask()
-    unlabeled = ~labeled
-    y = _one_hot_targets(labels)
-    out = y.copy()
-    u = np.flatnonzero(unlabeled)
+    out = inject_anchors(np.zeros((w.shape[0], labels.num_classes)), labels)
+    u = np.flatnonzero(~labeled)
     if u.size:
         l = np.flatnonzero(labeled)
         w_uu = w[np.ix_(u, u)]
@@ -155,12 +132,12 @@ def harmonic_function(w, labels: LabelSet) -> np.ndarray:
             # the system is symmetric: a minimum-degree ordering of A^T + A
             # fills in far less than spsolve's default COLAMD (about 3x
             # faster on a 10k-sample k=10 graph)
-            out[u] = spsolve(laplacian_uu, w_ul @ y[l], permc_spec="MMD_AT_PLUS_A").reshape(u.size, -1)
+            out[u] = spsolve(laplacian_uu, w_ul @ out[l], permc_spec="MMD_AT_PLUS_A").reshape(u.size, -1)
         else:
             # D_uu - W_uu in the one u x u copy; 0 - w keeps zeros at +0
             laplacian_uu = np.subtract(0.0, w_uu, out=w_uu)
             laplacian_uu.flat[:: u.size + 1] += deg
-            out[u] = np.linalg.solve(laplacian_uu, w_ul @ y[l])
+            out[u] = np.linalg.solve(laplacian_uu, w_ul @ out[l])
     return out
 
 
@@ -175,29 +152,24 @@ def label_propagation(
     with converged=False in the metadata rather than raising.
     """
     cfg = cfg or BaselineConfig()
-    w, n = _check_graph(w, labels)
+    w = check_graph(w, labels.labels.shape[0], "label vector")
     if labels.labeled_indices().size == 0:
         raise DataError("label propagation needs at least one labeled sample")
     _require_labeled_components(w, labels)
+    m = labels.num_classes
+    f0 = inject_anchors(np.full((w.shape[0], m), 1.0 / m), labels)
     labeled = labels.labeled_indices()
-    y_labeled = _one_hot_targets(labels)[labeled]
+    y_labeled = f0[labeled]
     degree = w.sum(axis=1)
     safe = np.where(degree > 0, degree, 1.0)[:, None]
-    m = labels.num_classes
-    f = np.full((n, m), 1.0 / m)
-    f[labeled] = y_labeled
-    converged = False
-    iterations = 0
-    for _ in range(cfg.max_iterations):
+
+    def step(f):
         f_next = w @ f
         f_next /= safe
         f_next[labeled] = y_labeled
-        delta = float(np.abs(f_next - f).sum())
-        f = f_next
-        iterations += 1
-        if delta < cfg.tolerance:
-            converged = True
-            break
+        return f_next
+
+    f, iterations, converged = iterate(step, f0, cfg.max_iterations, cfg.tolerance)
     meta = {"iterations": iterations, "converged": converged}
     return _to_simplex(f), meta
 

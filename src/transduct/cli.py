@@ -19,7 +19,7 @@ from .baselines import BaselineConfig
 from .dynamics import DynamicsConfig
 from .errors import ConfigError, DataError, NumericalError, TransductError
 from .io import write_features_csv, write_labels_csv
-from .pipeline import METHODS, PriorConfig, RunConfig, run_eval, run_pipeline
+from .pipeline import EVAL_DEFAULT_METRICS, METHODS, PriorConfig, RunConfig, run_eval, run_pipeline
 from .synth import BlobSpec, make_synthetic
 
 
@@ -42,17 +42,18 @@ def _build_parser() -> _Parser:
     run.add_argument("--method", required=True, choices=METHODS)
     run.add_argument("--anchor-fraction", type=float, help="stratified anchor sampling fraction in (0,1]")
     run.add_argument("--anchors-file", help="explicit anchor CSV (id,label)")
-    run.add_argument("--negative-handling", choices=("clamp", "shift"), default="clamp")
+    run.add_argument("--negative-handling", choices=("clamp", "shift"), default=RunConfig.negative_handling)
     run.add_argument("--knn", type=int, help="sparsify the similarity graph to k neighbors per row")
-    run.add_argument("--logits", help="prior logits CSV (id,l0,l1,...); enables the logits prior")
-    run.add_argument("--temperature", type=float, default=1.0, help="softmax temperature for the logits prior")
-    run.add_argument("--max-iters", type=int, default=100)
-    run.add_argument("--tol", type=float, default=1e-6)
+    run.add_argument("--logits", help="prior logits CSV (id,l0,l1,...); enables the logits prior (gtg, group_loss)")
+    run.add_argument("--temperature", type=float, default=PriorConfig.temperature,
+                     help="softmax temperature for the logits prior")
+    run.add_argument("--max-iters", type=int, default=DynamicsConfig.max_iterations)
+    run.add_argument("--tol", type=float, default=DynamicsConfig.tolerance)
     run.add_argument("--fixed-iters", type=int, help="run exactly this many replicator steps")
-    run.add_argument("--alpha", type=float, default=0.99, help="label spreading mixing coefficient")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--out-dir", default=".")
-    run.add_argument("--metrics", default="accuracy,macro_f1", help="comma-separated metric names")
+    run.add_argument("--alpha", type=float, default=BaselineConfig.alpha, help="label spreading mixing coefficient")
+    run.add_argument("--seed", type=int, default=RunConfig.seed)
+    run.add_argument("--out-dir", default=RunConfig.out_dir)
+    run.add_argument("--metrics", default=",".join(RunConfig.metrics), help="comma-separated metric names")
 
     synth = sub.add_parser("synth", help="write a synthetic blob dataset")
     synth.add_argument("--blobs", type=int, default=3)
@@ -67,7 +68,7 @@ def _build_parser() -> _Parser:
     ev.add_argument("--features", required=True)
     ev.add_argument("--truth", required=True)
     ev.add_argument("--labels", help="optional predictions CSV for accuracy / macro_f1")
-    ev.add_argument("--metrics", default="recall@1,recall@2,recall@4,recall@8,nmi")
+    ev.add_argument("--metrics", default=",".join(EVAL_DEFAULT_METRICS))
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--out-dir", default=".")
     return parser

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch, NonFinite, OutOfRange, ShapeMismatch
+from .errors import DataError, EmptyInput, LengthMismatch, NonFinite, OutOfRange, ShapeMismatch
 
 #: Sentinel for "no label known" entries in a label vector. Never a valid
 #: class index (class indices are always >= 0).
@@ -79,21 +79,6 @@ class LabelSet:
         return np.flatnonzero(self.labels != UNLABELED)
 
 
-def anchor_rows(anchors: LabelSet, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The anchored rows of an ``n x m`` assignment matrix and their classes.
-
-    Raises ShapeMismatch unless ``anchors`` has one entry per row, and
-    OutOfRange for a class that is not one of the m columns.
-    """
-    if anchors.labels.shape[0] != n:
-        raise ShapeMismatch(f"anchor vector has {anchors.labels.shape[0]} entries for {n} rows")
-    rows = anchors.labeled_indices()
-    classes = anchors.labels[rows]
-    if classes.size and classes.max() >= m:
-        raise OutOfRange(f"anchor class {int(classes.max())} out of range for m={m}")
-    return rows, classes
-
-
 def normalize_rows(raw) -> tuple[np.ndarray, np.ndarray]:
     """Divide each row of a non-negative matrix by its sum.
 
@@ -130,7 +115,8 @@ def check_graph(w, rows: int, what: str):
     Dense input becomes a float64 array; scipy sparse input (the k-NN
     graph) becomes a float64 CSR array. Raises ShapeMismatch unless the
     graph is square with one vertex per row of ``what``, whose length is
-    ``rows``.
+    ``rows``, and DataError for a negative weight: the replicator step's
+    ascent (Baum-Eagon) and both random-walk baselines need W >= 0.
     """
     if is_sparse(w):
         from scipy import sparse
@@ -142,4 +128,25 @@ def check_graph(w, rows: int, what: str):
         raise ShapeMismatch("similarity matrix must be square")
     if rows != w.shape[0]:
         raise ShapeMismatch(f"{what} has {rows} rows but the similarity graph has {w.shape[0]} vertices")
+    # a CSR minimum counts its implicit zeros; an empty graph has no minimum
+    if w.shape[0] and w.min() < 0:
+        raise DataError("similarity weights must be non-negative")
     return w
+
+
+def iterate(step, f, max_steps: int, tolerance: float):
+    """Apply ``step`` from ``f`` until one step moves the iterate by less
+    than ``tolerance`` in L1, or ``max_steps`` steps have run.
+
+    Returns (last iterate, steps taken, converged). ``step`` must return a
+    new array; ``f`` is never written. No L1 change is below a tolerance
+    of 0, so with it exactly ``max_steps`` steps run and converged is
+    False: that is a fixed-step run.
+    """
+    for steps in range(1, max_steps + 1):
+        f_next = step(f)
+        delta = float(np.abs(f_next - f).sum())
+        f = f_next
+        if delta < tolerance:
+            return f, steps, True
+    return f, max_steps, False

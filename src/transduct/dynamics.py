@@ -9,12 +9,13 @@ iteration behaves like an ascent method with an implicit step size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelSet, anchor_rows, check_graph, normalize_rows
+from .core import LabelSet, check_graph, iterate, normalize_rows
 from .errors import ConfigError, EmptyInput, ShapeMismatch
+from .priors import inject_anchors
 
 #: Probability floor used before taking logs in the cross-entropy readout.
 PROB_FLOOR = 1e-12
@@ -26,8 +27,10 @@ class DynamicsConfig:
 
     Convergence is declared when the L1 distance between successive
     assignment matrices drops below ``tolerance``. When
-    ``fixed_iterations`` is set the loop runs exactly that many steps and
-    the tolerance check is skipped (the fixed-step refinement mode).
+    ``fixed_iterations`` is set, the same loop runs with that many steps
+    as its cap and a tolerance of 0, which no L1 distance is below: it
+    runs exactly that many steps and never reports convergence (the
+    fixed-step refinement mode).
     """
 
     max_iterations: int = 100
@@ -43,14 +46,14 @@ class DynamicsConfig:
             raise ConfigError("fixed_iterations must be >= 1 when set")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DynamicsTrace:
     """Per-run diagnostics: consistency values, iteration count, degeneracies."""
 
-    functional_values: list[float] = field(default_factory=list)
-    iterations_used: int = 0
-    converged: bool = False
-    degenerate_rows: tuple[int, ...] = ()
+    functional_values: list[float]
+    iterations_used: int
+    converged: bool
+    degenerate_rows: tuple[int, ...]
 
 
 def _check_shapes(w, x):
@@ -107,48 +110,38 @@ def run_dynamics(
     assignment (including x0 and the final state), the iteration count, a
     convergence flag and the union of degenerate rows seen. In
     fixed-iteration mode exactly ``cfg.fixed_iterations`` steps run and
-    ``converged`` is reported False since no tolerance test is made.
-    Anchored rows are exact fixed points of the update; they are pinned to
-    their one-hot labels at the start and re-pinned after every step
-    anyway, so float drift on very long runs cannot move them.
+    ``converged`` is reported False, since the tolerance is 0. Anchored
+    rows are exact fixed points of the update; they are pinned to their
+    one-hot labels at the start (``inject_anchors``) and re-pinned after
+    every step anyway, so float drift on very long runs cannot move them.
 
     The loop is deterministic: identical inputs produce bit-identical
     iterates and traces.
     """
     cfg = cfg or DynamicsConfig()
     w, x = _check_shapes(w, x0)
-    x = x.copy()
-    pinned = onehots = None
     if anchors is not None:
-        pinned, classes = anchor_rows(anchors, *x.shape)
-        onehots = np.eye(x.shape[1])[classes]
-        x[pinned] = onehots
-
-    fixed_mode = cfg.fixed_iterations is not None
-    total = cfg.fixed_iterations if fixed_mode else cfg.max_iterations
-
-    trace = DynamicsTrace()
+        x = inject_anchors(x, anchors)
+        pinned = anchors.labeled_indices()
+        onehots = x[pinned]
+    functional_values: list[float] = []
     degenerate: set[int] = set()
-    converged = False
-    iterations = 0
-    for _ in range(total):
+
+    def step(x):
         pi = w @ x
-        trace.functional_values.append(float(np.sum(x * pi)))
+        functional_values.append(float(np.sum(x * pi)))
         x_next, degen = _refine(x, pi)
         degenerate.update(int(i) for i in degen)
-        if pinned is not None:
+        if anchors is not None:
             x_next[pinned] = onehots
-        delta = float(np.abs(x_next - x).sum())
-        x = x_next
-        iterations += 1
-        if not fixed_mode and delta < cfg.tolerance:
-            converged = True
-            break
-    trace.functional_values.append(consistency_functional(w, x))
-    trace.iterations_used = iterations
-    trace.converged = converged
-    trace.degenerate_rows = tuple(sorted(degenerate))
-    return x, trace
+        return x_next
+
+    if cfg.fixed_iterations is None:
+        x, iterations, converged = iterate(step, x, cfg.max_iterations, cfg.tolerance)
+    else:
+        x, iterations, converged = iterate(step, x, cfg.fixed_iterations, 0.0)
+    functional_values.append(float(np.sum((w @ x) * x)))
+    return x, DynamicsTrace(functional_values, iterations, converged, tuple(sorted(degenerate)))
 
 
 def group_loss_value(x_final, truth_labels) -> float:

@@ -34,10 +34,14 @@ from .priors import PriorConfig, inject_anchors, softmax_with_temperature, unifo
 # under this name.
 from .similarity import handle_negatives, knn_graph, pearson_matrix, sparsify_knn  # noqa: F401
 
-METHODS = ("gtg", "group_loss", "label_spreading", "label_propagation", "harmonic")
+#: The methods that run replicator dynamics; the others are baselines.
+DYNAMICS_METHODS = ("gtg", "group_loss")
+METHODS = DYNAMICS_METHODS + ("label_spreading", "label_propagation", "harmonic")
 
 RUN_METRICS = ("accuracy", "macro_f1", "nmi", "cross_entropy")
 EVAL_METRICS = ("accuracy", "macro_f1", "nmi")
+#: What ``run_eval`` (and ``transduct eval``) scores when no metrics are named.
+EVAL_DEFAULT_METRICS = ("recall@1", "recall@2", "recall@4", "recall@8", "nmi")
 
 #: Fixed-step default for the group_loss method when none is configured.
 GROUP_LOSS_DEFAULT_STEPS = 3
@@ -73,6 +77,8 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
+        if self.logits_path is not None and self.method not in DYNAMICS_METHODS:
+            raise ConfigError(f"a logits prior applies only to gtg and group_loss, not to {self.method}")
         has_fraction = self.anchor_fraction is not None
         has_file = self.anchors_path is not None
         if has_fraction == has_file:
@@ -209,7 +215,7 @@ def _propagate(w, x0, anchors: LabelSet, cfg: RunConfig):
     ``info["notes"]`` holds a line when an iterative method stopped at its
     step cap without converging (fixed-step runs stop there by design)."""
     info = _no_propagation()
-    if cfg.method in ("gtg", "group_loss"):
+    if cfg.method in DYNAMICS_METHODS:
         dyn = cfg.dynamics
         if cfg.method == "group_loss" and dyn.fixed_iterations is None:
             dyn = replace(dyn, fixed_iterations=GROUP_LOSS_DEFAULT_STEPS)
@@ -347,7 +353,7 @@ def run_eval(
     features_path,
     truth_path,
     labels_path=None,
-    metric_names: tuple[str, ...] = ("recall@1", "recall@2", "recall@4", "recall@8", "nmi"),
+    metric_names: tuple[str, ...] = EVAL_DEFAULT_METRICS,
     seed: int = 0,
     out_dir: str = ".",
 ) -> tuple[Path, dict]:

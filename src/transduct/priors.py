@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelSet, anchor_rows
-from .errors import ConfigError, EmptyInput, NonFinite
+from .core import LabelSet
+from .errors import ConfigError, EmptyInput, NonFinite, OutOfRange, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,20 @@ def softmax_with_temperature(logits, temperature: float = 1.0) -> np.ndarray:
 
 
 def inject_anchors(x, anchors: LabelSet) -> np.ndarray:
-    """Replace each anchored row by the one-hot of its known label."""
+    """A copy of x with each anchored row replaced by the one-hot of its
+    known label.
+
+    Raises ShapeMismatch unless ``anchors`` has one entry per row, and
+    OutOfRange for a class that is not one of x's columns.
+    """
     x = np.array(x, dtype=np.float64)
-    rows, classes = anchor_rows(anchors, *x.shape)
+    n, m = x.shape
+    if anchors.labels.shape[0] != n:
+        raise ShapeMismatch(f"anchor vector has {anchors.labels.shape[0]} entries for {n} rows")
+    rows = anchors.labeled_indices()
+    classes = anchors.labels[rows]
+    if classes.size and classes.max() >= m:
+        raise OutOfRange(f"anchor class {int(classes.max())} out of range for m={m}")
     x[rows] = 0.0
     x[rows, classes] = 1.0
     return x

@@ -2,10 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
-from transduct import FeatureSet, LabelSet, argmax_decode
-from transduct.core import normalize_rows
-from transduct.errors import NonFinite, OutOfRange
+from transduct import (
+    DynamicsConfig,
+    FeatureSet,
+    LabelSet,
+    argmax_decode,
+    consistency_functional,
+    harmonic_function,
+    label_propagation,
+    label_spreading,
+    replicator_step,
+    run_dynamics,
+)
+from transduct.core import iterate, normalize_rows
+from transduct.errors import DataError, NonFinite, OutOfRange
 from transduct.pipeline import _report
 
 
@@ -89,3 +101,61 @@ class TestContainers:
         report = _report({"accuracy": 0.5}, {"seed": 1}, ("a",), 1, [])
         assert report["metrics"]["accuracy"] == 0.5
         assert report["classes"] == ["a"]
+
+
+def counting(move):
+    """A step that applies ``move`` and records every iterate it is given."""
+    calls = []
+
+    def step(f):
+        calls.append(f)
+        return move(f)
+
+    return step, calls
+
+
+class TestIterate:
+    def test_converges_at_the_first_small_step(self):
+        # the L1 changes are 4, 2, 1, 0.5, ...: step 4 is the first below 1
+        step, calls = counting(lambda f: f / 2)
+        f, steps, converged = iterate(step, np.array([8.0]), 10, 1.0)
+        assert (f.tolist(), steps, converged, len(calls)) == ([0.5], 4, True, 4)
+
+    def test_zero_tolerance_runs_every_step(self):
+        step, calls = counting(lambda f: f / 2)
+        f, steps, converged = iterate(step, np.array([8.0]), 5, 0.0)
+        assert (f.tolist(), steps, converged, len(calls)) == ([0.25], 5, False, 5)
+        # a step that does not move the iterate still never converges at 0
+        step, calls = counting(np.copy)
+        _, steps, converged = iterate(step, np.ones(3), 5, 0.0)
+        assert (steps, converged, len(calls)) == (5, False, 5)
+
+    def test_start_is_never_written(self):
+        f0 = np.array([[0.25, 0.75], [0.5, 0.5]])
+        f0.setflags(write=False)
+        step, calls = counting(lambda f: f / 2)
+        f, _, _ = iterate(step, f0, 3, 0.0)
+        np.testing.assert_array_equal(f0, [[0.25, 0.75], [0.5, 0.5]])
+        assert calls[0] is f0 and f is not f0
+
+
+NEGATIVE_W = np.array([[0.0, 1.0, -0.5], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+UNIFORM_X = np.full((3, 2), 0.5)
+CHAIN_LABELS = LabelSet(2, [0, -1, 1])
+PROPAGATORS = {
+    "run_dynamics": lambda w: run_dynamics(w, UNIFORM_X, DynamicsConfig(), CHAIN_LABELS),
+    "replicator_step": lambda w: replicator_step(w, UNIFORM_X),
+    "consistency_functional": lambda w: consistency_functional(w, UNIFORM_X),
+    "label_spreading": lambda w: label_spreading(w, CHAIN_LABELS),
+    "label_propagation": lambda w: label_propagation(w, CHAIN_LABELS),
+    "harmonic_function": lambda w: harmonic_function(w, CHAIN_LABELS),
+}
+
+
+@pytest.mark.parametrize("form", ["dense", "csr"])
+@pytest.mark.parametrize("name", sorted(PROPAGATORS))
+def test_every_propagator_rejects_a_negative_weight(name, form):
+    w = NEGATIVE_W if form == "dense" else sparse.csr_array(NEGATIVE_W)
+    with pytest.raises(DataError, match="^similarity weights must be non-negative$"):
+        PROPAGATORS[name](w)
+    PROPAGATORS[name](np.abs(w))  # the same graph with that weight flipped is accepted

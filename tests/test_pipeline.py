@@ -28,6 +28,7 @@ from transduct.errors import (
 )
 from transduct import pipeline
 from transduct.baselines import BaselineConfig
+from transduct.cli import main
 from transduct.dynamics import DynamicsConfig
 from transduct.io import (
     read_features_csv,
@@ -585,6 +586,39 @@ class TestCli:
         )
         assert r.returncode == code, r.stderr
         assert r.stderr.splitlines() == [message.format(path=apath)]
+
+    @pytest.mark.parametrize("method", ["label_spreading", "label_propagation", "harmonic"])
+    def test_exit_code_logits_with_a_baseline(self, tmp_path, method):
+        fpath = tmp_path / "f.csv"
+        fpath.write_text("id,f0,f1,f2\na,1,2,3\nb,3,2,1\n")
+        lpath = tmp_path / "l.csv"
+        lpath.write_text("id,label\na,x\nb,y\n")
+        r = self.run_cli(
+            "run", "--features", str(fpath), "--labels", str(lpath), "--method", method,
+            "--anchor-fraction", "0.5", "--logits", str(fpath), "--out-dir", str(tmp_path / "out"),
+        )
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.splitlines() == [
+            f"config error: a logits prior applies only to gtg and group_loss, not to {method}"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_defaults_match_the_library(self, blob_dataset, tmp_path, monkeypatch):
+        """A run and an eval given only their required flags echo the same
+        config as the library calls given only their required arguments."""
+        fpath, lpath = str(blob_dataset[0]), str(blob_dataset[1])
+        for side in ("cli", "library"):
+            (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / "cli")
+        assert main(["run", "--features", fpath, "--method", "gtg", "--anchors-file", lpath]) == 0
+        cli_run = json.loads((tmp_path / "cli" / "report.json").read_text())
+        assert main(["eval", "--features", fpath, "--truth", lpath]) == 0
+        cli_eval = json.loads((tmp_path / "cli" / "report.json").read_text())
+        monkeypatch.chdir(tmp_path / "library")
+        _, library_run = run_pipeline(RunConfig(method="gtg", features_path=fpath, anchors_path=lpath))
+        _, library_eval = run_eval(fpath, lpath)
+        assert cli_run["config"] == library_run["config"]
+        assert cli_eval["config"] == library_eval["config"]
 
     def test_exit_code_numerical_error(self, tmp_path):
         # two disconnected pairs, harmonic labeling with one side unlabeled:
