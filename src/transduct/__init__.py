@@ -16,13 +16,7 @@ if _threads:
 del _os, _threads
 
 from . import errors
-from .baselines import (
-    BaselineConfig,
-    harmonic_function,
-    kmeans,
-    label_propagation,
-    label_spreading,
-)
+from .baselines import harmonic_function, kmeans, label_propagation, label_spreading
 from .core import (
     UNLABELED,
     FeatureSet,
@@ -30,7 +24,6 @@ from .core import (
     argmax_decode,
 )
 from .dynamics import (
-    DynamicsConfig,
     DynamicsTrace,
     consistency_functional,
     group_loss_value,
@@ -39,12 +32,7 @@ from .dynamics import (
 )
 from .metrics import accuracy, macro_f1, nmi, recall_at_k
 from .pipeline import RunConfig, run_eval, run_pipeline
-from .priors import (
-    PriorConfig,
-    inject_anchors,
-    softmax_with_temperature,
-    uniform_prior,
-)
+from .priors import inject_anchors, softmax_with_temperature, uniform_prior
 from .similarity import handle_negatives, knn_graph, pearson_matrix, sparsify_knn
 from .synth import BlobSpec, make_synthetic, true_centroids
 
@@ -52,13 +40,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "UNLABELED",
-    "BaselineConfig",
     "BlobSpec",
-    "DynamicsConfig",
     "DynamicsTrace",
     "FeatureSet",
     "LabelSet",
-    "PriorConfig",
     "RunConfig",
     "accuracy",
     "argmax_decode",

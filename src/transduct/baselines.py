@@ -11,30 +11,12 @@ graphs both converge to the same harmonic labeling.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import FeatureSet, LabelSet, check_graph, is_sparse, iterate, normalize_rows
-from .errors import ConfigError, DataError, OutOfRange, SingularSystem
+from .core import FeatureSet, LabelSet, check_graph, check_settings, is_sparse, iterate, normalize_rows
+from .errors import DataError, OutOfRange, SingularSystem
 from .priors import inject_anchors
 from .similarity import BLOCK_ROWS
-
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    alpha: float = 0.99
-    max_iterations: int = 1000
-    tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if not 0 < self.alpha < 1:
-            raise ConfigError("alpha must lie in (0, 1)")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
-        if not 0 <= self.tolerance < math.inf:
-            raise ConfigError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
 
 
 def _require_labeled_components(w, labels: LabelSet):
@@ -59,20 +41,22 @@ def _require_labeled_components(w, labels: LabelSet):
         )
 
 
-def label_spreading(w, labels: LabelSet, cfg: BaselineConfig | None = None) -> tuple[np.ndarray, dict]:
+def label_spreading(
+    w, labels: LabelSet, *, alpha: float = 0.99, max_iterations: int = 1000, tolerance: float = 1e-8
+) -> tuple[np.ndarray, dict]:
     """Iterative label spreading on the normalized similarity graph.
 
-    Runs F <- alpha*S*F + (1-alpha)*Y with alpha = cfg.alpha from F(0)=Y
-    until the L1 change drops below cfg.tolerance or cfg.max_iterations
-    is hit. Rows are renormalized onto the simplex for decoding; isolated
-    vertices (degree zero, so their S row vanishes) end up uniform and are
+    Runs F <- alpha*S*F + (1-alpha)*Y from F(0)=Y until the L1 change
+    drops below ``tolerance`` or ``max_iterations`` steps have run. Rows
+    are renormalized onto the simplex for decoding; isolated vertices
+    (degree zero, so their S row vanishes) end up uniform and are
     flagged.
 
     Returns (assignment, meta); meta carries the raw fixed-point scores
     (before renormalization), iteration count, convergence flag and the
     isolated indices.
     """
-    cfg = cfg or BaselineConfig()
+    check_settings(max_iterations=max_iterations, tolerance=tolerance, alpha=alpha)
     w = check_graph(w, labels.labels.shape[0], "label vector")
     if labels.labeled_indices().size == 0:
         raise DataError("label spreading needs at least one labeled sample")
@@ -83,9 +67,9 @@ def label_spreading(w, labels: LabelSet, cfg: BaselineConfig | None = None) -> t
 
     def step(f):
         # S F = D^-1/2 (W (D^-1/2 F)): the graph itself is never scaled
-        return cfg.alpha * (inv_sqrt * (w @ (inv_sqrt * f))) + (1 - cfg.alpha) * y
+        return alpha * (inv_sqrt * (w @ (inv_sqrt * f))) + (1 - alpha) * y
 
-    f, iterations, converged = iterate(step, y, cfg.max_iterations, cfg.tolerance)
+    f, iterations, converged = iterate(step, y, max_iterations, tolerance)
     x = _to_simplex(f)
     meta = {
         "raw_scores": f,
@@ -142,7 +126,7 @@ def harmonic_function(w, labels: LabelSet) -> np.ndarray:
 
 
 def label_propagation(
-    w, labels: LabelSet, cfg: BaselineConfig | None = None
+    w, labels: LabelSet, *, max_iterations: int = 1000, tolerance: float = 1e-8
 ) -> tuple[np.ndarray, dict]:
     """Random-walk label propagation with labeled rows re-clamped each step.
 
@@ -151,7 +135,7 @@ def label_propagation(
     solution. If the step cap is hit first the best iterate is returned
     with converged=False in the metadata rather than raising.
     """
-    cfg = cfg or BaselineConfig()
+    check_settings(max_iterations=max_iterations, tolerance=tolerance)
     w = check_graph(w, labels.labels.shape[0], "label vector")
     if labels.labeled_indices().size == 0:
         raise DataError("label propagation needs at least one labeled sample")
@@ -169,7 +153,7 @@ def label_propagation(
         f_next[labeled] = y_labeled
         return f_next
 
-    f, iterations, converged = iterate(step, f0, cfg.max_iterations, cfg.tolerance)
+    f, iterations, converged = iterate(step, f0, max_iterations, tolerance)
     meta = {"iterations": iterations, "converged": converged}
     return _to_simplex(f), meta
 

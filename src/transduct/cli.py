@@ -15,11 +15,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .baselines import BaselineConfig
-from .dynamics import DynamicsConfig
 from .errors import ConfigError, DataError, NumericalError, TransductError
 from .io import write_features_csv, write_labels_csv
-from .pipeline import EVAL_DEFAULT_METRICS, METHODS, PriorConfig, RunConfig, run_eval, run_pipeline
+from .pipeline import EVAL_DEFAULT_METRICS, METHODS, RunConfig, run_eval, run_pipeline
 from .synth import BlobSpec, make_synthetic
 
 
@@ -45,12 +43,11 @@ def _build_parser() -> _Parser:
     run.add_argument("--negative-handling", choices=("clamp", "shift"), default=RunConfig.negative_handling)
     run.add_argument("--knn", type=int, help="sparsify the similarity graph to k neighbors per row")
     run.add_argument("--logits", help="prior logits CSV (id,l0,l1,...); enables the logits prior (gtg, group_loss)")
-    run.add_argument("--temperature", type=float, default=PriorConfig.temperature,
-                     help="softmax temperature for the logits prior")
-    run.add_argument("--max-iters", type=int, default=DynamicsConfig.max_iterations)
-    run.add_argument("--tol", type=float, default=DynamicsConfig.tolerance)
-    run.add_argument("--fixed-iters", type=int, help="run exactly this many replicator steps")
-    run.add_argument("--alpha", type=float, default=BaselineConfig.alpha, help="label spreading mixing coefficient")
+    # the four run settings default to None: RunConfig fills in the method's own default
+    run.add_argument("--temperature", type=float, help="softmax temperature for the logits prior")
+    run.add_argument("--max-iters", type=int, help="step cap of gtg, group_loss, label_spreading, label_propagation")
+    run.add_argument("--tol", type=float, help="L1 step-change tolerance of the same methods; 0 runs exactly --max-iters")
+    run.add_argument("--alpha", type=float, help="label spreading mixing coefficient")
     run.add_argument("--seed", type=int, default=RunConfig.seed)
     run.add_argument("--out-dir", default=RunConfig.out_dir)
     run.add_argument("--metrics", default=",".join(RunConfig.metrics), help="comma-separated metric names")
@@ -89,13 +86,10 @@ def _cmd_run(args) -> int:
         anchor_fraction=args.anchor_fraction,
         negative_handling=args.negative_handling,
         knn=args.knn,
-        prior=PriorConfig(temperature=args.temperature),
-        dynamics=DynamicsConfig(
-            max_iterations=args.max_iters,
-            tolerance=args.tol,
-            fixed_iterations=args.fixed_iters,
-        ),
-        baseline=BaselineConfig(alpha=args.alpha),
+        max_iterations=args.max_iters,
+        tolerance=args.tol,
+        alpha=args.alpha,
+        temperature=args.temperature,
         seed=args.seed,
         metrics=_metric_tuple(args.metrics),
         out_dir=args.out_dir,

@@ -8,12 +8,13 @@ freely across threads.
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, EmptyInput, LengthMismatch, NonFinite, OutOfRange, ShapeMismatch
+from .errors import ConfigError, DataError, EmptyInput, LengthMismatch, NonFinite, OutOfRange, ShapeMismatch
 
 #: Sentinel for "no label known" entries in a label vector. Never a valid
 #: class index (class indices are always >= 0).
@@ -132,6 +133,20 @@ def check_graph(w, rows: int, what: str):
     if w.shape[0] and w.min() < 0:
         raise DataError("similarity weights must be non-negative")
     return w
+
+
+def check_settings(max_iterations=None, tolerance=None, alpha=None, temperature=None):
+    """The range check of each run setting; None skips it. The library
+    entry points and ``RunConfig`` share it, so both reject a bad value
+    with the same ConfigError."""
+    if max_iterations is not None and max_iterations < 1:
+        raise ConfigError("max_iterations must be >= 1")
+    if tolerance is not None and not 0 <= tolerance < math.inf:
+        raise ConfigError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    if alpha is not None and not 0 < alpha < 1:
+        raise ConfigError("alpha must lie in (0, 1)")
+    if temperature is not None and not 0 < temperature < math.inf:
+        raise ConfigError(f"temperature must be finite and positive, got {temperature!r}")
 
 
 def iterate(step, f, max_steps: int, tolerance: float):

@@ -8,42 +8,16 @@ iteration behaves like an ascent method with an implicit step size.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelSet, check_graph, iterate, normalize_rows
-from .errors import ConfigError, EmptyInput, ShapeMismatch
+from .core import LabelSet, check_graph, check_settings, iterate, normalize_rows
+from .errors import EmptyInput, ShapeMismatch
 from .priors import inject_anchors
 
 #: Probability floor used before taking logs in the cross-entropy readout.
 PROB_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class DynamicsConfig:
-    """Loop controls for run_dynamics.
-
-    Convergence is declared when the L1 distance between successive
-    assignment matrices drops below ``tolerance``. When
-    ``fixed_iterations`` is set, the same loop runs with that many steps
-    as its cap and a tolerance of 0, which no L1 distance is below: it
-    runs exactly that many steps and never reports convergence (the
-    fixed-step refinement mode).
-    """
-
-    max_iterations: int = 100
-    tolerance: float = 1e-6
-    fixed_iterations: int | None = None
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be >= 1")
-        if not 0 <= self.tolerance < math.inf:
-            raise ConfigError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
-        if self.fixed_iterations is not None and self.fixed_iterations < 1:
-            raise ConfigError("fixed_iterations must be >= 1 when set")
 
 
 @dataclass(frozen=True)
@@ -101,24 +75,29 @@ def consistency_functional(w, x) -> float:
 def run_dynamics(
     w,
     x0,
-    cfg: DynamicsConfig | None = None,
     anchors: LabelSet | None = None,
+    *,
+    max_iterations: int = 100,
+    tolerance: float = 1e-6,
 ) -> tuple[np.ndarray, DynamicsTrace]:
-    """Iterate replicator steps from x0 until convergence or the step cap.
+    """Iterate replicator steps from x0 until one step moves the
+    assignment by less than ``tolerance`` in L1, or ``max_iterations``
+    steps have run.
 
     The trace records the consistency functional at every visited
     assignment (including x0 and the final state), the iteration count, a
-    convergence flag and the union of degenerate rows seen. In
-    fixed-iteration mode exactly ``cfg.fixed_iterations`` steps run and
-    ``converged`` is reported False, since the tolerance is 0. Anchored
-    rows are exact fixed points of the update; they are pinned to their
-    one-hot labels at the start (``inject_anchors``) and re-pinned after
-    every step anyway, so float drift on very long runs cannot move them.
+    convergence flag and the union of degenerate rows seen. With
+    ``tolerance=0`` exactly ``max_iterations`` steps run and ``converged``
+    is False, since no L1 change is below 0: that is the fixed-step
+    refinement (``group_loss``). Anchored rows are exact fixed points of
+    the update; they are pinned to their one-hot labels at the start
+    (``inject_anchors``) and re-pinned after every step anyway, so float
+    drift on very long runs cannot move them.
 
     The loop is deterministic: identical inputs produce bit-identical
     iterates and traces.
     """
-    cfg = cfg or DynamicsConfig()
+    check_settings(max_iterations=max_iterations, tolerance=tolerance)
     w, x = _check_shapes(w, x0)
     if anchors is not None:
         x = inject_anchors(x, anchors)
@@ -136,10 +115,7 @@ def run_dynamics(
             x_next[pinned] = onehots
         return x_next
 
-    if cfg.fixed_iterations is None:
-        x, iterations, converged = iterate(step, x, cfg.max_iterations, cfg.tolerance)
-    else:
-        x, iterations, converged = iterate(step, x, cfg.fixed_iterations, 0.0)
+    x, iterations, converged = iterate(step, x, max_iterations, tolerance)
     functional_values.append(float(np.sum((w @ x) * x)))
     return x, DynamicsTrace(functional_values, iterations, converged, tuple(sorted(degenerate)))
 

@@ -11,24 +11,18 @@ last bits of the probabilities).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics as metrics_mod
-from .baselines import (
-    BaselineConfig,
-    harmonic_function,
-    kmeans,
-    label_propagation,
-    label_spreading,
-)
-from .core import UNLABELED, FeatureSet, LabelSet, argmax_decode
-from .dynamics import DynamicsConfig, group_loss_value, run_dynamics
+from .baselines import harmonic_function, kmeans, label_propagation, label_spreading
+from .core import UNLABELED, FeatureSet, LabelSet, argmax_decode, check_settings
+from .dynamics import group_loss_value, run_dynamics
 from .errors import ConfigError, DataError, NonFinite, UnknownId
 from .io import read_features_csv, read_label_pairs, write_predictions_csv, write_report_json
-from .priors import PriorConfig, inject_anchors, softmax_with_temperature, uniform_prior
+from .priors import inject_anchors, softmax_with_temperature, uniform_prior
 # sparsify_knn is not called here (knn_graph replaced it on the run path);
 # it stays importable from this module because perfbench/tracer.py wraps it
 # under this name.
@@ -43,8 +37,20 @@ EVAL_METRICS = ("accuracy", "macro_f1", "nmi")
 #: What ``run_eval`` (and ``transduct eval``) scores when no metrics are named.
 EVAL_DEFAULT_METRICS = ("recall@1", "recall@2", "recall@4", "recall@8", "nmi")
 
-#: Fixed-step default for the group_loss method when none is configured.
-GROUP_LOSS_DEFAULT_STEPS = 3
+#: The run settings each method reads, with the value a run takes when
+#: its ``RunConfig`` field is None. The library defaults of
+#: ``run_dynamics``, ``label_spreading`` and ``label_propagation`` are the
+#: same; ``group_loss`` is the fixed-step refinement (tolerance 0).
+METHOD_SETTINGS = {
+    "gtg": {"max_iterations": 100, "tolerance": 1e-6},
+    "group_loss": {"max_iterations": 3, "tolerance": 0.0},
+    "label_spreading": {"alpha": 0.99, "max_iterations": 1000, "tolerance": 1e-8},
+    "label_propagation": {"max_iterations": 1000, "tolerance": 1e-8},
+    "harmonic": {},
+}
+#: The softmax temperature of a logits prior, the one setting read only
+#: when ``logits_path`` is set.
+DEFAULT_TEMPERATURE = 1.0
 
 #: Report note for 2-d features: a centred 2-d sample (a, b) is
 #: ((a - b) / 2) * (1, -1), so every pairwise correlation is exactly +-1.
@@ -56,7 +62,14 @@ PEARSON_2D_NOTE = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a pipeline run needs; validated on construction."""
+    """Everything a pipeline run needs; validated on construction.
+
+    ``max_iterations``, ``tolerance``, ``alpha`` and ``temperature`` left
+    None take the method's default from ``METHOD_SETTINGS`` (temperature:
+    ``DEFAULT_TEMPERATURE`` when a logits file is given). Setting one the
+    method does not read is a ConfigError; after construction each field
+    holds what the run uses, None for the settings it does not read.
+    """
 
     method: str
     features_path: str
@@ -67,9 +80,10 @@ class RunConfig:
     anchor_fraction: float | None = None
     negative_handling: str = "clamp"
     knn: int | None = None
-    prior: PriorConfig = field(default_factory=PriorConfig)
-    dynamics: DynamicsConfig = field(default_factory=DynamicsConfig)
-    baseline: BaselineConfig = field(default_factory=BaselineConfig)
+    max_iterations: int | None = None
+    tolerance: float | None = None
+    alpha: float | None = None
+    temperature: float | None = None
     seed: int = 0
     metrics: tuple[str, ...] = ("accuracy", "macro_f1")
     out_dir: str = "."
@@ -79,6 +93,17 @@ class RunConfig:
             raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.logits_path is not None and self.method not in DYNAMICS_METHODS:
             raise ConfigError(f"a logits prior applies only to gtg and group_loss, not to {self.method}")
+        reads = dict(METHOD_SETTINGS[self.method])
+        if self.logits_path is not None:
+            reads["temperature"] = DEFAULT_TEMPERATURE
+        for name in ("max_iterations", "tolerance", "alpha", "temperature"):
+            if name in reads and getattr(self, name) is None:
+                object.__setattr__(self, name, reads[name])
+            elif name not in reads and getattr(self, name) is not None:
+                prior = name == "temperature" and self.method in DYNAMICS_METHODS
+                without = " without a logits prior" if prior else ""
+                raise ConfigError(f"{name} does not apply to {self.method}{without}")
+        check_settings(self.max_iterations, self.tolerance, self.alpha, self.temperature)
         has_fraction = self.anchor_fraction is not None
         has_file = self.anchors_path is not None
         if has_fraction == has_file:
@@ -107,29 +132,35 @@ def _parse_metric(name: str, allowed) -> tuple[str, int | None]:
     raise ConfigError(f"unknown metric {name!r}")
 
 
-def _load_inputs(features_path, labels_path=None, anchors_path=None, truth_path=None):
-    """Read the feature file and the label files joined to it by exact id.
+def _load_inputs(features_path, labels_path=None, anchors_path=None, truth_path=None, logits_path=None):
+    """Read the feature file and the label and logits files joined to it
+    by exact id.
 
-    Returns (features, labels, anchors, truth, classes, m); the three
-    label vectors hold one class index or UNLABELED per feature row. Label
+    Returns (features, labels, anchors, truth, classes, m, logits); the
+    three label vectors hold one class index or UNLABELED per feature row,
+    and ``logits`` is an n x m matrix in feature-row order. Label
     strings become class indices in first-appearance order over the
     labels and then the anchors; those first m classes are the model's.
     Classes that appear only in the truth file are indexed after them, so
     truth never changes what the model sees. Feature rows missing from a
     label file are unlabeled; ``anchors`` and ``truth`` are None without
-    their file.
+    their file, and so is ``logits``.
     """
     features = read_features_csv(features_path)
     id_to_row = {sid: i for i, sid in enumerate(features.ids)}
     index: dict[str, int] = {}
 
+    def row_of(path, sample_id) -> int:
+        if sample_id not in id_to_row:
+            raise UnknownId(f"{path}: id {sample_id!r} does not appear in the feature file")
+        return id_to_row[sample_id]
+
     def to_vector(path, blank_ok=True) -> np.ndarray:
         vector = np.full(features.n, UNLABELED, dtype=np.int64)
         for sample_id, name in read_label_pairs(path) if path is not None else ():
-            if sample_id not in id_to_row:
-                raise UnknownId(f"{path}: id {sample_id!r} does not appear in the feature file")
+            row = row_of(path, sample_id)
             if name is not None:
-                vector[id_to_row[sample_id]] = index.setdefault(name, len(index))
+                vector[row] = index.setdefault(name, len(index))
             elif not blank_ok:
                 raise DataError(f"{path}: anchor rows must carry a label (id {sample_id!r})")
         return vector
@@ -138,7 +169,17 @@ def _load_inputs(features_path, labels_path=None, anchors_path=None, truth_path=
     anchors = to_vector(anchors_path, blank_ok=False) if anchors_path is not None else None
     m = len(index)
     truth = to_vector(truth_path) if truth_path is not None else None
-    return features, labels, anchors, truth, tuple(index), m
+    logits = None
+    if logits_path is not None:
+        table = read_features_csv(logits_path)
+        if table.dim != m:
+            raise DataError(f"logits have {table.dim} columns for {m} classes")
+        # the reader rejects NaN values, so a NaN left here is a missing row
+        logits = np.full((features.n, m), np.nan)
+        logits[[row_of(logits_path, sid) for sid in table.ids]] = table.data
+        if np.isnan(logits).any():
+            raise DataError("logits file must cover every sample")
+    return features, labels, anchors, truth, tuple(index), m, logits
 
 
 def _stratified_anchors(labels: np.ndarray, num_classes: int, fraction: float, seed: int) -> np.ndarray:
@@ -171,27 +212,6 @@ def _build_similarity(features: FeatureSet, cfg: RunConfig):
     return w, [int(i) for i in zero_variance]
 
 
-def _initial_assignment(features, m, cfg: RunConfig, anchors: LabelSet):
-    if cfg.logits_path is not None:
-        logits = read_features_csv(cfg.logits_path)
-        if logits.dim != m:
-            raise DataError(f"logits have {logits.dim} columns for {m} classes")
-        id_to_row = {sid: i for i, sid in enumerate(features.ids)}
-        x0 = np.zeros((features.n, m))
-        seen = np.zeros(features.n, dtype=bool)
-        for sid, row in zip(logits.ids, logits.data):
-            if sid not in id_to_row:
-                raise UnknownId(f"{cfg.logits_path}: id {sid!r} does not appear in the feature file")
-            x0[id_to_row[sid]] = row
-            seen[id_to_row[sid]] = True
-        if not seen.all():
-            raise DataError("logits file must cover every sample")
-        x0 = softmax_with_temperature(x0, cfg.prior.temperature)
-    else:
-        x0 = uniform_prior(features.n, m)
-    return inject_anchors(x0, anchors)
-
-
 def _cap_note(method: str, cap: int, tolerance: float) -> str:
     return f"{method} stopped at its {cap}-step iteration cap without converging (tolerance {tolerance!r})"
 
@@ -213,30 +233,25 @@ def _propagate(w, x0, anchors: LabelSet, cfg: RunConfig):
     ``_no_propagation``).
 
     ``info["notes"]`` holds a line when an iterative method stopped at its
-    step cap without converging (fixed-step runs stop there by design)."""
+    step cap without converging; a tolerance-0 run stops there by design
+    and gets none."""
     info = _no_propagation()
-    if cfg.method in DYNAMICS_METHODS:
-        dyn = cfg.dynamics
-        if cfg.method == "group_loss" and dyn.fixed_iterations is None:
-            dyn = replace(dyn, fixed_iterations=GROUP_LOSS_DEFAULT_STEPS)
-        x, trace = run_dynamics(w, x0, dyn, anchors)
-        info["iterations_used"] = trace.iterations_used
-        info["converged"] = trace.converged
-        info["functional_trace"] = trace.functional_values
-        info["degenerate_rows"] = list(trace.degenerate_rows)
-        if dyn.fixed_iterations is None and not trace.converged:
-            info["notes"].append(_cap_note(cfg.method, dyn.max_iterations, dyn.tolerance))
-        return x, info
     if cfg.method == "harmonic":
         return harmonic_function(w, anchors), info
-    if cfg.method == "label_spreading":
-        x, meta = label_spreading(w, anchors, cfg.baseline)
+    loop = {"max_iterations": cfg.max_iterations, "tolerance": cfg.tolerance}
+    if cfg.method in DYNAMICS_METHODS:
+        x, trace = run_dynamics(w, x0, anchors, **loop)
+        meta = {"iterations": trace.iterations_used, "converged": trace.converged}
+        info["functional_trace"] = trace.functional_values
+        info["degenerate_rows"] = list(trace.degenerate_rows)
+    elif cfg.method == "label_spreading":
+        x, meta = label_spreading(w, anchors, alpha=cfg.alpha, **loop)
         info["isolated_rows"] = meta["isolated"]
     else:
-        x, meta = label_propagation(w, anchors, cfg.baseline)
+        x, meta = label_propagation(w, anchors, **loop)
     info.update(iterations_used=meta["iterations"], converged=meta["converged"])
-    if not meta["converged"]:
-        info["notes"].append(_cap_note(cfg.method, cfg.baseline.max_iterations, cfg.baseline.tolerance))
+    if not meta["converged"] and cfg.tolerance > 0:
+        info["notes"].append(_cap_note(cfg.method, cfg.max_iterations, cfg.tolerance))
     return x, info
 
 
@@ -314,8 +329,8 @@ def _report(metrics, config, classes, num_samples, notes, num_anchors=0, zero_va
 def run_pipeline(cfg: RunConfig) -> tuple[Path, dict]:
     """Execute a full run; writes predictions.csv and report.json into
     cfg.out_dir and returns (predictions path, report dict)."""
-    features, labels, anchor_vector, truth, classes, m = _load_inputs(
-        cfg.features_path, cfg.labels_path, cfg.anchors_path, cfg.truth_path
+    features, labels, anchor_vector, truth, classes, m, logits = _load_inputs(
+        cfg.features_path, cfg.labels_path, cfg.anchors_path, cfg.truth_path, cfg.logits_path
     )
     if m < 2:
         raise ConfigError(f"need at least two distinct classes, found {m}")
@@ -327,7 +342,8 @@ def run_pipeline(cfg: RunConfig) -> tuple[Path, dict]:
         raise ConfigError("anchor set is empty")
 
     w, zero_variance = _build_similarity(features, cfg)
-    x0 = _initial_assignment(features, m, cfg, anchors)
+    x0 = uniform_prior(features.n, m) if logits is None else softmax_with_temperature(logits, cfg.temperature)
+    x0 = inject_anchors(x0, anchors)
     assignment, info = _propagate(w, x0, anchors, cfg)
 
     pred = argmax_decode(assignment)
@@ -367,7 +383,7 @@ def run_eval(
     """
     for name in metric_names:
         _parse_metric(name, EVAL_METRICS)
-    features, pred, _, truth, classes, _ = _load_inputs(features_path, labels_path, truth_path=truth_path)
+    features, pred, _, truth, classes, *_ = _load_inputs(features_path, labels_path, truth_path=truth_path)
     rows = np.flatnonzero(truth != UNLABELED)
     if rows.size == 0:
         raise DataError(f"{truth_path}: no labeled rows to evaluate")

@@ -2,29 +2,10 @@
 injection."""
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import LabelSet
+from .core import LabelSet, check_settings
 from .errors import ConfigError, EmptyInput, NonFinite, OutOfRange, ShapeMismatch
-
-
-@dataclass(frozen=True)
-class PriorConfig:
-    """How the starting assignment X(0) is built.
-
-    Without a logits file the prior spreads mass evenly over the classes;
-    with one it is a softmax of those logits sharpened or flattened by
-    ``temperature``.
-    """
-
-    temperature: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.temperature < math.inf:
-            raise ConfigError(f"temperature must be finite and positive, got {self.temperature!r}")
 
 
 def uniform_prior(n: int, m: int) -> np.ndarray:
@@ -40,13 +21,13 @@ def softmax_with_temperature(logits, temperature: float = 1.0) -> np.ndarray:
     """Row-wise softmax of ``logits / temperature``.
 
     Max-subtraction keeps the exponentials bounded, so very small
-    temperatures sharpen toward one-hot without overflowing.
+    temperatures sharpen toward one-hot without overflowing. A temperature
+    that is not finite and positive is a ConfigError.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise NonFinite("logits contain non-finite entries")
-    if not temperature > 0:
-        raise ConfigError("temperature must be positive")
+    check_settings(temperature=temperature)
     scaled = logits / temperature
     scaled = scaled - scaled.max(axis=1, keepdims=True)
     e = np.exp(scaled)

@@ -13,7 +13,6 @@ import pytest
 
 from transduct import (
     BlobSpec,
-    DynamicsConfig,
     LabelSet,
     RunConfig,
     consistency_functional,
@@ -32,7 +31,6 @@ from transduct import (
     true_centroids,
     uniform_prior,
 )
-from transduct.baselines import BaselineConfig
 from transduct.io import write_features_csv, write_labels_csv
 
 from oracles import label_spreading_closed_form, replicator_step_elementwise
@@ -143,8 +141,7 @@ def test_anchor_fixed_point():
             vector[i] = rng.integers(m)
         anchors = LabelSet(m, vector)
         x0 = inject_anchors(rng.dirichlet(np.ones(m), size=n), anchors)
-        cfg = DynamicsConfig(max_iterations=100, tolerance=0.0)
-        x, trace = run_dynamics(w, x0, cfg, anchors=None)
+        x, trace = run_dynamics(w, x0, anchors=None, max_iterations=100, tolerance=0.0)
         assert trace.iterations_used == 100
         rows = anchors.labeled_indices()
         worst = max(worst, float(np.abs(x[rows] - x0[rows]).max()))
@@ -156,8 +153,8 @@ def test_three_node_hand_iteration():
     w = np.array([[0, 0.9, 0.1], [0.9, 0, 0.1], [0.1, 0.1, 0]])
     anchors = LabelSet(2, [0, -1, 1])
     x0 = inject_anchors(uniform_prior(3, 2), anchors)
-    x1, _ = run_dynamics(w, x0, DynamicsConfig(fixed_iterations=1), anchors)
-    x2, _ = run_dynamics(w, x0, DynamicsConfig(fixed_iterations=2), anchors)
+    x1, _ = run_dynamics(w, x0, anchors, max_iterations=1, tolerance=0.0)
+    x2, _ = run_dynamics(w, x0, anchors, max_iterations=2, tolerance=0.0)
     err1 = float(np.abs(x1[1] - np.array([0.9, 0.1])).max())
     err2 = float(np.abs(x2[1] - np.array([0.9878048780487805, 0.012195121951219513])).max())
     _report(
@@ -222,7 +219,7 @@ def test_baseline_oracle_equivalence():
     """On 50 random connected graphs (n <= 20): iterative spreading vs its
     closed form within 1e-8, propagation vs harmonic within 1e-6."""
     rng = np.random.default_rng(404)
-    cfg = BaselineConfig(alpha=0.9, tolerance=1e-13, max_iterations=100_000)
+    loop = dict(tolerance=1e-13, max_iterations=100_000)
     worst_ls = worst_lp = 0.0
     for _ in range(50):
         n = int(rng.integers(4, 21))
@@ -230,10 +227,10 @@ def test_baseline_oracle_equivalence():
         vec = np.full(n, -1)
         vec[rng.choice(n, size=min(3, n), replace=False)] = [0, 1, 2][: min(3, n)]
         labels = LabelSet(3, vec)
-        _, meta = label_spreading(w, labels, cfg)
+        _, meta = label_spreading(w, labels, alpha=0.9, **loop)
         oracle = label_spreading_closed_form(w, labels, alpha=0.9)
         worst_ls = max(worst_ls, float(np.abs(meta["raw_scores"] - oracle).max()))
-        lp, lp_meta = label_propagation(w, labels, cfg)
+        lp, lp_meta = label_propagation(w, labels, **loop)
         assert lp_meta["converged"]
         worst_lp = max(worst_lp, float(np.abs(lp - harmonic_function(w, labels)).max()))
     _report(

@@ -9,7 +9,6 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from transduct import (
-    BaselineConfig,
     LabelSet,
     baselines,
     handle_negatives,
@@ -49,7 +48,7 @@ class TestLabelSpreading:
         labels = LabelSet(2, [0, -1])
         raw = label_spreading_closed_form(w, labels, alpha=0.5)
         np.testing.assert_allclose(raw, [[2 / 3, 0], [1 / 3, 0]], atol=1e-12)
-        x, meta = label_spreading(w, labels, BaselineConfig(alpha=0.5, tolerance=1e-13, max_iterations=10_000))
+        x, meta = label_spreading(w, labels, alpha=0.5, tolerance=1e-13, max_iterations=10_000)
         assert meta["converged"]
         np.testing.assert_allclose(meta["raw_scores"], raw, atol=1e-10)
         assert x.argmax(axis=1).tolist() == [0, 0]
@@ -57,27 +56,27 @@ class TestLabelSpreading:
     def test_alpha_to_zero_recovers_labels(self):
         w = np.array([[0, 1], [1, 0.0]])
         labels = LabelSet(2, [0, 1])
-        x, _ = label_spreading(w, labels, BaselineConfig(alpha=1e-9))
+        x, _ = label_spreading(w, labels, alpha=1e-9)
         np.testing.assert_allclose(x, [[1, 0], [0, 1]], atol=1e-6)
 
     def test_isolated_unlabeled_vertex_uniform_and_flagged(self):
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = 1.0
         labels = LabelSet(2, [0, -1, -1])
-        x, meta = label_spreading(w, labels, BaselineConfig(alpha=0.5))
+        x, meta = label_spreading(w, labels, alpha=0.5)
         assert meta["isolated"] == [2]
         np.testing.assert_allclose(x[2], [0.5, 0.5])
 
     def test_iterative_matches_closed_form_on_random_graphs(self):
         rng = np.random.default_rng(101)
-        cfg = BaselineConfig(alpha=0.9, tolerance=1e-13, max_iterations=50_000)
+        cfg = dict(alpha=0.9, tolerance=1e-13, max_iterations=50_000)
         for _ in range(10):
             n = int(rng.integers(4, 15))
             w = random_connected_graph(rng, n)
             labels = np.full(n, -1)
             labels[rng.choice(n, size=2, replace=False)] = [0, 1]
             ls = LabelSet(2, labels)
-            _, meta = label_spreading(w, ls, cfg)
+            _, meta = label_spreading(w, ls, **cfg)
             oracle = label_spreading_closed_form(w, ls, alpha=0.9)
             np.testing.assert_allclose(meta["raw_scores"], oracle, atol=1e-8)
 
@@ -91,7 +90,7 @@ class TestLabelSpreading:
 
     def test_alpha_range(self):
         with pytest.raises(ConfigError):
-            label_spreading(CHAIN_W, CHAIN_LABELS, BaselineConfig(alpha=1.0))
+            label_spreading(CHAIN_W, CHAIN_LABELS, alpha=1.0)
 
 
 class TestHarmonicFunction:
@@ -128,7 +127,7 @@ class TestHarmonicFunction:
 
 class TestLabelPropagation:
     def test_chain_matches_harmonic(self):
-        x, meta = label_propagation(CHAIN_W, CHAIN_LABELS, BaselineConfig(tolerance=1e-10, max_iterations=10_000))
+        x, meta = label_propagation(CHAIN_W, CHAIN_LABELS, tolerance=1e-10, max_iterations=10_000)
         assert meta["converged"]
         np.testing.assert_allclose(x[1], [0.5, 0.5], atol=1e-6)
 
@@ -144,19 +143,19 @@ class TestLabelPropagation:
         for i, j in itertools.combinations(range(3, 6), 2):
             w[i, j] = w[j, i] = 1.0
         labels = LabelSet(2, [0, -1, -1, 1, -1, -1])
-        x, _ = label_propagation(w, labels, BaselineConfig(tolerance=1e-12, max_iterations=10_000))
+        x, _ = label_propagation(w, labels, tolerance=1e-12, max_iterations=10_000)
         assert x.argmax(axis=1).tolist() == [0, 0, 0, 1, 1, 1]
 
     def test_agrees_with_harmonic_on_random_graphs(self):
         rng = np.random.default_rng(55)
-        cfg = BaselineConfig(tolerance=1e-12, max_iterations=50_000)
+        cfg = dict(tolerance=1e-12, max_iterations=50_000)
         for _ in range(10):
             n = int(rng.integers(4, 15))
             w = random_connected_graph(rng, n)
             labels = np.full(n, -1)
             labels[rng.choice(n, size=2, replace=False)] = [0, 1]
             ls = LabelSet(2, labels)
-            x, meta = label_propagation(w, ls, cfg)
+            x, meta = label_propagation(w, ls, **cfg)
             assert meta["converged"]
             np.testing.assert_allclose(x, harmonic_function(w, ls), atol=1e-6)
 
@@ -177,21 +176,19 @@ class TestCsrGraph:
 
     def test_label_spreading(self):
         for w, labels in self.instances(201):
-            dense, dense_meta = label_spreading(w, labels, BaselineConfig(alpha=0.9))
-            csr, csr_meta = label_spreading(sparse.csr_array(w), labels, BaselineConfig(alpha=0.9))
+            dense, dense_meta = label_spreading(w, labels, alpha=0.9)
+            csr, csr_meta = label_spreading(sparse.csr_array(w), labels, alpha=0.9)
             np.testing.assert_allclose(csr, dense, rtol=0, atol=1e-12)
             np.testing.assert_allclose(csr_meta["raw_scores"], dense_meta["raw_scores"], rtol=0, atol=1e-12)
             assert csr_meta["iterations"] == dense_meta["iterations"]
-            _, tight = label_spreading(
-                sparse.csr_array(w), labels, BaselineConfig(alpha=0.9, tolerance=1e-13, max_iterations=50_000)
-            )
+            _, tight = label_spreading(sparse.csr_array(w), labels, alpha=0.9, tolerance=1e-13, max_iterations=50_000)
             np.testing.assert_allclose(tight["raw_scores"], label_spreading_closed_form(w, labels, alpha=0.9), atol=1e-8)
 
     def test_label_propagation(self):
-        cfg = BaselineConfig(max_iterations=300)
+        cfg = dict(max_iterations=300)
         for w, labels in self.instances(202):
-            dense, dense_meta = label_propagation(w, labels, cfg)
-            csr, csr_meta = label_propagation(sparse.csr_array(w), labels, cfg)
+            dense, dense_meta = label_propagation(w, labels, **cfg)
+            csr, csr_meta = label_propagation(sparse.csr_array(w), labels, **cfg)
             np.testing.assert_allclose(csr, dense, rtol=0, atol=1e-12)
             assert csr_meta == dense_meta
 
@@ -211,8 +208,9 @@ class TestCsrGraph:
 
     def test_config_rejects_non_finite_tolerance(self):
         for bad in (float("nan"), float("inf")):
-            with pytest.raises(ConfigError):
-                BaselineConfig(tolerance=bad)
+            for method in (label_spreading, label_propagation):
+                with pytest.raises(ConfigError):
+                    method(CHAIN_W, CHAIN_LABELS, tolerance=bad)
 
 
 class TestLabeledComponents:
@@ -295,8 +293,8 @@ def blob_graph():
 
 
 @pytest.mark.parametrize("method, bound", [
-    (lambda w, labels: label_spreading(w, labels, BaselineConfig(max_iterations=5)), 0.5),
-    (lambda w, labels: label_propagation(w, labels, BaselineConfig(max_iterations=5)), 0.5),
+    (lambda w, labels: label_spreading(w, labels, max_iterations=5), 0.5),
+    (lambda w, labels: label_propagation(w, labels, max_iterations=5), 0.5),
     # the u x u grounded Laplacian; np.linalg.solve's own copy of it is
     # allocated outside tracemalloc's view and doubles the RSS
     (harmonic_function, 1.1),

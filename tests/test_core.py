@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from transduct import (
-    DynamicsConfig,
     FeatureSet,
     LabelSet,
     argmax_decode,
@@ -143,7 +142,7 @@ NEGATIVE_W = np.array([[0.0, 1.0, -0.5], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 UNIFORM_X = np.full((3, 2), 0.5)
 CHAIN_LABELS = LabelSet(2, [0, -1, 1])
 PROPAGATORS = {
-    "run_dynamics": lambda w: run_dynamics(w, UNIFORM_X, DynamicsConfig(), CHAIN_LABELS),
+    "run_dynamics": lambda w: run_dynamics(w, UNIFORM_X, CHAIN_LABELS),
     "replicator_step": lambda w: replicator_step(w, UNIFORM_X),
     "consistency_functional": lambda w: consistency_functional(w, UNIFORM_X),
     "label_spreading": lambda w: label_spreading(w, CHAIN_LABELS),

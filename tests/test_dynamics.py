@@ -3,7 +3,6 @@ import pytest
 from scipy import sparse
 
 from transduct import (
-    DynamicsConfig,
     LabelSet,
     consistency_functional,
     group_loss_value,
@@ -137,18 +136,14 @@ class TestConsistencyFunctional:
 class TestRunDynamics:
     def test_three_node_hand_iteration(self):
         x0 = inject_anchors(uniform_prior(3, 2), THREE_NODE_ANCHORS)
-        x1, trace = run_dynamics(
-            THREE_NODE_W, x0, DynamicsConfig(fixed_iterations=1), THREE_NODE_ANCHORS
-        )
+        x1, trace = run_dynamics(THREE_NODE_W, x0, THREE_NODE_ANCHORS, max_iterations=1, tolerance=0.0)
         np.testing.assert_allclose(x1[1], [0.9, 0.1], atol=1e-12)
-        x2, _ = run_dynamics(
-            THREE_NODE_W, x0, DynamicsConfig(fixed_iterations=2), THREE_NODE_ANCHORS
-        )
+        x2, _ = run_dynamics(THREE_NODE_W, x0, THREE_NODE_ANCHORS, max_iterations=2, tolerance=0.0)
         np.testing.assert_allclose(x2[1], [0.9878, 0.0122], atol=1e-4)
 
     def test_three_node_converges_to_anchor_class(self):
         x0 = inject_anchors(uniform_prior(3, 2), THREE_NODE_ANCHORS)
-        x, trace = run_dynamics(THREE_NODE_W, x0, DynamicsConfig(), THREE_NODE_ANCHORS)
+        x, trace = run_dynamics(THREE_NODE_W, x0, THREE_NODE_ANCHORS)
         assert trace.converged
         np.testing.assert_allclose(x[1], [1, 0], atol=1e-5)
 
@@ -157,21 +152,21 @@ class TestRunDynamics:
         w[0, 1] = w[1, 0] = 1.0
         w[2, 3] = w[3, 2] = 1.0
         x0 = np.array([[1, 0], [1, 0], [0, 1], [0, 1.0]])
-        x, trace = run_dynamics(w, x0, DynamicsConfig())
+        x, trace = run_dynamics(w, x0)
         assert trace.converged and trace.iterations_used == 1
         np.testing.assert_array_equal(x, x0)
 
     def test_fixed_iterations_exact_count(self):
         rng = np.random.default_rng(2)
         w, x = random_instance(rng, n=6, m=3)
-        _, trace = run_dynamics(w, x, DynamicsConfig(tolerance=0.0, fixed_iterations=3))
+        _, trace = run_dynamics(w, x, max_iterations=3, tolerance=0.0)
         assert trace.iterations_used == 3
         assert not trace.converged
 
     def test_functional_trace_non_decreasing(self):
         rng = np.random.default_rng(31)
         w, x = random_instance(rng, n=15, m=4)
-        _, trace = run_dynamics(w, x, DynamicsConfig(max_iterations=60, tolerance=0))
+        _, trace = run_dynamics(w, x, max_iterations=60, tolerance=0)
         values = np.array(trace.functional_values)
         assert np.all(np.diff(values) >= -1e-12)
 
@@ -180,8 +175,8 @@ class TestRunDynamics:
         w, x = random_instance(rng, n=12, m=3)
         anchors = LabelSet(3, [0, -1, -1, -1, -1, 2] + [-1] * 6)
         x0 = inject_anchors(x, anchors)
-        a, ta = run_dynamics(w, x0, DynamicsConfig(), anchors)
-        b, tb = run_dynamics(w, x0, DynamicsConfig(), anchors)
+        a, ta = run_dynamics(w, x0, anchors)
+        b, tb = run_dynamics(w, x0, anchors)
         assert np.array_equal(a, b)
         assert ta.functional_values == tb.functional_values
         assert (ta.iterations_used, ta.converged) == (tb.iterations_used, tb.converged)
@@ -191,35 +186,34 @@ class TestRunDynamics:
         w[0, 1] = w[1, 0] = 1.0
         anchors = LabelSet(2, [0, -1, -1])
         x0 = inject_anchors(uniform_prior(3, 2), anchors)
-        x, trace = run_dynamics(w, x0, DynamicsConfig(), anchors)
+        x, trace = run_dynamics(w, x0, anchors)
         assert 2 in trace.degenerate_rows
         np.testing.assert_allclose(x[2], [0.5, 0.5])
 
     def test_anchors_repinned_and_range_checked(self):
         # start from an x0 whose anchored row is not one-hot: run_dynamics
         # pins it itself, and keeps it pinned on every step
-        cfg = DynamicsConfig(fixed_iterations=3)
-        x, trace = run_dynamics(THREE_NODE_W, uniform_prior(3, 2), cfg, THREE_NODE_ANCHORS)
+        cfg = {"max_iterations": 3, "tolerance": 0.0}
+        x, trace = run_dynamics(THREE_NODE_W, uniform_prior(3, 2), THREE_NODE_ANCHORS, **cfg)
         np.testing.assert_array_equal(x[[0, 2]], [[1, 0], [0, 1]])
         pinned_first = inject_anchors(uniform_prior(3, 2), THREE_NODE_ANCHORS)
-        same, same_trace = run_dynamics(THREE_NODE_W, pinned_first, cfg, THREE_NODE_ANCHORS)
+        same, same_trace = run_dynamics(THREE_NODE_W, pinned_first, THREE_NODE_ANCHORS, **cfg)
         np.testing.assert_array_equal(x, same)
         assert trace.functional_values == same_trace.functional_values
         with pytest.raises(ShapeMismatch):
-            run_dynamics(THREE_NODE_W, uniform_prior(3, 2), DynamicsConfig(), LabelSet(2, [0, -1]))
+            run_dynamics(THREE_NODE_W, uniform_prior(3, 2), LabelSet(2, [0, -1]))
         with pytest.raises(OutOfRange, match="anchor class 2 out of range for m=2"):
-            run_dynamics(THREE_NODE_W, uniform_prior(3, 2), DynamicsConfig(), LabelSet(3, [0, -1, 2]))
+            run_dynamics(THREE_NODE_W, uniform_prior(3, 2), LabelSet(3, [0, -1, 2]))
 
     def test_config_validation(self):
+        x0 = uniform_prior(3, 2)
         with pytest.raises(ConfigError):
-            DynamicsConfig(max_iterations=0)
+            run_dynamics(THREE_NODE_W, x0, max_iterations=0)
         with pytest.raises(ConfigError):
-            DynamicsConfig(tolerance=-1.0)
-        with pytest.raises(ConfigError):
-            DynamicsConfig(fixed_iterations=0)
+            run_dynamics(THREE_NODE_W, x0, tolerance=-1.0)
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ConfigError):
-                DynamicsConfig(tolerance=bad)
+                run_dynamics(THREE_NODE_W, x0, tolerance=bad)
 
 
 class TestCsrGraph:
@@ -241,9 +235,8 @@ class TestCsrGraph:
             vector[[0, n - 1]] = [0, 1]
             anchors = LabelSet(2, vector)
             x0 = inject_anchors(x, anchors)
-            cfg = DynamicsConfig(max_iterations=200)
-            dense, dense_trace = run_dynamics(w, x0, cfg, anchors)
-            csr, csr_trace = run_dynamics(sparse.csr_array(w), x0, cfg, anchors)
+            dense, dense_trace = run_dynamics(w, x0, anchors, max_iterations=200)
+            csr, csr_trace = run_dynamics(sparse.csr_array(w), x0, anchors, max_iterations=200)
             np.testing.assert_allclose(csr, dense, rtol=0, atol=1e-12)
             np.testing.assert_allclose(csr_trace.functional_values, dense_trace.functional_values, rtol=1e-12)
             assert csr_trace.degenerate_rows == dense_trace.degenerate_rows

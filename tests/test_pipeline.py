@@ -1,6 +1,8 @@
+import inspect
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +13,14 @@ from transduct import (
     FeatureSet,
     RunConfig,
     handle_negatives,
+    label_propagation,
+    label_spreading,
     make_synthetic,
     pearson_matrix,
+    run_dynamics,
     run_eval,
     run_pipeline,
+    softmax_with_temperature,
     sparsify_knn,
     true_centroids,
 )
@@ -27,9 +33,7 @@ from transduct.errors import (
     UnknownId,
 )
 from transduct import pipeline
-from transduct.baselines import BaselineConfig
 from transduct.cli import main
-from transduct.dynamics import DynamicsConfig
 from transduct.io import (
     read_features_csv,
     write_features_csv,
@@ -70,7 +74,7 @@ class TestIngest:
         fpath.write_text("id,f0,f1\na,1,2\nb,3,4\nc,5,6\n")
         lpath.write_text("id,label\na,cat\nb,\nc,dog\n")
         tpath.write_text("id,label\na,ghost\nb,dog\n")
-        features, labels, anchors, truth, classes, m = pipeline._load_inputs(fpath, lpath, truth_path=tpath)
+        features, labels, anchors, truth, classes, m, _ = pipeline._load_inputs(fpath, lpath, truth_path=tpath)
         assert features.n == 3
         assert labels.tolist() == [0, UNLABELED, 1]
         assert anchors is None
@@ -353,15 +357,13 @@ class TestRunPipeline:
             fh.write("id,l0,l1,l2\n")
             for sid, row in zip(features.ids, logits):
                 fh.write(f"{sid},{row[0]},{row[1]},{row[2]}\n")
-        from transduct.priors import PriorConfig
-
         cfg = RunConfig(
             method="gtg",
             features_path=str(fpath),
             labels_path=str(lpath),
             truth_path=str(lpath),
             logits_path=str(lg),
-            prior=PriorConfig(temperature=0.5),
+            temperature=0.5,
             anchor_fraction=0.05,
             seed=1,
             out_dir=str(tmp_path / "out"),
@@ -405,11 +407,11 @@ class TestRunPipeline:
     @pytest.mark.parametrize(
         "method, overrides, note",
         [
-            ("gtg", {"dynamics": DynamicsConfig(max_iterations=2, tolerance=0.0)},
-             "gtg stopped at its 2-step iteration cap without converging (tolerance 0.0)"),
-            ("label_spreading", {"baseline": BaselineConfig(max_iterations=3)},
+            ("gtg", {"max_iterations": 2},
+             "gtg stopped at its 2-step iteration cap without converging (tolerance 1e-06)"),
+            ("label_spreading", {"max_iterations": 3},
              "label_spreading stopped at its 3-step iteration cap without converging (tolerance 1e-08)"),
-            ("label_propagation", {"baseline": BaselineConfig(max_iterations=4)},
+            ("label_propagation", {"max_iterations": 4},
              "label_propagation stopped at its 4-step iteration cap without converging (tolerance 1e-08)"),
         ],
     )
@@ -435,20 +437,33 @@ class TestRunPipeline:
 
     def test_fixed_steps_and_convergence_add_no_cap_note(self, blob_dataset, tmp_path):
         fpath, lpath, *_ = blob_dataset
-        for method, dynamics in (("group_loss", DynamicsConfig()), ("gtg", DynamicsConfig(fixed_iterations=2)),
-                                 ("gtg", DynamicsConfig())):
+        for method, loop in (("group_loss", {}), ("gtg", {"max_iterations": 2, "tolerance": 0.0}), ("gtg", {})):
             cfg = RunConfig(
                 method=method,
                 features_path=str(fpath),
                 labels_path=str(lpath),
                 anchor_fraction=0.1,
-                dynamics=dynamics,
                 seed=3,
                 metrics=(),
                 out_dir=str(tmp_path / method),
+                **loop,
             )
             _, report = run_pipeline(cfg)
             assert report["warnings"]["notes"] == []
+
+    def test_logits_file_is_checked_before_the_graph_is_built(self, blob_dataset, tmp_path, monkeypatch):
+        fpath, lpath, features, _ = blob_dataset
+        lg = tmp_path / "logits.csv"
+        lg.write_text("id,l0,l1,l2\n" + "".join(f"{sid},0,0,0\n" for sid in features.ids) + "ghost,0,0,0\n")
+
+        def no_graph(*args):
+            raise AssertionError("the graph was built before the logits file was checked")
+
+        monkeypatch.setattr(pipeline, "pearson_matrix", no_graph)
+        cfg = RunConfig(method="gtg", features_path=str(fpath), labels_path=str(lpath), logits_path=str(lg),
+                        anchor_fraction=0.1, out_dir=str(tmp_path / "out"))
+        with pytest.raises(UnknownId, match="^.*logits.csv: id 'ghost' does not appear in the feature file$"):
+            run_pipeline(cfg)
 
 
 class TestRunEval:
@@ -587,37 +602,91 @@ class TestCli:
         assert r.returncode == code, r.stderr
         assert r.stderr.splitlines() == [message.format(path=apath)]
 
-    @pytest.mark.parametrize("method", ["label_spreading", "label_propagation", "harmonic"])
-    def test_exit_code_logits_with_a_baseline(self, tmp_path, method):
+    @pytest.mark.parametrize("method, flags, message", [
+        *(pytest.param(method, ["--logits", "missing.csv"],
+                       f"a logits prior applies only to gtg and group_loss, not to {method}", id=method)
+          for method in ("label_spreading", "label_propagation", "harmonic")),
+        *(pytest.param(method, ["--alpha", "0.5"], f"alpha does not apply to {method}", id=f"alpha-{method}")
+          for method in ("gtg", "group_loss", "label_propagation", "harmonic")),
+        pytest.param("harmonic", ["--max-iters", "40"], "max_iterations does not apply to harmonic",
+                     id="max-iters-harmonic"),
+        pytest.param("harmonic", ["--tol", "0"], "tolerance does not apply to harmonic", id="tol-harmonic"),
+        pytest.param("gtg", ["--temperature", "3"], "temperature does not apply to gtg without a logits prior",
+                     id="temperature-without-logits"),
+    ])
+    def test_exit_code_logits_with_a_baseline(self, tmp_path, method, flags, message):
+        """A setting the method does not read is a config error, raised
+        before any file is read or the output directory is made."""
         fpath = tmp_path / "f.csv"
         fpath.write_text("id,f0,f1,f2\na,1,2,3\nb,3,2,1\n")
         lpath = tmp_path / "l.csv"
         lpath.write_text("id,label\na,x\nb,y\n")
         r = self.run_cli(
             "run", "--features", str(fpath), "--labels", str(lpath), "--method", method,
-            "--anchor-fraction", "0.5", "--logits", str(fpath), "--out-dir", str(tmp_path / "out"),
+            "--anchor-fraction", "0.5", *flags, "--out-dir", str(tmp_path / "out"),
         )
         assert r.returncode == 1, r.stderr
-        assert r.stderr.splitlines() == [
-            f"config error: a logits prior applies only to gtg and group_loss, not to {method}"
-        ]
+        assert r.stderr.splitlines() == [f"config error: {message}"]
         assert not (tmp_path / "out").exists()
 
-    def test_defaults_match_the_library(self, blob_dataset, tmp_path, monkeypatch):
-        """A run and an eval given only their required flags echo the same
-        config as the library calls given only their required arguments."""
+    @pytest.mark.parametrize("method", ["label_spreading", "label_propagation"])
+    def test_loop_flags_reach_the_baselines(self, blob_dataset, tmp_path, method):
         fpath, lpath = str(blob_dataset[0]), str(blob_dataset[1])
-        for side in ("cli", "library"):
-            (tmp_path / side).mkdir()
+        common = ["run", "--features", fpath, "--labels", lpath, "--method", method, "--anchor-fraction", "0.1",
+                  "--metrics", ""]
+        assert main([*common, "--tol", "0", "--max-iters", "40", "--out-dir", str(tmp_path / "fixed")]) == 0
+        report = json.loads((tmp_path / "fixed" / "report.json").read_text())
+        assert (report["iterations_used"], report["converged"]) == (40, False)
+        assert report["warnings"]["notes"] == []
+        assert (report["config"]["max_iterations"], report["config"]["tolerance"]) == (40, 0.0)
+        assert main([*common, "--max-iters", "5", "--out-dir", str(tmp_path / "capped")]) == 0
+        report = json.loads((tmp_path / "capped" / "report.json").read_text())
+        assert (report["iterations_used"], report["converged"]) == (5, False)
+        assert report["warnings"]["notes"] == [
+            f"{method} stopped at its 5-step iteration cap without converging (tolerance 1e-08)"
+        ]
+
+    def test_defaults_match_the_library(self, blob_dataset, tmp_path, monkeypatch):
+        """A run of each method (and gtg with a logits file) and an eval,
+        given only their required flags, echo the same config as the
+        library calls given only their required arguments. Each setting a
+        method reads echoes the default of the library call that reads it
+        (``group_loss`` is the 3-step, tolerance-0 refinement); the others
+        echo null."""
+        fpath, lpath, features, _ = blob_dataset
+        lg = tmp_path / "logits.csv"
+        lg.write_text("id,l0,l1,l2\n" + "".join(f"{sid},1,0,0\n" for sid in features.ids))
+        library = {"gtg": run_dynamics, "label_spreading": label_spreading, "label_propagation": label_propagation}
+        for method, logits in [(method, None) for method in pipeline.METHODS] + [("gtg", str(lg))]:
+            case = f"{method}-{'logits' if logits else 'uniform'}"
+            for side in ("cli", "library"):
+                (tmp_path / side / case).mkdir(parents=True)
+            monkeypatch.chdir(tmp_path / "cli" / case)
+            flags = ["--logits", logits] if logits else []
+            assert main(["run", "--features", str(fpath), "--method", method, "--anchors-file", str(lpath), *flags]) == 0
+            cli_run = json.loads(Path("report.json").read_text())
+            monkeypatch.chdir(tmp_path / "library" / case)
+            _, library_run = run_pipeline(
+                RunConfig(method=method, features_path=str(fpath), anchors_path=str(lpath), logits_path=logits)
+            )
+            assert cli_run["config"] == library_run["config"], case
+
+            expected = dict.fromkeys(("max_iterations", "tolerance", "alpha", "temperature"))
+            if method in library:
+                for name, parameter in inspect.signature(library[method]).parameters.items():
+                    if name in expected:
+                        expected[name] = parameter.default
+            elif method == "group_loss":
+                expected.update(max_iterations=3, tolerance=0.0)
+            if logits:
+                expected["temperature"] = inspect.signature(softmax_with_temperature).parameters["temperature"].default
+            assert {name: cli_run["config"][name] for name in expected} == expected, case
+
         monkeypatch.chdir(tmp_path / "cli")
-        assert main(["run", "--features", fpath, "--method", "gtg", "--anchors-file", lpath]) == 0
-        cli_run = json.loads((tmp_path / "cli" / "report.json").read_text())
-        assert main(["eval", "--features", fpath, "--truth", lpath]) == 0
+        assert main(["eval", "--features", str(fpath), "--truth", str(lpath)]) == 0
         cli_eval = json.loads((tmp_path / "cli" / "report.json").read_text())
         monkeypatch.chdir(tmp_path / "library")
-        _, library_run = run_pipeline(RunConfig(method="gtg", features_path=fpath, anchors_path=lpath))
-        _, library_eval = run_eval(fpath, lpath)
-        assert cli_run["config"] == library_run["config"]
+        _, library_eval = run_eval(str(fpath), str(lpath))
         assert cli_eval["config"] == library_eval["config"]
 
     def test_exit_code_numerical_error(self, tmp_path):

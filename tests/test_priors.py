@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transduct import LabelSet, inject_anchors, softmax_with_temperature, uniform_prior
+from transduct import LabelSet, RunConfig, inject_anchors, softmax_with_temperature, uniform_prior
 from transduct.errors import ConfigError, EmptyInput, NonFinite, OutOfRange, ShapeMismatch
-from transduct.priors import PriorConfig
 
 
 class TestUniformPrior:
@@ -40,6 +39,12 @@ class TestSoftmax:
     def test_non_finite(self):
         with pytest.raises(NonFinite):
             softmax_with_temperature([[np.inf, 0.0]], 1.0)
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, np.nan, np.inf])
+    def test_temperature_must_be_finite_and_positive(self, temperature):
+        # an infinite temperature would otherwise give uniform rows
+        with pytest.raises(ConfigError, match="^temperature must be finite and positive, got "):
+            softmax_with_temperature([[2.0, 0.0]], temperature)
 
     @given(st.integers(1, 8), st.integers(2, 6), st.integers(0, 3000))
     @settings(max_examples=100, deadline=None)
@@ -100,8 +105,12 @@ class TestInjectAnchors:
 
 
 def test_prior_config_validation():
+    def config(temperature):
+        return RunConfig(method="gtg", features_path="f.csv", logits_path="l.csv", anchor_fraction=0.5,
+                         temperature=temperature)
+
     with pytest.raises(ConfigError):
-        PriorConfig(temperature=0.0)
+        config(0.0)
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ConfigError):
-            PriorConfig(temperature=bad)
+            config(bad)
