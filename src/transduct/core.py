@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EmptyInput, LengthMismatch, NonFinite, OutOfRange, ShapeMismatch
+from .errors import ConfigError, DataError, DuplicateId, EmptyInput, LengthMismatch, NonFinite, OutOfRange, ShapeMismatch
 
 #: Sentinel for "no label known" entries in a label vector. Never a valid
 #: class index (class indices are always >= 0).
@@ -24,7 +24,7 @@ UNLABELED = -1
 def _frozen_array(values, dtype=np.float64, ndim=None):
     arr = np.array(values, dtype=dtype)
     if ndim is not None and arr.ndim != ndim:
-        raise ValueError(f"expected {ndim}-d array, got {arr.ndim}-d")
+        raise ShapeMismatch(f"expected {ndim}-d array, got {arr.ndim}-d")
     arr.setflags(write=False)
     return arr
 
@@ -45,7 +45,7 @@ class FeatureSet:
         if len(self.ids) != n:
             raise LengthMismatch(f"{len(self.ids)} ids for {n} feature rows")
         if len(set(self.ids)) != n:
-            raise ValueError("sample ids must be unique")
+            raise DuplicateId("sample ids must be unique")
         if not np.all(np.isfinite(self.data)):
             raise NonFinite("feature matrix contains non-finite entries")
 
@@ -68,7 +68,7 @@ class LabelSet:
     def __post_init__(self):
         object.__setattr__(self, "labels", _frozen_array(self.labels, dtype=np.int64, ndim=1))
         if self.num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
+            raise OutOfRange("num_classes must be >= 1")
         bad = (self.labels != UNLABELED) & ((self.labels < 0) | (self.labels >= self.num_classes))
         if np.any(bad):
             raise OutOfRange(f"label out of range at index {int(np.flatnonzero(bad)[0])}")

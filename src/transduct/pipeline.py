@@ -1,9 +1,9 @@
 """End-to-end label generation over CSV files.
 
-Flow: load features and labels, build the similarity graph, set up the
-initial assignment (priors plus anchors), run the chosen propagator,
-decode pseudo-labels, score them against held-out truth and write a
-predictions CSV plus a JSON report. Runs are deterministic given
+Flow: load features and labels, build the similarity graph, run the
+chosen propagator (the dynamics from a prior with the anchors pinned,
+the baselines from the anchors alone), decode pseudo-labels, score them
+against held-out truth and write a predictions CSV plus a JSON report. Runs are deterministic given
 (config, seed): at a fixed ``TRANSDUCT_THREADS`` reruns produce
 byte-identical outputs (a different BLAS thread count can change the
 last bits of the probabilities).
@@ -11,6 +11,7 @@ last bits of the probabilities).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -69,6 +70,8 @@ class RunConfig:
     ``DEFAULT_TEMPERATURE`` when a logits file is given). Setting one the
     method does not read is a ConfigError; after construction each field
     holds what the run uses, None for the settings it does not read.
+    ``max_iterations``, ``knn`` and ``seed`` must be integers; the other
+    numbers are stored as ``float``, as the CLI parses them.
     """
 
     method: str
@@ -93,6 +96,12 @@ class RunConfig:
             raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.logits_path is not None and self.method not in DYNAMICS_METHODS:
             raise ConfigError(f"a logits prior applies only to gtg and group_loss, not to {self.method}")
+        for name in ("max_iterations", "knn", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, None if value is None else operator.index(value))
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
         reads = dict(METHOD_SETTINGS[self.method])
         if self.logits_path is not None:
             reads["temperature"] = DEFAULT_TEMPERATURE
@@ -116,6 +125,9 @@ class RunConfig:
             raise ConfigError("knn must be >= 1")
         for name in self.metrics:
             _parse_metric(name, RUN_METRICS)
+        for name in ("tolerance", "alpha", "temperature", "anchor_fraction"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
 
 
 def _parse_metric(name: str, allowed) -> tuple[str, int | None]:
@@ -212,10 +224,6 @@ def _build_similarity(features: FeatureSet, cfg: RunConfig):
     return w, [int(i) for i in zero_variance]
 
 
-def _cap_note(method: str, cap: int, tolerance: float) -> str:
-    return f"{method} stopped at its {cap}-step iteration cap without converging (tolerance {tolerance!r})"
-
-
 def _no_propagation() -> dict:
     """The propagation facts of a run that iterates nothing."""
     return {
@@ -228,7 +236,7 @@ def _no_propagation() -> dict:
     }
 
 
-def _propagate(w, x0, anchors: LabelSet, cfg: RunConfig):
+def _propagate(w, anchors: LabelSet, logits, cfg: RunConfig):
     """Dispatch on method; returns (assignment, info dict with the keys of
     ``_no_propagation``).
 
@@ -240,6 +248,11 @@ def _propagate(w, x0, anchors: LabelSet, cfg: RunConfig):
         return harmonic_function(w, anchors), info
     loop = {"max_iterations": cfg.max_iterations, "tolerance": cfg.tolerance}
     if cfg.method in DYNAMICS_METHODS:
+        n, m = anchors.labels.size, anchors.num_classes
+        x0 = uniform_prior(n, m) if logits is None else softmax_with_temperature(logits, cfg.temperature)
+        # run_dynamics pins the anchors again, but perfbench/tracer.py times
+        # this call as priors.inject_anchors; rebinding frees the raw prior
+        x0 = inject_anchors(x0, anchors)
         x, trace = run_dynamics(w, x0, anchors, **loop)
         meta = {"iterations": trace.iterations_used, "converged": trace.converged}
         info["functional_trace"] = trace.functional_values
@@ -251,7 +264,8 @@ def _propagate(w, x0, anchors: LabelSet, cfg: RunConfig):
         x, meta = label_propagation(w, anchors, **loop)
     info.update(iterations_used=meta["iterations"], converged=meta["converged"])
     if not meta["converged"] and cfg.tolerance > 0:
-        info["notes"].append(_cap_note(cfg.method, cfg.max_iterations, cfg.tolerance))
+        cap = f"{cfg.max_iterations}-step iteration cap"
+        info["notes"].append(f"{cfg.method} stopped at its {cap} without converging (tolerance {cfg.tolerance!r})")
     return x, info
 
 
@@ -342,9 +356,7 @@ def run_pipeline(cfg: RunConfig) -> tuple[Path, dict]:
         raise ConfigError("anchor set is empty")
 
     w, zero_variance = _build_similarity(features, cfg)
-    x0 = uniform_prior(features.n, m) if logits is None else softmax_with_temperature(logits, cfg.temperature)
-    x0 = inject_anchors(x0, anchors)
-    assignment, info = _propagate(w, x0, anchors, cfg)
+    assignment, info = _propagate(w, anchors, logits, cfg)
 
     pred = argmax_decode(assignment)
     metric_values, notes = _score(cfg, features, truth, pred, assignment, anchors, len(classes))

@@ -31,7 +31,9 @@ def _as_data(features) -> np.ndarray:
 
 def _standardize(features) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample z-scores over the d coordinates, plus the indices of
-    zero-variance samples (whose z rows are exactly 0)."""
+    the zero-variance samples: those whose coordinates are all equal (or
+    whose deviations square to a variance of 0). Their z rows are exactly
+    +0.0, so both graph builders read 0 for every correlation with them."""
     data = _as_data(features)
     if data.ndim != 2:
         raise ShapeMismatch("feature matrix must be 2-d")
@@ -45,9 +47,11 @@ def _standardize(features) -> tuple[np.ndarray, np.ndarray]:
     # population normalization (divide by d); the ratio is normalization
     # invariant but fixing it keeps tests bit-stable
     var = np.mean(centered**2, axis=1)
-    zero_variance = np.flatnonzero(var == 0)
-    scale = np.sqrt(np.where(var > 0, var, 1.0))
-    return centered / scale[:, None], zero_variance
+    # a constant row's rounded mean can centre it to a nonzero constant
+    flat = (np.ptp(data, axis=1) == 0) | (var == 0)
+    z = centered / np.sqrt(np.where(flat, 1.0, var))[:, None]
+    z[flat] = 0.0
+    return z, np.flatnonzero(flat)
 
 
 def top_k(values, k: int) -> np.ndarray:
@@ -82,46 +86,26 @@ def pearson_matrix(features) -> tuple[np.ndarray, np.ndarray]:
 
     Each sample's feature vector is standardized (mean removed, scaled by
     its population standard deviation over the d coordinates), which makes
-    the result invariant to per-sample positive affine transforms. The
-    diagonal is fixed at zero.
+    the result invariant to per-sample positive affine transforms.
 
-    Samples with zero feature variance carry no correlation information;
-    their rows and columns are set to 0 and their indices are returned as
-    a flag array rather than raising, so a run survives uninformative
-    samples.
+    A sample whose coordinates are all equal carries no correlation
+    information: its row and column read +0.0 (see ``_standardize``) and
+    its index is returned as a flag rather than raised, so a run survives
+    uninformative samples.
 
     Returns
     -------
-    (w, zero_variance) : n x n symmetric matrix with entries in [-1, 1]
-        and zero diagonal, plus the indices of flagged zero-variance
-        samples.
+    (w, zero_variance) : n x n matrix, exactly symmetric by construction,
+        with entries in [-1, 1] and zero diagonal, plus the indices of the
+        flagged samples.
     """
     z, zero_variance = _standardize(features)
+    # numpy runs a @ a.T as one syrk and mirrors the computed triangle,
+    # so w is exactly symmetric with no averaging pass
     w = z @ z.T
     w /= z.shape[1]
-    _symmetrize(w)
-    if zero_variance.size:
-        w[zero_variance, :] = 0.0
-        w[:, zero_variance] = 0.0
     np.fill_diagonal(w, 0.0)
     return w, zero_variance
-
-
-def _symmetrize(w: np.ndarray) -> None:
-    """Replace ``w`` by ``(w + w.T) / 2`` in place, bit for bit.
-
-    The matrix product can leave last-ulp asymmetry. Each ``BLOCK_ROWS``
-    tile on or above the diagonal is averaged with its mirror tile, so
-    the only temporaries are tile-sized.
-    """
-    n = w.shape[0]
-    for top in range(0, n, BLOCK_ROWS):
-        rows = slice(top, top + BLOCK_ROWS)
-        for left in range(top, n, BLOCK_ROWS):
-            cols = slice(left, left + BLOCK_ROWS)
-            mean = (w[rows, cols] + w[cols, rows].T) / 2.0
-            w[rows, cols] = mean
-            w[cols, rows] = mean.T
 
 
 def handle_negatives(w, mode: str = "clamp") -> np.ndarray:
@@ -185,7 +169,8 @@ def knn_graph(features, k: int, mode: str = "clamp") -> tuple[sparse.csr_array, 
     and subtracted from the kept values at the end. Picks whose final
     weight is 0 are not stored, as in the dense result.
 
-    Returns (graph, zero_variance) like ``pearson_matrix``.
+    Returns (graph, zero_variance) like ``pearson_matrix``: symmetric by
+    construction, flagging the samples whose coordinates are all equal.
     """
     if mode not in ("clamp", "shift"):
         raise ConfigError(f"unknown negative-handling mode {mode!r} (use clamp or shift)")
@@ -201,8 +186,8 @@ def knn_graph(features, k: int, mode: str = "clamp") -> tuple[sparse.csr_array, 
     lowest = 0.0
     for start in range(0, n, BLOCK_ROWS):
         block = (z[start:start + BLOCK_ROWS] @ z.T) / d
-        # zero-variance rows of z are exactly 0, so their correlations
-        # already read 0 as pearson_matrix sets them
+        # zero-variance rows of z are exactly 0 (see _standardize), so
+        # their correlations already read 0
         if mode == "clamp":
             np.maximum(block, 0.0, out=block)
         else:

@@ -16,7 +16,7 @@ from transduct import (
     run_dynamics,
 )
 from transduct.core import iterate, normalize_rows
-from transduct.errors import DataError, NonFinite, OutOfRange
+from transduct.errors import DataError, DuplicateId, NonFinite, OutOfRange, ShapeMismatch
 from transduct.pipeline import _report
 
 
@@ -74,8 +74,16 @@ class TestArgmaxDecode:
 
 class TestContainers:
     def test_feature_set_rejects_duplicate_ids(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DuplicateId):
             FeatureSet([[1.0, 2.0], [3.0, 4.0]], ("a", "a"))
+
+    def test_feature_set_rejects_a_flat_matrix(self):
+        with pytest.raises(ShapeMismatch):
+            FeatureSet([1.0, 2.0], ("a", "b"))
+
+    def test_label_set_needs_a_class(self):
+        with pytest.raises(OutOfRange):
+            LabelSet(num_classes=0, labels=[-1])
 
     def test_feature_set_rejects_nan(self):
         with pytest.raises(NonFinite):

@@ -689,6 +689,29 @@ class TestCli:
         _, library_eval = run_eval(str(fpath), str(lpath))
         assert cli_eval["config"] == library_eval["config"]
 
+    def test_cli_and_library_write_the_same_report(self, blob_dataset, tmp_path):
+        """Integral values of the float settings are stored as floats, so a
+        library run echoes what the CLI's float options echo."""
+        fpath, lpath = str(blob_dataset[0]), str(blob_dataset[1])
+        assert main([
+            "run", "--features", fpath, "--labels", lpath, "--truth", lpath, "--method", "gtg",
+            "--max-iters", "3", "--tol", "0", "--anchor-fraction", "1", "--out-dir", str(tmp_path / "cli"),
+        ]) == 0
+        run_pipeline(RunConfig(
+            method="gtg", features_path=fpath, labels_path=lpath, truth_path=lpath, max_iterations=3,
+            tolerance=0, anchor_fraction=1, out_dir=str(tmp_path / "library"),
+        ))
+        cli_report, library_report = (
+            (tmp_path / side / "report.json").read_text().replace(str(tmp_path / side), "OUT")
+            for side in ("cli", "library")
+        )
+        assert cli_report == library_report
+
+    @pytest.mark.parametrize("name", ["max_iterations", "knn", "seed"])
+    def test_non_integral_count_is_a_config_error(self, blob_dataset, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got 2.5$"):
+            RunConfig(method="gtg", features_path=str(blob_dataset[0]), anchor_fraction=0.5, **{name: 2.5})
+
     def test_exit_code_numerical_error(self, tmp_path):
         # two disconnected pairs, harmonic labeling with one side unlabeled:
         # the unlabeled component has no labeled attachment

@@ -78,16 +78,32 @@ class TestPearson:
         with pytest.raises(ShapeMismatch):
             pearson_matrix(np.array([[1.0], [2.0]]))
 
-    @pytest.mark.parametrize("block", [1, 3, 7, 256])
-    def test_tiled_symmetrize_is_bit_identical_to_the_mean(self, block):
-        """Every entry equals ``(w + w.T) / 2`` exactly, also where n is
-        not a multiple of the tile size."""
-        n = 2 * 256 + 37
-        w = np.random.default_rng(8).normal(size=(n, n))
-        expected = (w + w.T) / 2.0
-        with mock.patch.object(similarity, "BLOCK_ROWS", block):
-            similarity._symmetrize(w)
-        np.testing.assert_array_equal(w, expected)
+    @pytest.mark.parametrize("n, d", [(549, 70), (2000, 16), (513, 3)])
+    def test_exactly_symmetric_across_many_tiles(self, n, d):
+        w, _ = pearson_matrix(np.random.default_rng(n).normal(size=(n, d)))
+        np.testing.assert_array_equal(w, w.T)
+
+    def test_zero_variance_rows_are_positive_zero_across_many_tiles(self):
+        rng = np.random.default_rng(5)
+        data = rng.normal(size=(549, 70))
+        flat = [0, 300, 548]
+        data[flat] = [[2.0], [-0.5], [0.1]]
+        w, flagged = pearson_matrix(data)
+        np.testing.assert_array_equal(w, w.T)
+        assert list(flagged) == flat
+        for band in (w[flat], w[:, flat]):
+            assert np.all(band == 0.0) and not np.signbit(band).any()
+
+    def test_constant_row_with_an_inexact_mean_is_flagged(self):
+        """The mean of (.1, .1, .1) rounds away from .1, so centring leaves
+        a nonzero constant; the row is still flagged and reads +0.0."""
+        data = np.array([[0.1, 0.1, 0.1], [0.1, 0.1, 0.1], [1.0, 2, 3], [3.0, 1, 2]])
+        w, flagged = pearson_matrix(data)
+        graph, knn_flagged = knn_graph(data, 2)
+        for matrix, flags in ((w, flagged), (graph.toarray(), knn_flagged)):
+            assert list(flags) == [0, 1]
+            for band in (matrix[:2], matrix[:, :2]):
+                assert np.all(band == 0.0) and not np.signbit(band).any()
 
     @pytest.mark.parametrize("mode", ["clamp", "shift"])
     def test_dense_graph_peaks_near_one_matrix(self, mode):

@@ -94,7 +94,9 @@ def test_every_method_fires_its_counter_hooks(tmp_path):
                     )
                 )
                 spans, counts = tracer.take()
-                assert "priors.inject_anchors" in {span[0] for span in spans}
+                # only the dynamics start from a prior
+                pinned = "priors.inject_anchors" in {span[0] for span in spans}
+                assert pinned == (method in pipeline.DYNAMICS_METHODS), (method, knn)
                 assert expected <= set(counts), (method, knn, dict(counts))
                 assert counts["similarity.graph_nnz"] > 0, (method, knn)
                 # the dense graph is counted by its builder; the k-NN graph
