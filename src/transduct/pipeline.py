@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -33,6 +34,12 @@ from .similarity import handle_negatives, knn_graph, pearson_matrix, sparsify_kn
 DYNAMICS_METHODS = ("gtg", "group_loss")
 METHODS = DYNAMICS_METHODS + ("label_spreading", "label_propagation", "harmonic")
 
+#: The metric names each command accepts, besides recall@K (K a positive
+#: integer). accuracy, macro_f1, cross_entropy and ``run``'s nmi score the
+#: truth rows that carry a prediction: the held-out rows in ``run``, the
+#: rows ``--labels`` labels in ``eval``. recall@K and ``eval``'s nmi score
+#: every truth row. nmi means two things: NMI(predictions, truth) in
+#: ``run``, NMI(kmeans(features), truth) in ``eval``.
 RUN_METRICS = ("accuracy", "macro_f1", "nmi", "cross_entropy")
 EVAL_METRICS = ("accuracy", "macro_f1", "nmi")
 #: What ``run_eval`` (and ``transduct eval``) scores when no metrics are named.
@@ -98,10 +105,8 @@ class RunConfig:
             raise ConfigError(f"a logits prior applies only to gtg and group_loss, not to {self.method}")
         for name in ("max_iterations", "knn", "seed"):
             value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, None if value is None else operator.index(value))
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+            if value is not None or name == "seed":
+                object.__setattr__(self, name, _integer(name, value))
         reads = dict(METHOD_SETTINGS[self.method])
         if self.logits_path is not None:
             reads["temperature"] = DEFAULT_TEMPERATURE
@@ -130,15 +135,21 @@ class RunConfig:
                 object.__setattr__(self, name, float(getattr(self, name)))
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _parse_metric(name: str, allowed) -> tuple[str, int | None]:
+    """(kind, K): ("recall", K) for recall@K, K in plain digits with no
+    leading zero, so each K has one name; (name, None) otherwise."""
     if name.startswith("recall@"):
-        try:
-            k = int(name.split("@", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad metric name {name!r}") from None
-        if k < 1:
+        match = re.fullmatch(r"recall@([1-9][0-9]*)", name)
+        if match is None:
             raise ConfigError(f"bad metric name {name!r}")
-        return "recall", k
+        return "recall", int(match[1])
     if name in allowed:
         return name, None
     raise ConfigError(f"unknown metric {name!r}")
@@ -269,49 +280,40 @@ def _propagate(w, anchors: LabelSet, logits, cfg: RunConfig):
     return x, info
 
 
-def _score(cfg, features, truth, pred, assignment, anchors, num_classes) -> tuple[dict, list[str]]:
-    """Requested metrics on held-out labeled rows (truth minus anchors);
-    recall@K runs over all truth-labeled rows since it scores the
-    embedding space, not the predictions. ``num_classes`` counts the
-    truth-only classes too: the model gives them probability 0."""
+def _score(names, allowed, data, truth, pred, num_classes, skipped, seed=0, assignment=None) -> tuple[dict, list[str]]:
+    """The metrics ``names``, on the rows the comment above ``RUN_METRICS``
+    states, and a note for each one skipped for the reason ``skipped``.
+
+    ``pred`` is UNLABELED on each row without a prediction. ``num_classes``
+    counts the truth-only classes too: the model gives them probability 0.
+    ``assignment`` is a run's n x m matrix; without one (``eval``) nmi
+    clusters ``data`` with ``kmeans(..., seed)``, one cluster per truth class.
+    """
+    parsed = [(name, *_parse_metric(name, allowed)) for name in names]
+    rows = np.flatnonzero(truth != UNLABELED)
+    scored = rows[pred[rows] != UNLABELED]
+    ks = sorted({k for _, kind, k in parsed if kind == "recall"})
+    recall = metrics_mod.recall_at_k(data[rows], truth[rows], ks) if ks else {}
     notes: list[str] = []
     values: dict[str, float] = {}
-    if truth is None:
-        if cfg.metrics:
-            notes.append("metrics skipped: no truth file supplied")
-        return values, notes
-    truth_rows = np.flatnonzero(truth != UNLABELED)
-    held_out = truth_rows[anchors.labels[truth_rows] == UNLABELED]
-    requested = list(cfg.metrics)
-    if cfg.method == "group_loss" and "cross_entropy" not in requested:
-        requested.append("cross_entropy")
-    recall = _recall(features.data[truth_rows], truth[truth_rows], requested, RUN_METRICS)
-    for name in requested:
-        kind, k = _parse_metric(name, RUN_METRICS)
+    for name, kind, k in parsed:
         if kind == "recall":
             values[name] = recall[k]
-            continue
-        if held_out.size == 0:
-            notes.append(f"metric {name} skipped: no held-out labeled rows")
-            continue
-        if kind == "accuracy":
-            values[name] = metrics_mod.accuracy(pred[held_out], truth[held_out])
+        elif kind == "nmi" and assignment is None:
+            clusters = kmeans(data[rows], np.unique(truth[rows]).size, seed)
+            values[name] = metrics_mod.nmi(clusters, truth[rows])
+        elif scored.size == 0:
+            notes.append(f"metric {name} skipped: {skipped}")
+        elif kind == "accuracy":
+            values[name] = metrics_mod.accuracy(pred[scored], truth[scored])
         elif kind == "macro_f1":
-            values[name] = metrics_mod.macro_f1(pred[held_out], truth[held_out], num_classes)
+            values[name] = metrics_mod.macro_f1(pred[scored], truth[scored], num_classes)
         elif kind == "nmi":
-            values[name] = metrics_mod.nmi(pred[held_out], truth[held_out])
-        elif kind == "cross_entropy":
-            masked = np.full_like(truth, UNLABELED)
-            masked[held_out] = truth[held_out]
+            values[name] = metrics_mod.nmi(pred[scored], truth[scored])
+        else:
             padded = np.pad(assignment, ((0, 0), (0, num_classes - assignment.shape[1])))
-            values[name] = group_loss_value(padded, masked)
+            values[name] = group_loss_value(padded, np.where(pred == UNLABELED, UNLABELED, truth))
     return values, notes
-
-
-def _recall(data, truth, names, allowed) -> dict[int, float]:
-    """recall@K for every K among ``names``, from one neighbor search."""
-    ks = sorted({k for kind, k in (_parse_metric(name, allowed) for name in names) if kind == "recall"})
-    return metrics_mod.recall_at_k(data, truth, ks) if ks else {}
 
 
 def _report(metrics, config, classes, num_samples, notes, num_anchors=0, zero_variance=(), info=None) -> dict:
@@ -359,7 +361,17 @@ def run_pipeline(cfg: RunConfig) -> tuple[Path, dict]:
     assignment, info = _propagate(w, anchors, logits, cfg)
 
     pred = argmax_decode(assignment)
-    metric_values, notes = _score(cfg, features, truth, pred, assignment, anchors, len(classes))
+    if truth is None:
+        metric_values, notes = {}, ["metrics skipped: no truth file supplied"] if cfg.metrics else []
+    else:
+        names = tuple(cfg.metrics)
+        if cfg.method == "group_loss" and "cross_entropy" not in names:
+            names += ("cross_entropy",)
+        held_out = np.where(anchors.labeled_mask(), UNLABELED, pred)
+        metric_values, notes = _score(
+            names, RUN_METRICS, features.data, truth, held_out, len(classes), "no held-out labeled rows",
+            assignment=assignment,
+        )
     notes += info["notes"]
     if len(classes) > m:
         notes.append(f"classes only in the truth file are never predicted: {', '.join(classes[m:])}")
@@ -385,39 +397,25 @@ def run_eval(
     seed: int = 0,
     out_dir: str = ".",
 ) -> tuple[Path, dict]:
-    """Score an embedding file against truth labels.
+    """Score an embedding file against truth labels; writes report.json
+    into ``out_dir`` and returns (report path, report dict).
 
-    recall@K queries the feature space directly; nmi clusters the
-    features with K-means (one cluster per truth class among the scored
-    rows, whatever classes ``labels_path`` adds) and compares the
-    partition to truth; accuracy and macro_f1 require a predictions file
-    via ``labels_path``.
+    recall@K and nmi score the embedding itself (nmi clusters it with
+    K-means); accuracy and macro_f1 score the predictions file
+    ``labels_path`` and get a skip note without one, or when it labels
+    no truth row. The comment above ``RUN_METRICS`` states the rows.
     """
+    seed = _integer("seed", seed)
     for name in metric_names:
         _parse_metric(name, EVAL_METRICS)
     features, pred, _, truth, classes, *_ = _load_inputs(features_path, labels_path, truth_path=truth_path)
     rows = np.flatnonzero(truth != UNLABELED)
     if rows.size == 0:
         raise DataError(f"{truth_path}: no labeled rows to evaluate")
-
-    notes: list[str] = []
-    values: dict[str, float] = {}
-    recall = _recall(features.data[rows], truth[rows], metric_names, EVAL_METRICS)
-    for name in metric_names:
-        kind, k = _parse_metric(name, EVAL_METRICS)
-        if kind == "recall":
-            values[name] = recall[k]
-        elif kind == "nmi":
-            clusters = kmeans(features.data[rows], np.unique(truth[rows]).size, seed)
-            values[name] = metrics_mod.nmi(clusters, truth[rows])
-        elif labels_path is None:
-            notes.append(f"metric {name} skipped: needs a predictions file (--labels)")
-        else:
-            both = rows[pred[rows] != UNLABELED]
-            if kind == "accuracy":
-                values[name] = metrics_mod.accuracy(pred[both], truth[both])
-            else:
-                values[name] = metrics_mod.macro_f1(pred[both], truth[both], len(classes))
+    skipped = "needs a predictions file (--labels)"
+    if labels_path is not None:
+        skipped = "no row is labeled in both --labels and --truth"
+    values, notes = _score(metric_names, EVAL_METRICS, features.data, truth, pred, len(classes), skipped, seed)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -707,10 +708,57 @@ class TestCli:
         )
         assert cli_report == library_report
 
-    @pytest.mark.parametrize("name", ["max_iterations", "knn", "seed"])
-    def test_non_integral_count_is_a_config_error(self, blob_dataset, name):
-        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got 2.5$"):
-            RunConfig(method="gtg", features_path=str(blob_dataset[0]), anchor_fraction=0.5, **{name: 2.5})
+    @pytest.mark.parametrize("command, flags, note", [
+        ("run", ["--anchor-fraction", "0.1"], "metrics skipped: no truth file supplied"),
+        ("run", ["--anchor-fraction", "1", "--truth", "{labels}"], "metric accuracy skipped: no held-out labeled rows"),
+        ("eval", ["--truth", "{labels}"], "metric accuracy skipped: needs a predictions file (--labels)"),
+        ("eval", ["--truth", "{first}", "--labels", "{second}"],
+         "metric accuracy skipped: no row is labeled in both --labels and --truth"),
+    ], ids=["run-no-truth", "run-all-anchored", "eval-no-labels", "eval-disjoint-labels"])
+    def test_metric_without_scored_rows_is_a_note(self, blob_dataset, tmp_path, command, flags, note):
+        """A metric with no row to score is left out of the report with one
+        note, and the command exits 0."""
+        fpath, lpath, features, labels = blob_dataset
+        names = [f"c{v}" for v in labels.labels]
+        paths = {"labels": str(lpath), "first": str(tmp_path / "first.csv"), "second": str(tmp_path / "second.csv")}
+        write_labels_csv(paths["first"], features.ids[:60], names[:60])
+        write_labels_csv(paths["second"], features.ids[60:], names[60:])
+        labels_flag = ["--labels", str(lpath)] if command == "run" else []
+        args = [command, "--features", str(fpath), *labels_flag, *(flag.format(**paths) for flag in flags)]
+        if command == "run":
+            args += ["--method", "gtg"]
+        assert main([*args, "--metrics", "accuracy", "--out-dir", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["metrics"] == {}
+        assert report["warnings"]["notes"] == [note]
+
+    @pytest.mark.parametrize("name", ["recall@01", "recall@ 1", "recall@+1", "recall@1_0", "recall@١",
+                                      "recall@0", "recall@-1", "recall@"])
+    def test_recall_k_has_one_spelling(self, blob_dataset, tmp_path, capsys, name):
+        """recall@K takes K as plain ASCII digits with no leading zero, so no
+        two names score the same K."""
+        fpath, lpath = str(blob_dataset[0]), str(blob_dataset[1])
+        message = f"bad metric name {name!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RunConfig(method="gtg", features_path=fpath, anchor_fraction=0.5, metrics=(name,))
+        assert main(["eval", "--features", fpath, "--truth", lpath, "--metrics", name,
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("call, name, value", [
+        *(pytest.param("run", name, 2.5, id=name) for name in ("max_iterations", "knn", "seed")),
+        pytest.param("run", "seed", None, id="seed-None"),
+        pytest.param("eval", "seed", None, id="eval-seed-None"),
+        pytest.param("eval", "seed", 1.5, id="eval-seed-1.5"),
+    ])
+    def test_non_integral_count_is_a_config_error(self, blob_dataset, tmp_path, call, name, value):
+        """Raised before any file is read: the eval's input files do not exist."""
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {value}$"):
+            if call == "run":
+                RunConfig(method="gtg", features_path=str(blob_dataset[0]), anchor_fraction=0.5, **{name: value})
+            else:
+                run_eval(tmp_path / "missing.csv", tmp_path / "missing.csv", seed=value, out_dir=str(tmp_path / "out"))
 
     def test_exit_code_numerical_error(self, tmp_path):
         # two disconnected pairs, harmonic labeling with one side unlabeled:

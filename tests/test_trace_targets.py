@@ -20,6 +20,9 @@ IO_SPANS = {"io.read_features_csv", "io.read_label_pairs", "io.write_predictions
 
 
 def test_in_process_targets_trace_run_and_eval(tmp_path):
+    """Runs and an eval trace the io spans and every metric span the
+    benchmark's ``metrics.*.s`` and ``baselines.kmeans.s`` are read from;
+    a scorer holding the functions it found at import would record none."""
     features, labels = make_synthetic(BlobSpec(blobs=2, per_blob=10, dim=8), seed=0)
     names = [f"c{v}" for v in labels.labels]
     fpath, lpath, apath = tmp_path / "f.csv", tmp_path / "l.csv", tmp_path / "a.csv"
@@ -27,25 +30,33 @@ def test_in_process_targets_trace_run_and_eval(tmp_path):
     write_labels_csv(lpath, features.ids, names)
     write_labels_csv(apath, [features.ids[0], features.ids[10]], [names[0], names[10]])
     tracer = Tracer(IN_PROCESS_TARGETS)
+    run_spans = {}
     try:
         tracer.install()
-        pipeline.run_pipeline(
-            RunConfig(
-                method="gtg",
-                features_path=str(fpath),
-                labels_path=str(lpath),
-                truth_path=str(lpath),
-                anchors_path=str(apath),
-                out_dir=str(tmp_path / "run"),
+        for method in ("gtg", "group_loss"):
+            pipeline.run_pipeline(
+                RunConfig(
+                    method=method,
+                    features_path=str(fpath),
+                    labels_path=str(lpath),
+                    truth_path=str(lpath),
+                    anchors_path=str(apath),
+                    metrics=("accuracy", "macro_f1", "nmi", "recall@1"),
+                    out_dir=str(tmp_path / method),
+                )
             )
-        )
-        run_spans, _ = tracer.take()
+            run_spans[method] = {span[0] for span in tracer.take()[0]}
         pipeline.run_eval(fpath, lpath, metric_names=("recall@1", "nmi"), out_dir=str(tmp_path / "eval"))
-        eval_spans, _ = tracer.take()
+        eval_spans = {span[0] for span in tracer.take()[0]}
     finally:
         tracer.uninstall()
-    assert IO_SPANS <= {span[0] for span in run_spans}
-    assert {"io.read_features_csv", "io.read_label_pairs", "io.write_report_json"} <= {span[0] for span in eval_spans}
+    metric_spans = {"metrics.accuracy", "metrics.macro_f1", "metrics.nmi", "metrics.recall_at_k"}
+    for method, spans in run_spans.items():
+        assert IO_SPANS | metric_spans <= spans, method
+        assert ("dynamics.group_loss_value" in spans) == (method == "group_loss"), method
+        assert "baselines.kmeans" not in spans, method
+    assert {"io.read_features_csv", "io.read_label_pairs", "io.write_report_json"} <= eval_spans
+    assert {"metrics.nmi", "metrics.recall_at_k", "baselines.kmeans"} <= eval_spans
 
 
 def test_cli_targets_resolve():
