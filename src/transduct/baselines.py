@@ -13,32 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FeatureSet, LabelSet, check_graph, check_settings, is_sparse, iterate, normalize_rows
-from .errors import DataError, OutOfRange, SingularSystem
+from .core import FeatureSet, LabelSet, check_graph, check_settings, is_sparse, iterate, normalize_rows, unreached
+from .errors import DataError, OutOfRange
 from .priors import inject_anchors
-from .similarity import BLOCK_ROWS
-
-
-def _require_labeled_components(w, labels: LabelSet):
-    """Every unlabeled vertex must reach a labeled one, else the harmonic
-    system is singular. Breadth-first from the labeled vertices along
-    nonzero entries in either direction (an asymmetric graph counts as
-    undirected), ``BLOCK_ROWS`` frontier vertices at a time."""
-    reached = labels.labeled_mask()
-    frontier = np.flatnonzero(reached)
-    while frontier.size:
-        found = np.zeros_like(reached)
-        for start in range(0, frontier.size, BLOCK_ROWS):
-            block = frontier[start:start + BLOCK_ROWS]
-            found[w[block].nonzero()[1]] = True
-            found[w[:, block].nonzero()[0]] = True
-        frontier = np.flatnonzero(found & ~reached)
-        reached |= found
-    orphans = np.flatnonzero(~reached)
-    if orphans.size:
-        raise SingularSystem(
-            f"unlabeled vertices {orphans[:8].tolist()} have no path to any labeled vertex"
-        )
 
 
 def label_spreading(
@@ -48,20 +25,18 @@ def label_spreading(
 
     Runs F <- alpha*S*F + (1-alpha)*Y from F(0)=Y until the L1 change
     drops below ``tolerance`` or ``max_iterations`` steps have run. Rows
-    are renormalized onto the simplex for decoding; isolated vertices
-    (degree zero, so their S row vanishes) end up uniform and are
-    flagged.
+    are renormalized onto the simplex for decoding; a vertex with no path
+    to a labeled one (``core.unreached``) keeps a zero score row and ends
+    up uniform.
 
     Returns (assignment, meta); meta carries the raw fixed-point scores
-    (before renormalization), iteration count, convergence flag and the
-    isolated indices.
+    (before renormalization), iteration count and convergence flag.
     """
     check_settings(max_iterations=max_iterations, tolerance=tolerance, alpha=alpha)
     w = check_graph(w, labels.labels.shape[0], "label vector")
     if labels.labeled_indices().size == 0:
         raise DataError("label spreading needs at least one labeled sample")
     degree = w.sum(axis=1)
-    isolated = np.flatnonzero(degree == 0)
     inv_sqrt = np.where(degree > 0, 1.0 / np.sqrt(np.where(degree > 0, degree, 1.0)), 0.0)[:, None]
     y = inject_anchors(np.zeros((w.shape[0], labels.num_classes)), labels)
 
@@ -71,13 +46,7 @@ def label_spreading(
 
     f, iterations, converged = iterate(step, y, max_iterations, tolerance)
     x = _to_simplex(f)
-    meta = {
-        "raw_scores": f,
-        "iterations": iterations,
-        "converged": converged,
-        "isolated": [int(i) for i in isolated if labels.labels[i] < 0],
-    }
-    return x, meta
+    return x, {"raw_scores": f, "iterations": iterations, "converged": converged}
 
 
 def _to_simplex(scores) -> np.ndarray:
@@ -92,17 +61,19 @@ def harmonic_function(w, labels: LabelSet) -> np.ndarray:
 
     Labeled rows are their one-hot labels; every unlabeled row solves
     (D_uu - W_uu) f_u = W_ul Y_l, i.e. equals the weighted average of its
-    neighbors' rows. A dense graph is solved densely, a CSR graph with a
-    sparse LU (``spsolve``). Raises SingularSystem when an unlabeled
-    vertex has no path to any labeled vertex.
+    neighbors' rows. The system is solved only on the unlabeled vertices
+    with a path to a labeled one, where it is nonsingular; the rows of
+    the others (``core.unreached``) are uniform. A dense graph is solved
+    densely, a CSR graph with a sparse LU (``spsolve``).
     """
     w = check_graph(w, labels.labels.shape[0], "label vector")
     if labels.labeled_indices().size == 0:
         raise DataError("harmonic labeling needs at least one labeled sample")
-    _require_labeled_components(w, labels)
     labeled = labels.labeled_mask()
     out = inject_anchors(np.zeros((w.shape[0], labels.num_classes)), labels)
-    u = np.flatnonzero(~labeled)
+    orphans = unreached(w, labels)
+    out[orphans] = 1.0 / labels.num_classes
+    u = np.setdiff1d(np.flatnonzero(~labeled), orphans)
     if u.size:
         l = np.flatnonzero(labeled)
         w_uu = w[np.ix_(u, u)]
@@ -139,7 +110,6 @@ def label_propagation(
     w = check_graph(w, labels.labels.shape[0], "label vector")
     if labels.labeled_indices().size == 0:
         raise DataError("label propagation needs at least one labeled sample")
-    _require_labeled_components(w, labels)
     m = labels.num_classes
     f0 = inject_anchors(np.full((w.shape[0], m), 1.0 / m), labels)
     labeled = labels.labeled_indices()

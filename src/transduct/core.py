@@ -116,8 +116,9 @@ def check_graph(w, rows: int, what: str):
     Dense input becomes a float64 array; scipy sparse input (the k-NN
     graph) becomes a float64 CSR array. Raises ShapeMismatch unless the
     graph is square with one vertex per row of ``what``, whose length is
-    ``rows``, and DataError for a negative weight: the replicator step's
-    ascent (Baum-Eagon) and both random-walk baselines need W >= 0.
+    ``rows``, NonFinite for a NaN or infinite weight, and DataError for a
+    negative weight: the replicator step's ascent (Baum-Eagon) and both
+    random-walk baselines need W >= 0.
     """
     if is_sparse(w):
         from scipy import sparse
@@ -129,10 +130,30 @@ def check_graph(w, rows: int, what: str):
         raise ShapeMismatch("similarity matrix must be square")
     if rows != w.shape[0]:
         raise ShapeMismatch(f"{what} has {rows} rows but the similarity graph has {w.shape[0]} vertices")
-    # a CSR minimum counts its implicit zeros; an empty graph has no minimum
-    if w.shape[0] and w.min() < 0:
-        raise DataError("similarity weights must be non-negative")
+    # a CSR minimum counts its implicit zeros; an empty graph has no minimum;
+    # min and max propagate NaN, so no n x n finiteness mask is needed
+    if w.shape[0]:
+        low, high = w.min(), w.max()
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise NonFinite("similarity weights must be finite")
+        if low < 0:
+            raise DataError("similarity weights must be non-negative")
     return w
+
+
+def unreached(w, labels: LabelSet) -> np.ndarray:
+    """Indices of the vertices with no path to a labeled vertex along edges
+    in either direction. Breadth-first: with ``v`` the 0/1 frontier, a
+    vertex is found where ``w @ v`` or ``v @ w`` is positive, which is
+    exact for a finite W >= 0 (``check_graph``): a sum of non-negative
+    terms is 0 only when every term is."""
+    reached = labels.labeled_mask()
+    frontier = reached
+    while frontier.any() and not reached.all():
+        v = frontier.astype(np.float64)
+        frontier = ((w @ v > 0) | (v @ w > 0)) & ~reached
+        reached |= frontier
+    return np.flatnonzero(~reached)
 
 
 def check_settings(max_iterations=None, tolerance=None, alpha=None, temperature=None):

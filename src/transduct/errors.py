@@ -74,8 +74,3 @@ class DimensionMismatch(DataError):
 
 class NonFinite(NumericalError):
     """An input or intermediate value is NaN or infinite."""
-
-
-class SingularSystem(NumericalError):
-    """The harmonic system is singular: an unlabeled component has no
-    labeled attachment."""

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .baselines import harmonic_function, kmeans, label_propagation, label_spreading
-from .core import UNLABELED, FeatureSet, LabelSet, argmax_decode, check_settings
+from .core import UNLABELED, FeatureSet, LabelSet, argmax_decode, check_settings, unreached
 from .dynamics import group_loss_value, run_dynamics
 from .errors import ConfigError, DataError, NonFinite, UnknownId
 from .io import read_features_csv, read_label_pairs, write_predictions_csv, write_report_json
@@ -36,7 +36,7 @@ METHODS = DYNAMICS_METHODS + ("label_spreading", "label_propagation", "harmonic"
 
 #: The metric names each command accepts, besides recall@K (K a positive
 #: integer). accuracy, macro_f1, cross_entropy and ``run``'s nmi score the
-#: truth rows that carry a prediction: the held-out rows in ``run``, the
+#: truth rows that carry a prediction: reached held-out rows in ``run``, the
 #: rows ``--labels`` labels in ``eval``. recall@K and ``eval``'s nmi score
 #: every truth row. nmi means two things: NMI(predictions, truth) in
 #: ``run``, NMI(kmeans(features), truth) in ``eval``.
@@ -128,8 +128,7 @@ class RunConfig:
             raise ConfigError("negative_handling must be 'clamp' or 'shift'")
         if self.knn is not None and self.knn < 1:
             raise ConfigError("knn must be >= 1")
-        for name in self.metrics:
-            _parse_metric(name, RUN_METRICS)
+        _parse_metrics(self.metrics, RUN_METRICS)
         for name in ("tolerance", "alpha", "temperature", "anchor_fraction"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, float(getattr(self, name)))
@@ -142,17 +141,24 @@ def _integer(name: str, value) -> int:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _parse_metric(name: str, allowed) -> tuple[str, int | None]:
-    """(kind, K): ("recall", K) for recall@K, K in plain digits with no
-    leading zero, so each K has one name; (name, None) otherwise."""
-    if name.startswith("recall@"):
+def _parse_metrics(names, allowed) -> list[tuple[str, str, int | None]]:
+    """(name, kind, K) per name: (name, "recall", K) for recall@K, K in plain
+    digits with no leading zero, so each K has one name; (name, name, None)
+    otherwise. A name given twice is a ConfigError."""
+    parsed = []
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"metric {name!r} is named twice")
         match = re.fullmatch(r"recall@([1-9][0-9]*)", name)
-        if match is None:
+        if match is not None:
+            parsed.append((name, "recall", int(match[1])))
+        elif name.startswith("recall@"):
             raise ConfigError(f"bad metric name {name!r}")
-        return "recall", int(match[1])
-    if name in allowed:
-        return name, None
-    raise ConfigError(f"unknown metric {name!r}")
+        elif name not in allowed:
+            raise ConfigError(f"unknown metric {name!r}")
+        else:
+            parsed.append((name, name, None))
+    return parsed
 
 
 def _load_inputs(features_path, labels_path=None, anchors_path=None, truth_path=None, logits_path=None):
@@ -242,7 +248,6 @@ def _no_propagation() -> dict:
         "converged": True,
         "functional_trace": [],
         "degenerate_rows": [],
-        "isolated_rows": [],
         "notes": [],
     }
 
@@ -270,7 +275,6 @@ def _propagate(w, anchors: LabelSet, logits, cfg: RunConfig):
         info["degenerate_rows"] = list(trace.degenerate_rows)
     elif cfg.method == "label_spreading":
         x, meta = label_spreading(w, anchors, alpha=cfg.alpha, **loop)
-        info["isolated_rows"] = meta["isolated"]
     else:
         x, meta = label_propagation(w, anchors, **loop)
     info.update(iterations_used=meta["iterations"], converged=meta["converged"])
@@ -289,7 +293,7 @@ def _score(names, allowed, data, truth, pred, num_classes, skipped, seed=0, assi
     ``assignment`` is a run's n x m matrix; without one (``eval``) nmi
     clusters ``data`` with ``kmeans(..., seed)``, one cluster per truth class.
     """
-    parsed = [(name, *_parse_metric(name, allowed)) for name in names]
+    parsed = _parse_metrics(names, allowed)
     rows = np.flatnonzero(truth != UNLABELED)
     scored = rows[pred[rows] != UNLABELED]
     ks = sorted({k for _, kind, k in parsed if kind == "recall"})
@@ -316,7 +320,9 @@ def _score(names, allowed, data, truth, pred, num_classes, skipped, seed=0, assi
     return values, notes
 
 
-def _report(metrics, config, classes, num_samples, notes, num_anchors=0, zero_variance=(), info=None) -> dict:
+def _report(
+    metrics, config, classes, num_samples, notes, num_anchors=0, zero_variance=(), orphans=(), info=None
+) -> dict:
     """The report.json payload of a run or an eval; ``info`` is what
     ``_propagate`` returned. Raises NonFinite for a non-finite metric."""
     for name, value in metrics.items():
@@ -336,7 +342,7 @@ def _report(metrics, config, classes, num_samples, notes, num_anchors=0, zero_va
         "warnings": {
             "zero_variance_samples": list(zero_variance),
             "degenerate_rows": info["degenerate_rows"],
-            "isolated_rows": info["isolated_rows"],
+            "unreached_rows": [int(i) for i in orphans],
             "notes": notes,
         },
     }
@@ -358,9 +364,12 @@ def run_pipeline(cfg: RunConfig) -> tuple[Path, dict]:
         raise ConfigError("anchor set is empty")
 
     w, zero_variance = _build_similarity(features, cfg)
+    orphans = unreached(w, anchors)
     assignment, info = _propagate(w, anchors, logits, cfg)
+    assignment[orphans] = 1.0 / m
 
     pred = argmax_decode(assignment)
+    pred[orphans] = UNLABELED
     if truth is None:
         metric_values, notes = {}, ["metrics skipped: no truth file supplied"] if cfg.metrics else []
     else:
@@ -368,11 +377,15 @@ def run_pipeline(cfg: RunConfig) -> tuple[Path, dict]:
         if cfg.method == "group_loss" and "cross_entropy" not in names:
             names += ("cross_entropy",)
         held_out = np.where(anchors.labeled_mask(), UNLABELED, pred)
+        skipped = "no held-out labeled rows"
+        if np.any((truth != UNLABELED) & ~anchors.labeled_mask()):
+            skipped = "every held-out labeled row is unreached"
         metric_values, notes = _score(
-            names, RUN_METRICS, features.data, truth, held_out, len(classes), "no held-out labeled rows",
-            assignment=assignment,
+            names, RUN_METRICS, features.data, truth, held_out, len(classes), skipped, assignment=assignment
         )
     notes += info["notes"]
+    if orphans.size:
+        notes.append(f"samples with no graph path to an anchor: {orphans.size} (uniform rows, no predicted label)")
     if len(classes) > m:
         notes.append(f"classes only in the truth file are never predicted: {', '.join(classes[m:])}")
     if features.dim == 2:
@@ -381,10 +394,11 @@ def run_pipeline(cfg: RunConfig) -> tuple[Path, dict]:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     predictions_path = out_dir / "predictions.csv"
-    write_predictions_csv(predictions_path, features.ids, [classes[c] for c in pred], assignment)
+    predicted = ["" if c == UNLABELED else classes[c] for c in pred]
+    write_predictions_csv(predictions_path, features.ids, predicted, assignment)
 
     config = asdict(cfg) | {"metrics": list(cfg.metrics)}
-    report = _report(metric_values, config, classes[:m], features.n, notes, num_anchors, zero_variance, info)
+    report = _report(metric_values, config, classes[:m], features.n, notes, num_anchors, zero_variance, orphans, info)
     write_report_json(out_dir / "report.json", report)
     return predictions_path, report
 
@@ -406,8 +420,7 @@ def run_eval(
     no truth row. The comment above ``RUN_METRICS`` states the rows.
     """
     seed = _integer("seed", seed)
-    for name in metric_names:
-        _parse_metric(name, EVAL_METRICS)
+    _parse_metrics(metric_names, EVAL_METRICS)
     features, pred, _, truth, classes, *_ = _load_inputs(features_path, labels_path, truth_path=truth_path)
     rows = np.flatnonzero(truth != UNLABELED)
     if rows.size == 0:

@@ -166,3 +166,16 @@ def test_every_propagator_rejects_a_negative_weight(name, form):
     with pytest.raises(DataError, match="^similarity weights must be non-negative$"):
         PROPAGATORS[name](w)
     PROPAGATORS[name](np.abs(w))  # the same graph with that weight flipped is accepted
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("form", ["dense", "csr"])
+@pytest.mark.parametrize("name", sorted(PROPAGATORS))
+def test_every_propagator_rejects_a_non_finite_weight(name, form, bad):
+    """NaN passes a ``< 0`` check, and ``inf * 0`` is NaN in a product with
+    the reachability frontier, so both are rejected before any step."""
+    w = np.abs(NEGATIVE_W)
+    w[1, 2] = bad
+    w = w if form == "dense" else sparse.csr_array(w)
+    with pytest.raises(NonFinite, match="^similarity weights must be finite$"):
+        PROPAGATORS[name](w)

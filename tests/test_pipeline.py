@@ -1,3 +1,4 @@
+import csv
 import inspect
 import json
 import re
@@ -761,13 +762,13 @@ class TestCli:
                 run_eval(tmp_path / "missing.csv", tmp_path / "missing.csv", seed=value, out_dir=str(tmp_path / "out"))
 
     def test_exit_code_numerical_error(self, tmp_path):
-        # two disconnected pairs, harmonic labeling with one side unlabeled:
-        # the unlabeled component has no labeled attachment
+        # a sample near the float64 range overflows its centring, so its
+        # Pearson row is NaN, which the graph check rejects
         fpath = tmp_path / "f.csv"
         fpath.write_text(
             "id,f0,f1,f2\n"
-            "a,1,2,3\nb,1,2,3.01\n"  # tight pair, anti-correlated with c,d
-            "c,3,2,1\nd,3,2,1.01\n"
+            "a,1.7e308,-1.7e308,-1.7e308\n"
+            "b,3,2,1\nc,1,2,3.5\nd,3,2,1.2\n"
         )
         lpath = tmp_path / "l.csv"
         lpath.write_text("id,label\na,x\nb,y\nc,\nd,\n")
@@ -777,3 +778,99 @@ class TestCli:
             "--seed", "0", "--out-dir", str(tmp_path / "out"),
         )
         assert r.returncode == 3, r.stderr
+        assert r.stderr.splitlines()[-1] == "numerical error: similarity weights must be finite"
+
+    @pytest.mark.parametrize("command, names", [
+        ("run", "accuracy,accuracy"), ("run", "recall@1,macro_f1,recall@1"), ("eval", "nmi,nmi"),
+    ])
+    def test_repeated_metric_is_a_config_error(self, tmp_path, capsys, command, names):
+        """Raised by RunConfig and run_eval before any file is read: the
+        input files do not exist."""
+        missing = str(tmp_path / "missing.csv")
+        flags = ["--method", "gtg", "--anchor-fraction", "0.5"] if command == "run" else ["--truth", missing]
+        argv = [command, "--features", missing, *flags, "--metrics", names, "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: metric {names.split(',')[-1]!r} is named twice\n"
+        assert not (tmp_path / "out").exists()
+
+
+class TestUnreachedRows:
+    """A vertex with no graph path to an anchor gets the same outcome from
+    every method: the uniform row, no predicted label, a place in
+    ``warnings.unreached_rows``, one note, and no score."""
+
+    @staticmethod
+    def write_dataset(root, constant_row):
+        """4 blobs of 60 (d=16, sigma 2.5, seed 3), with 3 anchors in each of
+        blob0-blob2 and none in blob3: the clamped k=10 graph has one
+        component per blob. A constant row (truth blob0) correlates 0 with
+        every sample, so it is isolated in the clamped dense graph."""
+        features, labels = make_synthetic(BlobSpec(blobs=4, per_blob=60, dim=16, stddev=2.5), seed=3)
+        names = [f"blob{c}" for c in labels.labels]
+        if constant_row:
+            features = FeatureSet(np.vstack([features.data, np.full(16, 0.5)]), features.ids + ("const",))
+            names.append("blob0")
+        paths = {name: root / f"{name}.csv" for name in ("features", "labels", "anchors")}
+        write_features_csv(paths["features"], features)
+        write_labels_csv(paths["labels"], features.ids, names)
+        picks = [i for c in range(3) for i in np.flatnonzero(labels.labels == c)[:3]]
+        write_labels_csv(paths["anchors"], [features.ids[i] for i in picks], [names[i] for i in picks])
+        return paths, picks, names
+
+    @staticmethod
+    def read_predictions(path):
+        with open(path, newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    @pytest.mark.parametrize("knn", [10, None])
+    def test_every_method_gives_the_same_outcome(self, tmp_path, knn):
+        """--knn 10 leaves blob3 unreached, the dense graph the constant row."""
+        paths, picks, names = self.write_dataset(tmp_path, constant_row=knn is None)
+        expected = list(range(180, 240)) if knn else [240]
+        note = f"samples with no graph path to an anchor: {len(expected)} (uniform rows, no predicted label)"
+        knn_flag = ["--knn", str(knn)] if knn else []
+        for method in pipeline.METHODS:
+            out = tmp_path / method
+            assert main([
+                "run", "--features", str(paths["features"]), "--labels", str(paths["labels"]),
+                "--truth", str(paths["labels"]), "--anchors-file", str(paths["anchors"]),
+                "--method", method, *knn_flag, "--metrics", "accuracy", "--out-dir", str(out),
+            ]) == 0, method
+            report = json.loads((out / "report.json").read_text())
+            assert report["warnings"]["unreached_rows"] == expected, method
+            assert [n for n in report["warnings"]["notes"] if "graph path" in n] == [note], method
+            rows = self.read_predictions(out / "predictions.csv")
+            for i in expected:
+                assert rows[i]["predicted_label"] == "", method
+                assert [rows[i][f"p_{j}"] for j in range(4)] == ["0.25"] * 4, method
+                assert rows[i]["confidence"] == "0.25", method
+            reached = [i for i in range(len(names)) if i not in expected]
+            assert all(rows[i]["predicted_label"] for i in reached), method
+            # accuracy scores the reached held-out rows only
+            held_out = [i for i in reached if i not in picks]
+            correct = sum(rows[i]["predicted_label"] == names[i] for i in held_out)
+            assert report["metrics"]["accuracy"] == pytest.approx(correct / len(held_out)), method
+
+        # with truth only on unreached rows, no metric has a row to score
+        write_labels_csv(tmp_path / "orphan_truth.csv", [rows[i]["id"] for i in expected], [names[i] for i in expected])
+        assert main([
+            "run", "--features", str(paths["features"]), "--truth", str(tmp_path / "orphan_truth.csv"),
+            "--anchors-file", str(paths["anchors"]), "--labels", str(paths["labels"]), "--method", "gtg",
+            *knn_flag, "--metrics", "accuracy", "--out-dir", str(tmp_path / "orphan_truth"),
+        ]) == 0
+        report = json.loads((tmp_path / "orphan_truth" / "report.json").read_text())
+        assert report["metrics"] == {}
+        assert report["warnings"]["notes"][0] == "metric accuracy skipped: every held-out labeled row is unreached"
+
+        # eval skips the rows the predictions file leaves blank
+        assert main([
+            "eval", "--features", str(paths["features"]), "--truth", str(paths["labels"]),
+            "--labels", str(tmp_path / "gtg" / "predictions.csv"), "--metrics", "accuracy",
+            "--out-dir", str(tmp_path / "ev"),
+        ]) == 0
+        rows = self.read_predictions(tmp_path / "gtg" / "predictions.csv")
+        scored = [i for i, row in enumerate(rows) if row["predicted_label"]]
+        correct = sum(rows[i]["predicted_label"] == names[i] for i in scored)
+        report = json.loads((tmp_path / "ev" / "report.json").read_text())
+        assert report["metrics"]["accuracy"] == pytest.approx(correct / len(scored))
+        assert len(scored) == len(names) - len(expected)
