@@ -233,14 +233,15 @@ class TestLabeledComponents:
         padded.data[padded.data == 2.0] = 0.0
         return w, sparse.csr_array(w), padded
 
-    def test_random_graphs_match_connected_components(self):
-        """Symmetric and asymmetric graphs, with weights from subnormal to
-        near the float64 maximum: a product with the 0/1 frontier is
-        positive exactly where an edge meets it."""
+    @pytest.mark.parametrize("n_max", [1, 3, 256])
+    def test_random_graphs_match_connected_components(self, n_max):
+        """Symmetric and asymmetric graphs of 1 to ``n_max`` vertices, with
+        weights from subnormal to near the float64 maximum: a product with
+        the 0/1 frontier is positive exactly where an edge meets it."""
         rng = np.random.default_rng(301)
         verdicts = set()
         for _ in range(300):
-            n = int(rng.integers(1, 40))
+            n = int(rng.integers(1, n_max + 1))
             density = rng.choice([0.0, 0.02, 0.05, 0.1, 0.3])
             scale = rng.choice([1e-310, 1.0, 1e300])
             w = np.where(rng.random((n, n)) < density, scale * rng.uniform(0.1, 1.0, (n, n)), 0.0)
