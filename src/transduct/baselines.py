@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FeatureSet, LabelSet, check_graph, check_settings, is_sparse, iterate, normalize_rows, unreached
+from .core import LabelSet, check_graph, check_settings, feature_data, is_sparse, iterate, normalize_rows, unreached
 from .errors import DataError, OutOfRange
 from .priors import inject_anchors
 
@@ -194,7 +194,7 @@ def kmeans(features, k: int, seed: int = 0) -> np.ndarray:
     from (seed, r) and the winner is the lowest (WCSS, restart index)
     pair.
     """
-    points = features.data if isinstance(features, FeatureSet) else np.asarray(features, dtype=np.float64)
+    points = feature_data(features)
     n = points.shape[0]
     if not 1 <= k <= n:
         raise OutOfRange(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")

@@ -58,6 +58,13 @@ class FeatureSet:
         return self.data.shape[1]
 
 
+def feature_data(features) -> np.ndarray:
+    """The ``n x d`` matrix of a FeatureSet, or a bare array as float64."""
+    if isinstance(features, FeatureSet):
+        return features.data
+    return np.asarray(features, dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class LabelSet:
     """Per-sample class indices in ``[0, num_classes)`` or UNLABELED."""

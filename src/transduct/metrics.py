@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .core import FeatureSet
+from .core import feature_data
 from .errors import EmptyInput, InsufficientSamples, LengthMismatch
 from .similarity import BLOCK_ROWS, top_k
 
@@ -108,7 +108,7 @@ def recall_at_k(features, truth, ks) -> dict[int, float]:
     queries at a time and only each query's max(ks) nearest are kept, so
     every K is scored from one pass without an ``n x n`` matrix.
     """
-    data = features.data if isinstance(features, FeatureSet) else np.asarray(features, dtype=np.float64)
+    data = feature_data(features)
     truth = np.asarray(truth, dtype=np.int64)
     ks = [int(k) for k in ks]
     if truth.shape[0] != data.shape[0]:

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import FeatureSet
+from .core import feature_data
 from .errors import ConfigError, NonFinite, OutOfRange, ShapeMismatch
 
 if TYPE_CHECKING:
@@ -23,18 +23,13 @@ if TYPE_CHECKING:
 BLOCK_ROWS = 256
 
 
-def _as_data(features) -> np.ndarray:
-    if isinstance(features, FeatureSet):
-        return features.data
-    return np.asarray(features, dtype=np.float64)
-
-
 def _standardize(features) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample z-scores over the d coordinates, plus the indices of
     the zero-variance samples: those whose coordinates are all equal (or
     whose deviations square to a variance of 0). Their z rows are exactly
-    +0.0, so both graph builders read 0 for every correlation with them."""
-    data = _as_data(features)
+    +0.0, so both graph builders read 0 for every correlation with them.
+    A row whose centring or variance overflows float64 raises NonFinite."""
+    data = feature_data(features)
     if data.ndim != 2:
         raise ShapeMismatch("feature matrix must be 2-d")
     n, d = data.shape
@@ -43,10 +38,15 @@ def _standardize(features) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(data)):
         raise NonFinite("feature matrix contains non-finite entries")
 
-    centered = data - data.mean(axis=1, keepdims=True)
-    # population normalization (divide by d); the ratio is normalization
-    # invariant but fixing it keeps tests bit-stable
-    var = np.mean(centered**2, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = data - data.mean(axis=1, keepdims=True)
+        # population normalization (divide by d); the ratio is normalization
+        # invariant but fixing it keeps tests bit-stable
+        var = np.mean(centered**2, axis=1)
+    # an overflow anywhere in a row leaves its variance inf or NaN
+    overflowed = np.flatnonzero(~np.isfinite(var))
+    if overflowed.size:
+        raise NonFinite(f"feature row {overflowed[0]} overflows float64 when centred")
     # a constant row's rounded mean can centre it to a nonzero constant
     flat = (np.ptp(data, axis=1) == 0) | (var == 0)
     z = centered / np.sqrt(np.where(flat, 1.0, var))[:, None]

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import inspect
 import json
 import re
@@ -34,7 +36,7 @@ from transduct.errors import (
     ParseError,
     UnknownId,
 )
-from transduct import pipeline
+from transduct import cli, pipeline
 from transduct.cli import main
 from transduct.io import (
     read_features_csv,
@@ -761,24 +763,23 @@ class TestCli:
             else:
                 run_eval(tmp_path / "missing.csv", tmp_path / "missing.csv", seed=value, out_dir=str(tmp_path / "out"))
 
-    def test_exit_code_numerical_error(self, tmp_path):
-        # a sample near the float64 range overflows its centring, so its
-        # Pearson row is NaN, which the graph check rejects
+    @pytest.mark.parametrize("row", ["1.7e308,-1.7e308,-1.7e308", "1e200,-1e200,0"], ids=["centring", "variance"])
+    @pytest.mark.parametrize("graph", [[], ["--knn", "2"]], ids=["dense", "knn"])
+    def test_exit_code_numerical_error(self, tmp_path, graph, row):
+        """A sample near the float64 range overflows its centring (the first
+        row) or its variance (the second); both graph builders reject it
+        with one line and no numpy warning."""
         fpath = tmp_path / "f.csv"
-        fpath.write_text(
-            "id,f0,f1,f2\n"
-            "a,1.7e308,-1.7e308,-1.7e308\n"
-            "b,3,2,1\nc,1,2,3.5\nd,3,2,1.2\n"
-        )
+        fpath.write_text(f"id,f0,f1,f2\na,3,2,1\nb,{row}\nc,1,2,3.5\nd,3,2,1.2\n")
         lpath = tmp_path / "l.csv"
         lpath.write_text("id,label\na,x\nb,y\nc,\nd,\n")
         r = self.run_cli(
             "run", "--features", str(fpath), "--labels", str(lpath),
-            "--method", "harmonic", "--anchor-fraction", "1.0",
+            "--method", "harmonic", "--anchor-fraction", "1.0", *graph,
             "--seed", "0", "--out-dir", str(tmp_path / "out"),
         )
         assert r.returncode == 3, r.stderr
-        assert r.stderr.splitlines()[-1] == "numerical error: similarity weights must be finite"
+        assert r.stderr.splitlines() == ["numerical error: feature row 1 overflows float64 when centred"]
 
     @pytest.mark.parametrize("command, names", [
         ("run", "accuracy,accuracy"), ("run", "recall@1,macro_f1,recall@1"), ("eval", "nmi,nmi"),
@@ -792,6 +793,53 @@ class TestCli:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"config error: metric {names.split(',')[-1]!r} is named twice\n"
         assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def subparser(command):
+        (commands,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        return commands.choices[command]
+
+    @pytest.mark.parametrize("command, names", [
+        ("run", {field.name for field in dataclasses.fields(RunConfig)}),
+        ("eval", set(inspect.signature(run_eval).parameters)),
+        ("synth", {field.name for field in dataclasses.fields(BlobSpec)} | {"seed", "out_dir"}),
+    ], ids=["run", "eval", "synth"])
+    def test_option_dests_are_the_library_names(self, command, names):
+        """Each option stores under the RunConfig field, run_eval parameter
+        or BlobSpec field it sets, so the CLI passes them on unrenamed."""
+        assert {action.dest for action in self.subparser(command)._actions} - {"help"} == names
+
+    def test_synth_defaults_match_the_library(self, tmp_path, monkeypatch):
+        """``synth`` with no flags writes BlobSpec()'s data at seed 0 into
+        the working directory."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth"]) == 0
+        (tmp_path / "lib").mkdir()
+        features, labels = make_synthetic(BlobSpec(), 0)
+        write_features_csv(tmp_path / "lib" / "features.csv", features)
+        write_labels_csv(tmp_path / "lib" / "labels.csv", features.ids, [f"blob{c}" for c in labels.labels])
+        for name in ("features.csv", "labels.csv"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / "lib" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command, flags", [
+        (None, ["run", "synth", "eval"]),
+        ("run", ["--features", "--labels", "--truth", "--method", "--anchor-fraction", "--anchors-file",
+                 "--negative-handling", "--knn", "--logits", "--temperature", "--max-iters", "--tol", "--alpha",
+                 "--seed", "--out-dir", "--metrics"]),
+        ("eval", ["--features", "--truth", "--labels", "--metrics", "--seed", "--out-dir"]),
+        ("synth", ["--blobs", "--per-blob", "--dim", "--separation", "--stddev", "--seed", "--out-dir"]),
+    ], ids=["transduct", "run", "eval", "synth"])
+    def test_help_lists_every_flag(self, capsys, command, flags):
+        """``--help`` works with every default suppressed and lists exactly
+        the command's flags (the subcommands for ``transduct`` itself)."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"] if command else ["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        if command:
+            assert set(re.findall(r"--[a-z-]+", out)) == {"--help", *flags}
+        else:
+            assert "{" + ",".join(flags) + "}" in out
 
 
 class TestUnreachedRows:
