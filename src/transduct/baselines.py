@@ -11,10 +11,12 @@ graphs both converge to the same harmonic labeling.
 """
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
-from .core import LabelSet, check_graph, check_settings, feature_data, is_sparse, iterate, normalize_rows, unreached
-from .errors import DataError, OutOfRange
+from .core import LabelSet, check_graph, check_settings, feature_data, is_sparse, iterate, normalize_rows, squared_norms, unreached
+from .errors import DataError, NumericalError, OutOfRange
 from .priors import inject_anchors
 
 
@@ -62,9 +64,12 @@ def harmonic_function(w, labels: LabelSet) -> np.ndarray:
     Labeled rows are their one-hot labels; every unlabeled row solves
     (D_uu - W_uu) f_u = W_ul Y_l, i.e. equals the weighted average of its
     neighbors' rows. The system is solved only on the unlabeled vertices
-    with a path to a labeled one, where it is nonsingular; the rows of
-    the others (``core.unreached``) are uniform. A dense graph is solved
-    densely, a CSR graph with a sparse LU (``spsolve``).
+    with a path to a labeled one; the rows of the others
+    (``core.unreached``) are uniform. A dense graph is solved densely, a
+    CSR graph with a sparse LU (``spsolve``). On a symmetric graph the
+    system is nonsingular. An asymmetric one can leave a reached vertex
+    without an out-edge path to a labeled one, and an exactly singular
+    system raises NumericalError.
     """
     w = check_graph(w, labels.labels.shape[0], "label vector")
     if labels.labeled_indices().size == 0:
@@ -79,20 +84,31 @@ def harmonic_function(w, labels: LabelSet) -> np.ndarray:
         w_uu = w[np.ix_(u, u)]
         w_ul = w[np.ix_(u, l)]
         deg = w.sum(axis=1)[u]
+        singular = "harmonic labeling: the grounded Laplacian is singular"
         if is_sparse(w):
             from scipy import sparse
-            from scipy.sparse.linalg import spsolve
+            from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
             laplacian_uu = (sparse.diags_array(deg) - w_uu).tocsc()
-            # the system is symmetric: a minimum-degree ordering of A^T + A
-            # fills in far less than spsolve's default COLAMD (about 3x
-            # faster on a 10k-sample k=10 graph)
-            out[u] = spsolve(laplacian_uu, w_ul @ out[l], permc_spec="MMD_AT_PLUS_A").reshape(u.size, -1)
+            with warnings.catch_warnings():
+                # spsolve warns and returns NaN rows for a singular system
+                warnings.simplefilter("error", MatrixRankWarning)
+                try:
+                    # the pipeline's graphs are symmetric: a minimum-degree
+                    # ordering of A^T + A fills in far less than spsolve's
+                    # default COLAMD (about 3x faster on a 10k-sample k=10 graph)
+                    solved = spsolve(laplacian_uu, w_ul @ out[l], permc_spec="MMD_AT_PLUS_A")
+                except MatrixRankWarning:
+                    raise NumericalError(singular) from None
+            out[u] = solved.reshape(u.size, -1)
         else:
             # D_uu - W_uu in the one u x u copy; 0 - w keeps zeros at +0
             laplacian_uu = np.subtract(0.0, w_uu, out=w_uu)
             laplacian_uu.flat[:: u.size + 1] += deg
-            out[u] = np.linalg.solve(laplacian_uu, w_ul @ out[l])
+            try:
+                out[u] = np.linalg.solve(laplacian_uu, w_ul @ out[l])
+            except np.linalg.LinAlgError:
+                raise NumericalError(singular) from None
     return out
 
 
@@ -192,12 +208,14 @@ def kmeans(features, k: int, seed: int = 0) -> np.ndarray:
 
     Deterministic given ``seed``: restart r uses its own generator seeded
     from (seed, r) and the winner is the lowest (WCSS, restart index)
-    pair.
+    pair. Values so large that a distance could overflow raise NonFinite
+    (``core.squared_norms``).
     """
     points = feature_data(features)
     n = points.shape[0]
     if not 1 <= k <= n:
         raise OutOfRange(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    squared_norms(points)
     best = None
     for restart in range(KMEANS_RESTARTS):
         rng = np.random.default_rng([seed, restart])

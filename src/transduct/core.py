@@ -65,6 +65,22 @@ def feature_data(features) -> np.ndarray:
     return np.asarray(features, dtype=np.float64)
 
 
+def squared_norms(data) -> np.ndarray:
+    """Each row's squared Euclidean norm, for the Euclidean metrics.
+
+    Raises NonFinite unless 8 n times the largest one is finite: a squared
+    distance between two rows, or to a mean of rows, is at most 4 times
+    the larger squared norm, k-means sums n of them, and the factor 2
+    leaves room for rounding. So no distance or sum of them overflows.
+    """
+    with np.errstate(over="ignore"):
+        sq = np.sum(data**2, axis=1)
+        fits = 8.0 * data.shape[0] * sq < np.finfo(np.float64).max
+    if not fits.all():
+        raise NonFinite("feature values too large: squared distances overflow float64")
+    return sq
+
+
 @dataclass(frozen=True)
 class LabelSet:
     """Per-sample class indices in ``[0, num_classes)`` or UNLABELED."""

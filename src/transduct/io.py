@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -20,8 +21,21 @@ from .core import FeatureSet
 from .errors import DataError, DimensionMismatch, DuplicateId, ParseError
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+#: Feature rows parsed per ``np.loadtxt`` call: enough to amortise the
+#: call, few enough that a block's text and rows stay small next to the
+#: parsed matrix.
+PARSE_BLOCK_ROWS = 256
+#: A features file with any of these goes through the ``csv`` module: a
+#: quote changes how it splits fields, ``_split_lines`` strips only
+#: ``\n`` and ``\r\n`` line ends, and ``np.loadtxt`` strips the separators
+#: \x1c-\x1f around a number where ``float()`` rejects it.
+_CSV_ONLY = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _row_format(width: int) -> str:
+    """A %-format for ``width`` comma-separated floats; ``"%.17g" % v`` is
+    the string ``format(v, ".17g")`` gives."""
+    return ",".join(["%.17g"] * width)
 
 
 @contextmanager
@@ -56,44 +70,135 @@ def _atomic_write(path, newline=None):
         raise
 
 
-def read_features_csv(path) -> FeatureSet:
-    """Parse `id,f0,f1,...` rows into a FeatureSet; a NaN or infinite
-    value is a ParseError naming its line."""
-    path = Path(path)
+class _NeedsCsv(Exception):
+    """A features file that only the ``csv`` module splits correctly."""
+
+
+def _split_lines(fh):
+    """Each line of ``fh`` as ``(first field, number of fields, the text
+    after the first comma)``, or None for a blank line: the fields the
+    ``csv`` module reads from a line without quotes. Raises _NeedsCsv at
+    a line with a character of ``_CSV_ONLY``."""
+    for line in fh:
+        body = line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
+        if any(map(body.__contains__, _CSV_ONLY)):
+            raise _NeedsCsv
+        if not body:
+            yield None
+            continue
+        first, comma, rest = body.partition(",")
+        yield first, rest.count(",") + 2 if comma else 1, rest
+
+
+def _csv_records(fh):
+    """``_split_lines``'s records from the ``csv`` module; the values
+    are the list of fields after the first."""
+    for row in csv.reader(fh):
+        yield (row[0], len(row), row[1:]) if row else None
+
+
+def _parse_block(path, values, lines) -> np.ndarray:
+    """One float64 row per entry of ``values``, each value parsed exactly
+    as ``float()`` parses it; a value it rejects is a ParseError naming
+    its line.
+
+    An entry is either a row's text after the id (``_split_lines``),
+    which ``np.loadtxt`` parses in one C call that rounds as ``float()``
+    does, or its list of fields (``_csv_records``). ``loadtxt`` rejects
+    some text ``float()`` reads, such as ``1_0`` or non-ASCII digits, and
+    skips a row whose text is blank; such a block is parsed again one
+    value at a time.
+    """
+    if isinstance(values[0], str):
+        try:
+            with warnings.catch_warnings():
+                # a block of blank rows warns "input contained no data"
+                warnings.simplefilter("ignore", UserWarning)
+                block = np.loadtxt(values, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if block.shape[0] == len(values):
+                return block
+        values = [text.split(",") for text in values]
+    rows = []
+    for fields, lineno in zip(values, lines):
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError as exc:
+            raise ParseError(path, lineno, f"bad float: {exc}") from None
+    return np.array(rows, dtype=np.float64)
+
+
+def _read_records(path, records) -> FeatureSet:
+    """The FeatureSet of a header record and the row records after it.
+
+    Errors come in file order: each row's width and id are checked as it
+    is read, and the pending block of values is parsed before any later
+    error is raised, including undecodable bytes further on.
+    """
+    header = next(records, None)
+    if not header or header[0] != "id" or header[1] < 2:
+        raise ParseError(path, 1, "expected header 'id,f0,f1,...'")
+    width = header[1] - 1
     ids: list[str] = []
-    rows: list[list[float]] = []
     lines: list[int] = []
     seen: set[str] = set()
-    with _open_utf8(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "id" or len(header) < 2:
-            raise ParseError(path, 1, "expected header 'id,f0,f1,...'")
-        width = len(header) - 1
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+    pending: list = []
+    blocks: list[np.ndarray] = []
+
+    def parse_pending():
+        if pending:
+            blocks.append(_parse_block(path, pending, lines[-len(pending):]))
+            pending.clear()
+
+    try:
+        for lineno, record in enumerate(records, start=2):
+            if record is None:
                 continue
-            if len(row) - 1 != width:
-                raise DimensionMismatch(
-                    f"{path}:{lineno}: row has {len(row) - 1} features, header declares {width}"
-                )
-            sample_id = row[0]
+            sample_id, fields, values = record
+            if fields - 1 != width:
+                parse_pending()
+                raise DimensionMismatch(f"{path}:{lineno}: row has {fields - 1} features, header declares {width}")
             if sample_id in seen:
+                parse_pending()
                 raise DuplicateId(f"{path}:{lineno}: duplicate id {sample_id!r}")
             seen.add(sample_id)
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise ParseError(path, lineno, f"bad float: {exc}") from None
             ids.append(sample_id)
             lines.append(lineno)
-    if not rows:
+            pending.append(values)
+            if len(pending) == PARSE_BLOCK_ROWS:
+                parse_pending()
+    except UnicodeDecodeError:
+        parse_pending()
+        raise
+    parse_pending()
+    if not ids:
         raise ParseError(path, 1, "no data rows")
-    data = np.array(rows)
+    data = np.concatenate(blocks)
+    blocks.clear()  # FeatureSet copies ``data``: hold two copies, not three
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         raise ParseError(path, lines[int(np.argmin(finite))], "value is NaN or infinite")
     return FeatureSet(data, tuple(ids))
+
+
+def read_features_csv(path) -> FeatureSet:
+    """Parse `id,f0,f1,...` rows into a FeatureSet.
+
+    Each value parses exactly as ``float()`` parses it, and ids may be
+    quoted as the ``csv`` module quotes them. A value ``float()`` rejects,
+    or a NaN or infinite one, is a ParseError naming its line. The file
+    is read one line at a time; a file with a quote, or another character
+    of ``_CSV_ONLY``, goes through the ``csv`` module instead.
+    """
+    path = Path(path)
+    with _open_utf8(path) as fh:
+        try:
+            return _read_records(path, _split_lines(fh))
+        except _NeedsCsv:
+            fh.seek(0)
+            return _read_records(path, _csv_records(fh))
 
 
 def read_label_pairs(path) -> list[tuple[str, str | None]]:
@@ -127,11 +232,12 @@ def read_label_pairs(path) -> list[tuple[str, str | None]]:
 
 
 def write_features_csv(path, features: FeatureSet) -> None:
+    row_format = _row_format(features.dim)
     with _atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id"] + [f"f{j}" for j in range(features.dim)])
-        for i, sample_id in enumerate(features.ids):
-            writer.writerow([sample_id] + [_fmt(v) for v in features.data[i]])
+        for sample_id, row in zip(features.ids, features.data):
+            writer.writerow([sample_id, *(row_format % tuple(row.tolist())).split(",")])
 
 
 def write_labels_csv(path, ids, label_names) -> None:
@@ -150,13 +256,15 @@ def write_predictions_csv(path, ids, predicted_names, assignment) -> None:
     """
     assignment = np.asarray(assignment, dtype=np.float64)
     m = assignment.shape[1]
+    row_format = _row_format(m + 1)
+    confidence = assignment.max(axis=1).tolist()
+    rows = assignment.tolist()
     with _atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "predicted_label", "confidence"] + [f"p_{j}" for j in range(m)])
         for i, sample_id in enumerate(ids):
-            row = [sample_id, predicted_names[i], _fmt(assignment[i].max())]
-            row += [_fmt(v) for v in assignment[i]]
-            writer.writerow(row)
+            text = row_format % (confidence[i], *rows[i])
+            writer.writerow([sample_id, predicted_names[i], *text.split(",")])
 
 
 def write_report_json(path, report: dict) -> None:

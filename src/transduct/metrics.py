@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .core import feature_data
+from .core import feature_data, squared_norms
 from .errors import EmptyInput, InsufficientSamples, LengthMismatch
 from .similarity import BLOCK_ROWS, top_k
 
@@ -106,7 +106,9 @@ def recall_at_k(features, truth, ks) -> dict[int, float]:
     scores 1 for a given K if any of its K nearest neighbors shares its
     class. Exact search: squared distances are computed one block of
     queries at a time and only each query's max(ks) nearest are kept, so
-    every K is scored from one pass without an ``n x n`` matrix.
+    every K is scored from one pass without an ``n x n`` matrix. Values
+    so large that a distance could overflow raise NonFinite
+    (``core.squared_norms``).
     """
     data = feature_data(features)
     truth = np.asarray(truth, dtype=np.int64)
@@ -118,7 +120,7 @@ def recall_at_k(features, truth, ks) -> dict[int, float]:
     n = data.shape[0]
     if n < max(ks) + 1:
         raise InsufficientSamples(f"need at least {max(ks) + 1} samples for K={max(ks)}")
-    sq = np.sum(data**2, axis=1)
+    sq = squared_norms(data)
     hits = np.empty((n, max(ks)), dtype=bool)
     for start in range(0, n, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n)

@@ -18,7 +18,7 @@ from transduct import (
 )
 from transduct.baselines import lloyd
 from transduct.core import unreached
-from transduct.errors import ConfigError, DataError
+from transduct.errors import ConfigError, DataError, NumericalError
 
 from oracles import label_spreading_closed_form
 
@@ -114,6 +114,16 @@ class TestHarmonicFunction:
         w[3, 4] = w[4, 3] = 1.0
         x = harmonic_function(w, LabelSet(2, [0, -1, -1, -1, -1]))
         np.testing.assert_array_equal(x, [[1, 0], [1, 0], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("form", [np.asarray, sparse.csr_array], ids=["dense", "csr"])
+    def test_singular_asymmetric_system_is_a_numerical_error(self, form):
+        """Vertex 1 is reached only by the edge 0 -> 1 and has no edge out,
+        so its row of the grounded Laplacian is zero: numpy's LinAlgError
+        (dense) or spsolve's NaN rows and warning (CSR) become one error."""
+        w = np.zeros((3, 3))
+        w[0, 1] = w[0, 2] = w[2, 0] = 1.0
+        with pytest.raises(NumericalError, match="^harmonic labeling: the grounded Laplacian is singular$"):
+            harmonic_function(form(w), LabelSet(2, [0, -1, -1]))
 
     def test_unlabeled_rows_stay_on_simplex(self):
         rng = np.random.default_rng(7)

@@ -781,6 +781,22 @@ class TestCli:
         assert r.returncode == 3, r.stderr
         assert r.stderr.splitlines() == ["numerical error: feature row 1 overflows float64 when centred"]
 
+    @pytest.mark.parametrize("metric", ["recall@1", "nmi"])
+    def test_eval_on_overflowing_features_is_a_numerical_error(self, tmp_path, metric):
+        """recall@K's distances and k-means' (for nmi) would overflow on a
+        sample near the float64 range; both reject it with one line and no
+        numpy warning."""
+        fpath = tmp_path / "f.csv"
+        fpath.write_text("id,f0,f1,f2\na,3,2,1\nb,1.7e308,-1.7e308,-1.7e308\nc,1,2,3.5\nd,3,2,1.2\n")
+        tpath = tmp_path / "t.csv"
+        tpath.write_text("id,label\na,x\nb,y\nc,x\nd,y\n")
+        r = self.run_cli(
+            "eval", "--features", str(fpath), "--truth", str(tpath), "--metrics", metric,
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert r.returncode == 3, r.stderr
+        assert r.stderr.splitlines() == ["numerical error: feature values too large: squared distances overflow float64"]
+
     @pytest.mark.parametrize("command, names", [
         ("run", "accuracy,accuracy"), ("run", "recall@1,macro_f1,recall@1"), ("eval", "nmi,nmi"),
     ])
