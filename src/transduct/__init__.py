@@ -23,13 +23,7 @@ from .core import (
     LabelSet,
     argmax_decode,
 )
-from .dynamics import (
-    DynamicsTrace,
-    consistency_functional,
-    group_loss_value,
-    replicator_step,
-    run_dynamics,
-)
+from .dynamics import DynamicsTrace, group_loss_value, run_dynamics
 from .metrics import accuracy, macro_f1, nmi, recall_at_k
 from .pipeline import RunConfig, run_eval, run_pipeline
 from .priors import inject_anchors, softmax_with_temperature, uniform_prior
@@ -47,7 +41,6 @@ __all__ = [
     "RunConfig",
     "accuracy",
     "argmax_decode",
-    "consistency_functional",
     "errors",
     "group_loss_value",
     "handle_negatives",
@@ -62,7 +55,6 @@ __all__ = [
     "nmi",
     "pearson_matrix",
     "recall_at_k",
-    "replicator_step",
     "run_dynamics",
     "run_eval",
     "run_pipeline",

@@ -30,48 +30,6 @@ class DynamicsTrace:
     degenerate_rows: tuple[int, ...]
 
 
-def _check_shapes(w, x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeMismatch("assignment matrix must be 2-d")
-    return check_graph(w, x.shape[0], "assignment matrix"), x
-
-
-def _refine(x, pi):
-    """One multiplicative reweighting of x by its support pi.
-
-    Rows whose reweighted mass is zero (isolated vertices, or support
-    vanishing on the row's surviving classes) cannot be normalized; they
-    are frozen as-is and reported instead of dividing by zero.
-    """
-    out, degenerate = normalize_rows(x * pi)
-    if degenerate.size:
-        out[degenerate] = x[degenerate]
-    return out, degenerate
-
-
-def replicator_step(w, x) -> tuple[np.ndarray, np.ndarray]:
-    """One discrete replicator update in matrix form.
-
-    Computes X' = Q^{-1} [X (.) WX] where (.) is the Hadamard product and
-    Q holds the row sums of X (.) WX, i.e. each entry is multiplied by its
-    support and the row renormalized. Returns the updated row-stochastic
-    matrix and the indices of degenerate (frozen) rows.
-    """
-    w, x = _check_shapes(w, x)
-    return _refine(x, w @ x)
-
-
-def consistency_functional(w, x) -> float:
-    """Quadratic consistency of an assignment: sum_ij w_ij <x_i, x_j>.
-
-    Rewards similar samples placing mass on the same classes; the
-    replicator update never decreases it for non-negative symmetric W.
-    """
-    w, x = _check_shapes(w, x)
-    return float(np.sum((w @ x) * x))
-
-
 def run_dynamics(
     w,
     x0,
@@ -84,12 +42,14 @@ def run_dynamics(
     assignment by less than ``tolerance`` in L1, or ``max_iterations``
     steps have run.
 
-    The trace records the consistency functional at every visited
-    assignment (including x0 and the final state), the iteration count, a
-    convergence flag and the union of degenerate rows seen. With
-    ``tolerance=0`` exactly ``max_iterations`` steps run and ``converged``
-    is False, since no L1 change is below 0: that is the fixed-step
-    refinement (``group_loss``). Anchored rows are exact fixed points of
+    A step multiplies each entry of X by its support WX and renormalizes
+    the row. The trace records the consistency functional sum_ij w_ij
+    <x_i, x_j> at every visited assignment (x0 through the final state),
+    the iteration count, a convergence flag and the union of degenerate
+    (frozen) rows seen. With ``tolerance=0`` exactly ``max_iterations``
+    steps run and ``converged`` is False, since no L1 change is below 0:
+    that is the fixed-step refinement (``group_loss``), and one step with
+    ``max_iterations=1``. Anchored rows are exact fixed points of
     the update; they are pinned to their one-hot labels at the start
     (``inject_anchors``) and re-pinned after every step anyway, so float
     drift on very long runs cannot move them.
@@ -98,7 +58,10 @@ def run_dynamics(
     iterates and traces.
     """
     check_settings(max_iterations=max_iterations, tolerance=tolerance)
-    w, x = _check_shapes(w, x0)
+    x = np.asarray(x0, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeMismatch("assignment matrix must be 2-d")
+    w = check_graph(w, x.shape[0], "assignment matrix")
     if anchors is not None:
         x = inject_anchors(x, anchors)
         pinned = anchors.labeled_indices()
@@ -109,8 +72,12 @@ def run_dynamics(
     def step(x):
         pi = w @ x
         functional_values.append(float(np.sum(x * pi)))
-        x_next, degen = _refine(x, pi)
-        degenerate.update(int(i) for i in degen)
+        x_next, degen = normalize_rows(x * pi)
+        # a row with no reweighted mass (an isolated vertex, or no support on
+        # its surviving classes) is frozen as-is and reported, not divided by 0
+        if degen.size:
+            x_next[degen] = x[degen]
+            degenerate.update(int(i) for i in degen)
         if anchors is not None:
             x_next[pinned] = onehots
         return x_next

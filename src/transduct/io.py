@@ -90,10 +90,20 @@ def _split_lines(fh):
         yield first, rest.count(",") + 2 if comma else 1, rest
 
 
-def _csv_records(fh):
+def _csv_rows(path, fh):
+    """The rows of ``csv.reader(fh)``; a row it rejects, such as one with a
+    field over the process-global ``csv.field_size_limit()``, is a ParseError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(path, reader.line_num, str(exc)) from None
+
+
+def _csv_records(path, fh):
     """``_split_lines``'s records from the ``csv`` module; the values
     are the list of fields after the first."""
-    for row in csv.reader(fh):
+    for row in _csv_rows(path, fh):
         yield (row[0], len(row), row[1:]) if row else None
 
 
@@ -135,7 +145,7 @@ def _read_records(path, records) -> FeatureSet:
 
     Errors come in file order: each row's width and id are checked as it
     is read, and the pending block of values is parsed before any later
-    error is raised, including undecodable bytes further on.
+    error is raised, even undecodable bytes or an unsplittable row further on.
     """
     header = next(records, None)
     if not header or header[0] != "id" or header[1] < 2:
@@ -149,8 +159,8 @@ def _read_records(path, records) -> FeatureSet:
 
     def parse_pending():
         if pending:
-            blocks.append(_parse_block(path, pending, lines[-len(pending):]))
-            pending.clear()
+            values, pending[:] = pending[:], []  # a failed block is not parsed twice
+            blocks.append(_parse_block(path, values, lines[-len(values):]))
 
     try:
         for lineno, record in enumerate(records, start=2):
@@ -169,7 +179,7 @@ def _read_records(path, records) -> FeatureSet:
             pending.append(values)
             if len(pending) == PARSE_BLOCK_ROWS:
                 parse_pending()
-    except UnicodeDecodeError:
+    except (UnicodeDecodeError, ParseError):
         parse_pending()
         raise
     parse_pending()
@@ -198,7 +208,7 @@ def read_features_csv(path) -> FeatureSet:
             return _read_records(path, _split_lines(fh))
         except _NeedsCsv:
             fh.seek(0)
-            return _read_records(path, _csv_records(fh))
+            return _read_records(path, _csv_records(path, fh))
 
 
 def read_label_pairs(path) -> list[tuple[str, str | None]]:
@@ -211,7 +221,7 @@ def read_label_pairs(path) -> list[tuple[str, str | None]]:
     pairs: list[tuple[str, str | None]] = []
     seen: set[str] = set()
     with _open_utf8(path) as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         header = next(reader, None)
         if not header or header[0] != "id" or len(header) < 2:
             raise ParseError(path, 1, "expected header 'id,label'")

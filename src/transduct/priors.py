@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import LabelSet, check_settings
+from .core import LabelSet, check_settings, normalize_rows
 from .errors import ConfigError, EmptyInput, NonFinite, OutOfRange, ShapeMismatch
 
 
@@ -30,8 +30,8 @@ def softmax_with_temperature(logits, temperature: float = 1.0) -> np.ndarray:
     check_settings(temperature=temperature)
     scaled = logits / temperature
     scaled = scaled - scaled.max(axis=1, keepdims=True)
-    e = np.exp(scaled)
-    return e / e.sum(axis=1, keepdims=True)
+    # each row holds exp(0) = 1, so every row sum is positive
+    return normalize_rows(np.exp(scaled))[0]
 
 
 def inject_anchors(x, anchors: LabelSet) -> np.ndarray:

@@ -14,8 +14,8 @@ from transduct.errors import DataError, DimensionMismatch, DuplicateId, ParseErr
 
 
 def replicator_step_elementwise(w, x) -> tuple[np.ndarray, np.ndarray]:
-    """One replicator update with explicit scalar loops; oracle for
-    ``replicator_step``.
+    """One replicator update with explicit scalar loops; oracle for one
+    step of ``run_dynamics`` (``max_iterations=1, tolerance=0.0``).
 
     Returns the updated rows and the indices of the rows whose reweighted
     mass is not positive, which are kept as they were.

@@ -15,7 +15,6 @@ from transduct import (
     BlobSpec,
     LabelSet,
     RunConfig,
-    consistency_functional,
     harmonic_function,
     inject_anchors,
     label_propagation,
@@ -25,7 +24,6 @@ from transduct import (
     nmi,
     pearson_matrix,
     recall_at_k,
-    replicator_step,
     run_dynamics,
     run_pipeline,
     true_centroids,
@@ -79,7 +77,7 @@ def test_simplex_preservation():
     start = time.perf_counter()
     ok = True
     for w, x in TRIALS:
-        out, _ = replicator_step(w, x)
+        out, _ = run_dynamics(w, x, max_iterations=1, tolerance=0.0)
         if not (np.all(np.abs(out.sum(axis=1) - 1.0) <= 1e-9) and out.min() >= 0 and out.max() <= 1.0):
             ok = False
             break
@@ -88,17 +86,13 @@ def test_simplex_preservation():
 
 
 def test_consistency_monotonicity():
-    """Same trials, 50 consecutive steps each: the consistency functional
-    never drops by more than 1e-12, in under 10 seconds."""
+    """Same trials, one 50-step run each: the consistency functional in
+    its trace never drops by more than 1e-12, in under 10 seconds."""
     start = time.perf_counter()
     worst = 0.0
     for w, x in TRIALS:
-        f_prev = consistency_functional(w, x)
-        for _ in range(50):
-            x, _ = replicator_step(w, x)
-            f_next = consistency_functional(w, x)
-            worst = min(worst, f_next - f_prev)
-            f_prev = f_next
+        _, trace = run_dynamics(w, x, max_iterations=50, tolerance=0.0)
+        worst = min(worst, float(np.diff(trace.functional_values).min()))
     elapsed = time.perf_counter() - start
     _report(
         "consistency monotonicity",
@@ -108,8 +102,8 @@ def test_consistency_monotonicity():
 
 
 def test_form_equivalence():
-    """Matrix-form and element-wise updates agree within 1e-12 on 100
-    random instances."""
+    """One step of ``run_dynamics`` (the matrix form) and the element-wise
+    update agree within 1e-12 on 100 random instances."""
     rng = np.random.default_rng(17)
     worst = 0.0
     for _ in range(100):
@@ -119,7 +113,7 @@ def test_form_equivalence():
         w = (w + w.T) / 2
         np.fill_diagonal(w, 0)
         x = rng.dirichlet(np.ones(m), size=n)
-        fast, _ = replicator_step(w, x)
+        fast, _ = run_dynamics(w, x, max_iterations=1, tolerance=0.0)
         slow, _ = replicator_step_elementwise(w, x)
         worst = max(worst, float(np.abs(fast - slow).max()))
     _report("update form equivalence", worst <= 1e-12, f"max abs diff {worst:.2e}")

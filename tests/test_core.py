@@ -8,11 +8,9 @@ from transduct import (
     FeatureSet,
     LabelSet,
     argmax_decode,
-    consistency_functional,
     harmonic_function,
     label_propagation,
     label_spreading,
-    replicator_step,
     run_dynamics,
 )
 from transduct.core import iterate, normalize_rows
@@ -149,10 +147,12 @@ class TestIterate:
 NEGATIVE_W = np.array([[0.0, 1.0, -0.5], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 UNIFORM_X = np.full((3, 2), 0.5)
 CHAIN_LABELS = LabelSet(2, [0, -1, 1])
+ONE_STEP = {"max_iterations": 1, "tolerance": 0.0}
 PROPAGATORS = {
     "run_dynamics": lambda w: run_dynamics(w, UNIFORM_X, CHAIN_LABELS),
-    "replicator_step": lambda w: replicator_step(w, UNIFORM_X),
-    "consistency_functional": lambda w: consistency_functional(w, UNIFORM_X),
+    # one unanchored step, and the consistency functional its trace records
+    "replicator_step": lambda w: run_dynamics(w, UNIFORM_X, **ONE_STEP)[0],
+    "consistency_functional": lambda w: run_dynamics(w, UNIFORM_X, **ONE_STEP)[1].functional_values,
     "label_spreading": lambda w: label_spreading(w, CHAIN_LABELS),
     "label_propagation": lambda w: label_propagation(w, CHAIN_LABELS),
     "harmonic_function": lambda w: harmonic_function(w, CHAIN_LABELS),

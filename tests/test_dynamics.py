@@ -4,10 +4,8 @@ from scipy import sparse
 
 from transduct import (
     LabelSet,
-    consistency_functional,
     group_loss_value,
     inject_anchors,
-    replicator_step,
     run_dynamics,
     uniform_prior,
 )
@@ -30,6 +28,13 @@ THREE_NODE_W = np.array([[0, 0.9, 0.1], [0.9, 0, 0.1], [0.1, 0.1, 0]])
 THREE_NODE_ANCHORS = LabelSet(2, [0, -1, 1])
 
 
+def one_step(w, x):
+    """One replicator step: the new assignment and its trace, whose
+    ``functional_values`` are F(x) and F of the result and whose
+    ``degenerate_rows`` are the rows the step froze."""
+    return run_dynamics(w, x, max_iterations=1, tolerance=0.0)
+
+
 class TestSupport:
     """The support W @ X as the replicator step and the functional use it."""
 
@@ -37,56 +42,57 @@ class TestSupport:
         # W @ X = [[0.5, 0.5], [1, 0]]
         w = np.array([[0, 1], [1, 0.0]])
         x = np.array([[1, 0], [0.5, 0.5]])
-        assert consistency_functional(w, x) == pytest.approx(0.5 + 0.5, abs=1e-15)
-        np.testing.assert_allclose(replicator_step(w, x)[0], [[1, 0], [1, 0]])
+        out, trace = one_step(w, x)
+        assert trace.functional_values[0] == pytest.approx(0.5 + 0.5, abs=1e-15)
+        np.testing.assert_allclose(out, [[1, 0], [1, 0]])
 
     def test_zero_graph(self):
         x = uniform_prior(3, 2)
-        out, degen = replicator_step(np.zeros((3, 3)), x)
-        assert degen.tolist() == [0, 1, 2]
+        out, trace = one_step(np.zeros((3, 3)), x)
+        assert trace.degenerate_rows == (0, 1, 2)
         np.testing.assert_array_equal(out, x)
 
     def test_same_class_onehots(self):
         # W @ X = [[1, 0], [1, 0]]: each row keeps its one-hot
         w = np.array([[0, 1], [1, 0.0]])
         x = np.array([[1, 0], [1, 0.0]])
-        out, degen = replicator_step(w, x)
+        out, trace = one_step(w, x)
         np.testing.assert_array_equal(out, x)
-        assert degen.size == 0
+        assert trace.degenerate_rows == ()
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            replicator_step(np.zeros((3, 3)), np.zeros((2, 2)))
+            one_step(np.zeros((3, 3)), np.zeros((2, 2)))
 
 
 class TestReplicatorStep:
     def test_hand_case(self):
         w = np.array([[0, 1], [1, 0.0]])
         x = np.array([[1, 0], [0.5, 0.5]])
-        out, degen = replicator_step(w, x)
+        out, trace = one_step(w, x)
         np.testing.assert_allclose(out, [[1, 0], [1, 0]])
-        assert degen.size == 0
+        assert trace.degenerate_rows == ()
 
     def test_one_hot_rows_are_fixed_points(self):
         w = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0.0]])
         w[2, 0] = w[0, 2] = 0.3
         x = np.array([[1, 0], [1, 0], [1, 0.0]])
-        out, _ = replicator_step(w, x)
+        out, _ = one_step(w, x)
         np.testing.assert_array_equal(out, x)
 
     def test_isolated_row_frozen_and_flagged(self):
         w = np.zeros((2, 2))
         w[0, 1] = w[1, 0] = 0.0
         x = np.array([[0.5, 0.5], [0.5, 0.5]])
-        out, degen = replicator_step(w, x)
+        out, trace = one_step(w, x)
         np.testing.assert_array_equal(out, x)
-        assert set(degen.tolist()) == {0, 1}
+        assert set(trace.degenerate_rows) == {0, 1}
 
     def test_row_stochastic_preserved(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             w, x = random_instance(rng)
-            out, _ = replicator_step(w, x)
+            out, _ = one_step(w, x)
             np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
             assert out.min() >= 0 and out.max() <= 1 + 1e-12
 
@@ -94,43 +100,42 @@ class TestReplicatorStep:
         rng = np.random.default_rng(5)
         for _ in range(25):
             w, x = random_instance(rng, n=int(rng.integers(2, 12)))
-            fast, dfast = replicator_step(w, x)
+            fast, trace = one_step(w, x)
             slow, dslow = replicator_step_elementwise(w, x)
             np.testing.assert_allclose(fast, slow, atol=1e-12)
-            np.testing.assert_array_equal(dfast, dslow)
+            np.testing.assert_array_equal(trace.degenerate_rows, dslow)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             w, x = random_instance(rng)
             c = float(rng.uniform(0.01, 100))
-            a, _ = replicator_step(w, x)
-            b, _ = replicator_step(c * w, x)
+            a, _ = one_step(w, x)
+            b, _ = one_step(c * w, x)
             np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 class TestConsistencyFunctional:
+    """F(X) = sum_ij w_ij <x_i, x_j>, read from the trace of run_dynamics."""
+
     def test_agreeing_labels(self):
         w = np.array([[0, 1], [1, 0.0]])
-        assert consistency_functional(w, [[1, 0], [1, 0]]) == pytest.approx(2.0)
+        assert one_step(w, [[1, 0], [1, 0]])[1].functional_values[0] == pytest.approx(2.0)
 
     def test_disjoint_labels(self):
         w = np.array([[0, 1], [1, 0.0]])
-        assert consistency_functional(w, [[1, 0], [0, 1]]) == pytest.approx(0.0)
+        assert one_step(w, [[1, 0], [0, 1]])[1].functional_values[0] == pytest.approx(0.0)
 
     def test_zero_graph(self):
-        assert consistency_functional(np.zeros((4, 4)), uniform_prior(4, 3)) == 0.0
+        assert one_step(np.zeros((4, 4)), uniform_prior(4, 3))[1].functional_values == [0.0, 0.0]
 
     def test_monotone_under_replicator_updates(self):
         rng = np.random.default_rng(21)
         for _ in range(100):
             w, x = random_instance(rng)
-            f_prev = consistency_functional(w, x)
-            for _ in range(10):
-                x, _ = replicator_step(w, x)
-                f_next = consistency_functional(w, x)
-                assert f_next >= f_prev - 1e-12
-                f_prev = f_next
+            _, trace = run_dynamics(w, x, max_iterations=10, tolerance=0.0)
+            assert len(trace.functional_values) == 11
+            assert np.all(np.diff(trace.functional_values) >= -1e-12)
 
 
 class TestRunDynamics:
@@ -205,6 +210,11 @@ class TestRunDynamics:
         with pytest.raises(OutOfRange, match="anchor class 2 out of range for m=2"):
             run_dynamics(THREE_NODE_W, uniform_prior(3, 2), LabelSet(3, [0, -1, 2]))
 
+    @pytest.mark.parametrize("shape", [(3,), (3, 2, 1)], ids=["1-d", "3-d"])
+    def test_prior_must_be_2d(self, shape):
+        with pytest.raises(ShapeMismatch, match="^assignment matrix must be 2-d$"):
+            run_dynamics(THREE_NODE_W, np.full(shape, 0.5))
+
     def test_config_validation(self):
         x0 = uniform_prior(3, 2)
         with pytest.raises(ConfigError):
@@ -244,18 +254,18 @@ class TestCsrGraph:
     def test_step_support_and_functional_match_dense(self):
         rng = np.random.default_rng(13)
         w, x = self.sparse_instance(rng, 9, 3)
-        csr = sparse.csr_array(w)
-        a, da = replicator_step(csr, x)
-        for b, db in (replicator_step(w, x), replicator_step_elementwise(w, x)):
+        a, csr_trace = one_step(sparse.csr_array(w), x)
+        dense, dense_trace = one_step(w, x)
+        for b, db in ((dense, dense_trace.degenerate_rows), replicator_step_elementwise(w, x)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(da, db)
-        assert consistency_functional(csr, x) == pytest.approx(consistency_functional(w, x), rel=1e-12)
+            np.testing.assert_array_equal(csr_trace.degenerate_rows, db)
+        np.testing.assert_allclose(csr_trace.functional_values, dense_trace.functional_values, rtol=1e-12)
 
     def test_shape_checks(self):
         with pytest.raises(ShapeMismatch):
-            replicator_step(sparse.csr_array((3, 3)), np.zeros((2, 2)))
+            one_step(sparse.csr_array((3, 3)), np.zeros((2, 2)))
         with pytest.raises(ShapeMismatch):
-            replicator_step(sparse.csr_array((3, 2)), np.zeros((3, 2)))
+            one_step(sparse.csr_array((3, 2)), np.zeros((3, 2)))
 
 
 class TestGroupLossValue:

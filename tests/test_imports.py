@@ -1,11 +1,16 @@
-"""scipy loads only when a sparse graph is built or solved.
+"""What the package imports, and what it exports.
 
-Importing scipy.sparse and its csgraph and linalg submodules costs about
-0.3 s, more than the rest of the package's import. A dense run of any
-method and ``eval`` never touch a sparse object, so they must not load
-it; a module level ``from scipy ...`` anywhere in the package fails these
+scipy loads only when a sparse graph is built or solved. Importing
+scipy.sparse and its csgraph and linalg submodules costs about 0.3 s,
+more than the rest of the package's import. A dense run of any method
+and ``eval`` never touch a sparse object, so they must not load it; a
+module level ``from scipy ...`` anywhere in the package fails these
 tests.
+
+Every name in ``transduct.__all__`` is used by the package or a script,
+so no public function exists only for the tests to call.
 """
+import ast
 import json
 import os
 import subprocess
@@ -14,7 +19,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import transduct
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 PROBE = """
 import json, sys
@@ -72,3 +80,27 @@ def test_dense_run_and_eval_load_no_scipy(data, tmp_path):
 
 def test_knn_run_loads_scipy_sparse(data, tmp_path):
     assert "scipy.sparse" in scipy_modules_after(run_args(data, tmp_path / "run", "--knn", "5"))
+
+
+def referenced_names() -> set[str]:
+    """Every name the package's modules other than ``__init__.py`` and
+    the scripts refer to: names, attributes, imported names and the
+    modules of ``from`` imports."""
+    paths = [p for p in sorted((SRC / "transduct").glob("*.py")) if p.name != "__init__.py"]
+    names = set()
+    for path in [*paths, *sorted((ROOT / "scripts").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names.update(node.module.split("."))
+    return names
+
+
+def test_every_exported_name_is_used_outside_the_tests():
+    unused = set(transduct.__all__) - referenced_names()
+    assert sorted(unused) == []

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from transduct import io
 from transduct.core import FeatureSet
+from transduct.errors import ParseError
 
 
 def outcome(read, path):
@@ -158,6 +159,25 @@ def test_reader_matches_oracle_on_random_files(scratch, data, block_rows):
     path = scratch / "f.csv"
     path.write_bytes(data)
     assert_reads_like_oracle(path, block_rows)
+
+
+OVER_CSV_LIMIT = "9" * 200_000
+
+
+@pytest.mark.parametrize("block_rows", [1, io.PARSE_BLOCK_ROWS])
+@pytest.mark.parametrize("text, line, message", [
+    (f'id,f0\n"a",1\nb,2\nc,{OVER_CSV_LIMIT}\n', 4, "field larger than field limit (131072)"),
+    (f'id,f0\n"a",1\nb,x\nc,{OVER_CSV_LIMIT}\n', 3, "bad float: could not convert string to float: 'x'"),
+], ids=["alone", "after-bad-float"])
+def test_field_over_the_csv_limit(tmp_path, block_rows, text, line, message):
+    """A field the ``csv`` module will not read (the oracle's reader
+    raises its ``csv.Error``) is a ParseError naming its line, raised
+    after any error in the rows before it."""
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with mock.patch.object(io, "PARSE_BLOCK_ROWS", block_rows), pytest.raises(ParseError) as info:
+        io.read_features_csv(path)
+    assert (info.value.line, str(info.value)) == (line, f"{path}:{line}: {message}")
 
 
 def test_reader_peak_memory(tmp_path):

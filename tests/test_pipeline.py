@@ -585,6 +585,30 @@ class TestCli:
         if case in ("nan", "inf"):
             assert f"{fpath}:3:" in r.stderr
 
+    @pytest.mark.parametrize("bad_file", ["run-labels", "eval-truth", "run-features"])
+    def test_field_over_the_csv_limit_is_a_data_error(self, tmp_path, bad_file):
+        """A field longer than the ``csv`` module's limit (131072
+        characters) in a labels or truth file, or a quoted features file,
+        exits 2 with one line naming its file and line."""
+        big = "9" * 200_000
+        fpath = tmp_path / "f.csv"
+        fpath.write_text("id,f0,f1,f2\na,1,2,3\nb,3,2,1\n")
+        lpath = tmp_path / "l.csv"
+        lpath.write_text("id,label\na,x\nb,y\n")
+        if bad_file == "run-features":
+            fpath.write_text(f'id,f0,f1,f2\n"a",1,2,3\nb,3,2,{big}\n')
+        else:
+            lpath.write_text(f"id,label\na,x\nb,{big}\n")
+        if bad_file == "eval-truth":
+            args = ["eval", "--features", str(fpath), "--truth", str(lpath), "--metrics", "accuracy"]
+        else:
+            args = ["run", "--features", str(fpath), "--labels", str(lpath), "--method", "gtg",
+                    "--anchor-fraction", "1.0"]
+        r = self.run_cli(*args, "--out-dir", str(tmp_path / "out"))
+        assert r.returncode == 2, r.stderr
+        path = fpath if bad_file == "run-features" else lpath
+        assert r.stderr.splitlines() == [f"data error: {path}:3: field larger than field limit (131072)"]
+
     @pytest.mark.parametrize("anchors, with_labels, code, message", [
         ("id,label\na,x\na,y\n", True, 2, "data error: {path}:3: duplicate id 'a'"),
         ("id,label\na,x\nb,\n", True, 2, "data error: {path}: anchor rows must carry a label (id 'b')"),
