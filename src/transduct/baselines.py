@@ -15,8 +15,8 @@ import warnings
 
 import numpy as np
 
-from .core import LabelSet, check_graph, check_settings, feature_data, is_sparse, iterate, normalize_rows, squared_norms, unreached
-from .errors import DataError, NumericalError, OutOfRange
+from .core import LabelSet, check_graph, check_settings, feature_data, integer, is_sparse, iterate, label_set, normalize_rows, squared_norms, unreached
+from .errors import DataError, NumericalError
 from .priors import inject_anchors
 
 
@@ -35,7 +35,7 @@ def label_spreading(
     (before renormalization), iteration count and convergence flag.
     """
     check_settings(max_iterations=max_iterations, tolerance=tolerance, alpha=alpha)
-    w = check_graph(w, labels.labels.shape[0], "label vector")
+    w = check_graph(w, label_set(labels).labels.size, "label vector")
     if labels.labeled_indices().size == 0:
         raise DataError("label spreading needs at least one labeled sample")
     degree = w.sum(axis=1)
@@ -71,7 +71,7 @@ def harmonic_function(w, labels: LabelSet) -> np.ndarray:
     without an out-edge path to a labeled one, and an exactly singular
     system raises NumericalError.
     """
-    w = check_graph(w, labels.labels.shape[0], "label vector")
+    w = check_graph(w, label_set(labels).labels.size, "label vector")
     if labels.labeled_indices().size == 0:
         raise DataError("harmonic labeling needs at least one labeled sample")
     labeled = labels.labeled_mask()
@@ -123,7 +123,7 @@ def label_propagation(
     with converged=False in the metadata rather than raising.
     """
     check_settings(max_iterations=max_iterations, tolerance=tolerance)
-    w = check_graph(w, labels.labels.shape[0], "label vector")
+    w = check_graph(w, label_set(labels).labels.size, "label vector")
     if labels.labeled_indices().size == 0:
         raise DataError("label propagation needs at least one labeled sample")
     m = labels.num_classes
@@ -212,9 +212,8 @@ def kmeans(features, k: int, seed: int = 0) -> np.ndarray:
     (``core.squared_norms``).
     """
     points = feature_data(features)
-    n = points.shape[0]
-    if not 1 <= k <= n:
-        raise OutOfRange(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    k = integer("k", k, 1, points.shape[0])
+    seed = integer("seed", seed, low=0)
     squared_norms(points)
     best = None
     for restart in range(KMEANS_RESTARTS):

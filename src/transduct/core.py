@@ -1,14 +1,16 @@
-"""Shared domain types and simplex utilities.
+"""Shared domain types, argument coercions and simplex utilities.
 
 Numerical code in this package passes plain float64 ``numpy`` arrays
-around; the dataclasses below are validating containers used at module
-boundaries (file loading, pipeline plumbing). All containers are
-frozen and their arrays are marked read-only, so instances can be shared
-freely across threads.
+around. Every public function passes each argument through a coercion
+below, so malformed input raises a TransductError subclass, never a numpy
+exception. The dataclasses are validating containers used at module
+boundaries (file loading, pipeline plumbing), frozen with read-only
+arrays, so instances can be shared freely across threads.
 """
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -21,12 +23,53 @@ from .errors import ConfigError, DataError, DuplicateId, EmptyInput, LengthMisma
 UNLABELED = -1
 
 
-def _frozen_array(values, dtype=np.float64, ndim=None):
-    arr = np.array(values, dtype=dtype)
-    if ndim is not None and arr.ndim != ndim:
-        raise ShapeMismatch(f"expected {ndim}-d array, got {arr.ndim}-d")
-    arr.setflags(write=False)
-    return arr
+def integer(name: str, value, low=-math.inf, high=math.inf) -> int:
+    """``value`` as an int: ConfigError unless ``operator.index`` takes it, OutOfRange outside [low, high]."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if not low <= value <= high:
+        raise OutOfRange(f"{name} must lie in [{low}, {high}], got {value}")
+    return value
+
+
+def numeric_array(values, ndim: int, what: str, dtype=np.float64) -> np.ndarray:
+    """``values`` as an ``ndim``-d (ShapeMismatch) bool, int or float (DataError) array cast to
+    ``dtype`` unless None. One already of that dtype is not copied: a caller may work in place."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise DataError(f"{what} must be numeric, got dtype {arr.dtype}")
+    if arr.ndim != ndim:
+        raise ShapeMismatch(f"{what} must be {ndim}-d")
+    return arr if dtype is None else arr.astype(dtype, copy=False)
+
+
+def finite_matrix(values, what: str = "assignment matrix") -> np.ndarray:
+    """A finite (NonFinite) n x m float64 ``numeric_array`` with m >= 1 (EmptyInput)."""
+    x = numeric_array(values, 2, what)
+    if x.shape[1] < 1:
+        raise EmptyInput(f"{what} has no columns")
+    if not np.isfinite(x).all():
+        raise NonFinite(f"{what} contains non-finite entries")
+    return x
+
+
+def check_simplex(x, what: str) -> None:
+    """Raises DataError unless every row of ``x`` is >= 0 and sums to 1 within 1e-9."""
+    if (x < 0).any() or (np.abs(x.sum(axis=1) - 1.0) > 1e-9).any():
+        raise DataError(f"{what} rows must lie on the simplex: entries >= 0 summing to 1 within 1e-9")
+
+
+def label_vector(values, what: str = "label vector", rows: int | None = None) -> np.ndarray:
+    """A 1-d int64 ``numeric_array`` of ``rows`` entries if given (LengthMismatch). A float
+    entry must be a whole number in int64 range (DataError), so NaN is never cast."""
+    arr = numeric_array(values, 1, what, dtype=None)
+    if arr.dtype.kind == "f" and not ((np.abs(arr) < 2.0**63) & (arr == np.trunc(arr))).all():
+        raise DataError(f"{what} entries must be whole numbers")
+    if rows is not None and arr.size != rows:
+        raise LengthMismatch(f"{what} has {arr.size} entries, expected {rows}")
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -37,17 +80,13 @@ class FeatureSet:
     ids: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_array(self.data, ndim=2))
+        object.__setattr__(self, "data", np.array(feature_data(self.data)))  # a copy of its own
+        self.data.setflags(write=False)
         object.__setattr__(self, "ids", tuple(str(i) for i in self.ids))
-        n, d = self.data.shape
-        if n < 1 or d < 1:
-            raise EmptyInput("feature matrix must be at least 1 x 1")
-        if len(self.ids) != n:
-            raise LengthMismatch(f"{len(self.ids)} ids for {n} feature rows")
-        if len(set(self.ids)) != n:
+        if len(self.ids) != self.n:
+            raise LengthMismatch(f"{len(self.ids)} ids for {self.n} feature rows")
+        if len(set(self.ids)) != self.n:
             raise DuplicateId("sample ids must be unique")
-        if not np.all(np.isfinite(self.data)):
-            raise NonFinite("feature matrix contains non-finite entries")
 
     @property
     def n(self) -> int:
@@ -59,10 +98,14 @@ class FeatureSet:
 
 
 def feature_data(features) -> np.ndarray:
-    """The ``n x d`` matrix of a FeatureSet, or a bare array as float64."""
+    """The ``n x d`` matrix of a FeatureSet, or a bare array checked as a FeatureSet
+    checks it: a ``finite_matrix`` with at least one row (EmptyInput)."""
     if isinstance(features, FeatureSet):
         return features.data
-    return np.asarray(features, dtype=np.float64)
+    data = finite_matrix(features, "feature matrix")
+    if data.shape[0] < 1:
+        raise EmptyInput("feature matrix must be at least 1 x 1")
+    return data
 
 
 def squared_norms(data) -> np.ndarray:
@@ -89,9 +132,9 @@ class LabelSet:
     labels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", _frozen_array(self.labels, dtype=np.int64, ndim=1))
-        if self.num_classes < 1:
-            raise OutOfRange("num_classes must be >= 1")
+        object.__setattr__(self, "labels", np.array(label_vector(self.labels)))  # a copy of its own
+        self.labels.setflags(write=False)
+        object.__setattr__(self, "num_classes", integer("num_classes", self.num_classes, low=1))
         bad = (self.labels != UNLABELED) & ((self.labels < 0) | (self.labels >= self.num_classes))
         if np.any(bad):
             raise OutOfRange(f"label out of range at index {int(np.flatnonzero(bad)[0])}")
@@ -101,6 +144,15 @@ class LabelSet:
 
     def labeled_indices(self) -> np.ndarray:
         return np.flatnonzero(self.labels != UNLABELED)
+
+
+def label_set(labels, rows: int | None = None, what: str = "label set") -> LabelSet:
+    """``labels`` if it is a LabelSet (DataError) of ``rows`` entries if given (ShapeMismatch)."""
+    if not isinstance(labels, LabelSet):
+        raise DataError(f"{what} must be a LabelSet, got {type(labels).__name__}")
+    if rows is not None and labels.labels.size != rows:
+        raise ShapeMismatch(f"{what} has {labels.labels.size} entries for {rows} rows")
+    return labels
 
 
 def normalize_rows(raw) -> tuple[np.ndarray, np.ndarray]:
@@ -118,8 +170,7 @@ def normalize_rows(raw) -> tuple[np.ndarray, np.ndarray]:
 
 def argmax_decode(x) -> np.ndarray:
     """Per-row index of the maximum entry; ties go to the lowest index."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.argmax(x, axis=1).astype(np.int64)
+    return np.argmax(finite_matrix(x), axis=1).astype(np.int64)
 
 
 def is_sparse(w) -> bool:
@@ -148,7 +199,7 @@ def check_graph(w, rows: int, what: str):
 
         w = sparse.csr_array(w, dtype=np.float64)
     else:
-        w = np.asarray(w, dtype=np.float64)
+        w = numeric_array(w, 2, "similarity matrix")
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ShapeMismatch("similarity matrix must be square")
     if rows != w.shape[0]:
@@ -183,8 +234,8 @@ def check_settings(max_iterations=None, tolerance=None, alpha=None, temperature=
     """The range check of each run setting; None skips it. The library
     entry points and ``RunConfig`` share it, so both reject a bad value
     with the same ConfigError."""
-    if max_iterations is not None and max_iterations < 1:
-        raise ConfigError("max_iterations must be >= 1")
+    if max_iterations is not None:
+        integer("max_iterations", max_iterations, low=1)
     if tolerance is not None and not 0 <= tolerance < math.inf:
         raise ConfigError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     if alpha is not None and not 0 < alpha < 1:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelSet, check_graph, check_settings, iterate, normalize_rows
-from .errors import EmptyInput, ShapeMismatch
+from .core import LabelSet, check_graph, check_settings, check_simplex, finite_matrix, iterate, label_set, normalize_rows
+from .errors import EmptyInput
 from .priors import inject_anchors
 
 #: Probability floor used before taking logs in the cross-entropy readout.
@@ -58,10 +58,9 @@ def run_dynamics(
     iterates and traces.
     """
     check_settings(max_iterations=max_iterations, tolerance=tolerance)
-    x = np.asarray(x0, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeMismatch("assignment matrix must be 2-d")
+    x = finite_matrix(x0)
     w = check_graph(w, x.shape[0], "assignment matrix")
+    check_simplex(x, "prior")
     if anchors is not None:
         x = inject_anchors(x, anchors)
         pinned = anchors.labeled_indices()
@@ -90,16 +89,14 @@ def run_dynamics(
 def group_loss_value(x_final, truth_labels) -> float:
     """Mean cross-entropy of the refined assignments against known labels.
 
-    Rows whose truth entry is the UNLABELED sentinel are skipped;
-    probabilities are floored at 1e-12 before the log so a confidently
-    wrong row yields a large finite value instead of infinity.
+    Rows whose truth entry is UNLABELED are skipped; any other must be a
+    column of ``x_final`` (OutOfRange). Probabilities are floored at 1e-12
+    before the log so a confidently wrong row gives a large finite value.
     """
-    x = np.asarray(x_final, dtype=np.float64)
-    truth = np.asarray(truth_labels, dtype=np.int64)
-    if truth.shape[0] != x.shape[0]:
-        raise ShapeMismatch("truth vector must match assignment rows")
-    rows = np.flatnonzero(truth >= 0)
+    x = finite_matrix(x_final)
+    truth = label_set(LabelSet(x.shape[1], truth_labels), x.shape[0], "truth vector")
+    rows = truth.labeled_indices()
     if rows.size == 0:
         raise EmptyInput("no labeled rows to evaluate")
-    picked = x[rows, truth[rows]]
+    picked = x[rows, truth.labels[rows]]
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())

@@ -1,7 +1,9 @@
 """Exception hierarchy.
 
-Three broad families map onto the CLI exit codes: configuration problems
-(exit 1), malformed input data (exit 2) and numerical failures (exit 3).
+Every public function raises a subclass of TransductError on malformed
+input; ``transduct.core``'s coercions decide what is valid. Three families
+map onto the CLI exit codes: configuration problems (exit 1), malformed
+input data (exit 2) and numerical failures (exit 3).
 """
 
 

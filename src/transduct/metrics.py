@@ -5,16 +5,14 @@ import math
 
 import numpy as np
 
-from .core import feature_data, squared_norms
-from .errors import EmptyInput, InsufficientSamples, LengthMismatch
+from .core import feature_data, integer, label_vector, squared_norms
+from .errors import EmptyInput, InsufficientSamples
 from .similarity import BLOCK_ROWS, top_k
 
 
 def _aligned(pred, truth):
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    if pred.shape != truth.shape:
-        raise LengthMismatch(f"pred has {pred.shape[0]} entries, truth {truth.shape[0]}")
+    pred = label_vector(pred, "pred")
+    truth = label_vector(truth, "truth", pred.size)
     if pred.size == 0:
         raise EmptyInput("cannot score empty label vectors")
     return pred, truth
@@ -33,6 +31,7 @@ def macro_f1(pred, truth, num_classes: int) -> float:
     precision and recall contributes an F1 of 0.
     """
     pred, truth = _aligned(pred, truth)
+    num_classes = integer("num_classes", num_classes, low=1)
     scores = []
     for c in range(num_classes):
         in_pred = pred == c
@@ -64,12 +63,7 @@ def nmi(assign_a, assign_b) -> float:
     identical as partitions (including the all-one-cluster case) and 0
     otherwise.
     """
-    a = np.asarray(assign_a)
-    b = np.asarray(assign_b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise LengthMismatch("partitions must be equal-length vectors")
-    if a.size == 0:
-        raise EmptyInput("cannot score empty partitions")
+    a, b = _aligned(assign_a, assign_b)
     n = a.size
     _, a_ids = np.unique(a, return_inverse=True)
     _, b_ids = np.unique(b, return_inverse=True)
@@ -111,14 +105,10 @@ def recall_at_k(features, truth, ks) -> dict[int, float]:
     (``core.squared_norms``).
     """
     data = feature_data(features)
-    truth = np.asarray(truth, dtype=np.int64)
-    ks = [int(k) for k in ks]
-    if truth.shape[0] != data.shape[0]:
-        raise LengthMismatch("truth vector must match feature rows")
-    if min(ks) < 1:
-        raise InsufficientSamples("K must be >= 1")
     n = data.shape[0]
-    if n < max(ks) + 1:
+    truth = label_vector(truth, "truth vector", n)
+    ks = [integer("K", k, low=1) for k in np.ravel(ks)]
+    if n < max(ks, default=0) + 1:
         raise InsufficientSamples(f"need at least {max(ks) + 1} samples for K={max(ks)}")
     sq = squared_norms(data)
     hits = np.empty((n, max(ks)), dtype=bool)

@@ -11,7 +11,6 @@ last bits of the probabilities).
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .baselines import harmonic_function, kmeans, label_propagation, label_spreading
-from .core import UNLABELED, FeatureSet, LabelSet, argmax_decode, check_settings, unreached
+from .core import UNLABELED, FeatureSet, LabelSet, argmax_decode, check_settings, integer, unreached
 from .dynamics import group_loss_value, run_dynamics
 from .errors import ConfigError, DataError, NonFinite, UnknownId
 from .io import read_features_csv, read_label_pairs, write_predictions_csv, write_report_json
@@ -77,8 +76,8 @@ class RunConfig:
     ``DEFAULT_TEMPERATURE`` when a logits file is given). Setting one the
     method does not read is a ConfigError; after construction each field
     holds what the run uses, None for the settings it does not read.
-    ``max_iterations``, ``knn`` and ``seed`` must be integers; the other
-    numbers are stored as ``float``, as the CLI parses them.
+    ``max_iterations`` and ``knn`` must be integers >= 1 and ``seed`` one
+    >= 0; the other numbers are stored as ``float``, as the CLI parses them.
     """
 
     method: str
@@ -103,10 +102,10 @@ class RunConfig:
             raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.logits_path is not None and self.method not in DYNAMICS_METHODS:
             raise ConfigError(f"a logits prior applies only to gtg and group_loss, not to {self.method}")
-        for name in ("max_iterations", "knn", "seed"):
+        for name, low in (("max_iterations", 1), ("knn", 1), ("seed", 0)):
             value = getattr(self, name)
             if value is not None or name == "seed":
-                object.__setattr__(self, name, _integer(name, value))
+                object.__setattr__(self, name, integer(name, value, low))
         reads = dict(METHOD_SETTINGS[self.method])
         if self.logits_path is not None:
             reads["temperature"] = DEFAULT_TEMPERATURE
@@ -126,19 +125,10 @@ class RunConfig:
             raise ConfigError("anchor_fraction must lie in (0, 1]")
         if self.negative_handling not in ("clamp", "shift"):
             raise ConfigError("negative_handling must be 'clamp' or 'shift'")
-        if self.knn is not None and self.knn < 1:
-            raise ConfigError("knn must be >= 1")
         _parse_metrics(self.metrics, RUN_METRICS)
         for name in ("tolerance", "alpha", "temperature", "anchor_fraction"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, float(getattr(self, name)))
-
-
-def _integer(name: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _parse_metrics(names, allowed) -> list[tuple[str, str, int | None]]:
@@ -419,7 +409,7 @@ def run_eval(
     ``labels_path`` and get a skip note without one, or when it labels
     no truth row. The comment above ``RUN_METRICS`` states the rows.
     """
-    seed = _integer("seed", seed)
+    seed = integer("seed", seed, low=0)
     _parse_metrics(metric_names, EVAL_METRICS)
     features, pred, _, truth, classes, *_ = _load_inputs(features_path, labels_path, truth_path=truth_path)
     rows = np.flatnonzero(truth != UNLABELED)

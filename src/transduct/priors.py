@@ -4,17 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import LabelSet, check_settings, normalize_rows
-from .errors import ConfigError, EmptyInput, NonFinite, OutOfRange, ShapeMismatch
+from .core import LabelSet, check_settings, finite_matrix, integer, label_set, normalize_rows
+from .errors import EmptyInput, OutOfRange
 
 
 def uniform_prior(n: int, m: int) -> np.ndarray:
-    """Every entry 1/m."""
-    if n < 1:
+    """Every entry 1/m, for n >= 1 samples and m >= 2 classes."""
+    if integer("n", n) < 1:
         raise EmptyInput("need at least one sample")
-    if m < 2:
-        raise ConfigError("need at least two classes")
-    return np.full((n, m), 1.0 / m)
+    return np.full((n, m), 1.0 / integer("m", m, low=2))
 
 
 def softmax_with_temperature(logits, temperature: float = 1.0) -> np.ndarray:
@@ -24,9 +22,7 @@ def softmax_with_temperature(logits, temperature: float = 1.0) -> np.ndarray:
     temperatures sharpen toward one-hot without overflowing. A temperature
     that is not finite and positive is a ConfigError.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
-        raise NonFinite("logits contain non-finite entries")
+    logits = finite_matrix(logits, "logits")
     check_settings(temperature=temperature)
     scaled = logits / temperature
     scaled = scaled - scaled.max(axis=1, keepdims=True)
@@ -41,14 +37,11 @@ def inject_anchors(x, anchors: LabelSet) -> np.ndarray:
     Raises ShapeMismatch unless ``anchors`` has one entry per row, and
     OutOfRange for a class that is not one of x's columns.
     """
-    x = np.array(x, dtype=np.float64)
-    n, m = x.shape
-    if anchors.labels.shape[0] != n:
-        raise ShapeMismatch(f"anchor vector has {anchors.labels.shape[0]} entries for {n} rows")
-    rows = anchors.labeled_indices()
+    x = finite_matrix(x).copy()
+    rows = label_set(anchors, x.shape[0], "anchor vector").labeled_indices()
     classes = anchors.labels[rows]
-    if classes.size and classes.max() >= m:
-        raise OutOfRange(f"anchor class {int(classes.max())} out of range for m={m}")
+    if classes.size and classes.max() >= x.shape[1]:
+        raise OutOfRange(f"anchor class {int(classes.max())} out of range for m={x.shape[1]}")
     x[rows] = 0.0
     x[rows, classes] = 1.0
     return x

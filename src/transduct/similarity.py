@@ -12,8 +12,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import feature_data
-from .errors import ConfigError, NonFinite, OutOfRange, ShapeMismatch
+from .core import feature_data, integer, numeric_array
+from .errors import ConfigError, NonFinite, ShapeMismatch
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -30,13 +30,9 @@ def _standardize(features) -> tuple[np.ndarray, np.ndarray]:
     +0.0, so both graph builders read 0 for every correlation with them.
     A row whose centring or variance overflows float64 raises NonFinite."""
     data = feature_data(features)
-    if data.ndim != 2:
-        raise ShapeMismatch("feature matrix must be 2-d")
     n, d = data.shape
     if n < 2 or d < 2:
         raise ShapeMismatch(f"need n >= 2 and d >= 2, got {n} x {d}")
-    if not np.all(np.isfinite(data)):
-        raise NonFinite("feature matrix contains non-finite entries")
 
     with np.errstate(over="ignore", invalid="ignore"):
         centered = data - data.mean(axis=1, keepdims=True)
@@ -63,10 +59,8 @@ def top_k(values, k: int) -> np.ndarray:
     their k-th value than there are slots left are re-picked in column
     order.
     """
-    values = np.asarray(values)
     n = values.shape[1]
-    if not 1 <= k < n:
-        raise OutOfRange(f"k must satisfy 1 <= k < {n}, got k={k}")
+    k = integer("k", k, 1, n - 1)
     picked = np.argpartition(values, n - k, axis=1)[:, n - k:]
     kth = np.take_along_axis(values, picked[:, :1], axis=1)
     above = values > kth
@@ -121,7 +115,7 @@ def handle_negatives(w, mode: str = "clamp") -> np.ndarray:
     needs a second ``n x n`` buffer; pass a copy to keep the raw
     correlations. Other input is converted to a new float64 array first.
     """
-    w = np.asarray(w, dtype=np.float64)
+    w = numeric_array(w, 2, "similarity matrix")
     if mode == "clamp":
         return np.maximum(w, 0.0, out=w)
     if mode == "shift":
@@ -140,12 +134,11 @@ def sparsify_knn(w, k: int) -> np.ndarray:
     element-wise max symmetrization means a row can end up with at most 2k
     nonzeros: its own picks plus other rows that picked it.
     """
-    w = np.asarray(w, dtype=np.float64)
+    w = numeric_array(w, 2, "similarity matrix")
     n = w.shape[0]
     if w.shape != (n, n):
         raise ShapeMismatch("similarity matrix must be square")
-    if not 1 <= k < n:
-        raise OutOfRange(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
+    k = integer("k", k, 1, n - 1)
     kept = np.zeros_like(w)
     for i in range(n):
         row = w[i].copy()
@@ -178,8 +171,6 @@ def knn_graph(features, k: int, mode: str = "clamp") -> tuple[sparse.csr_array, 
 
     z, zero_variance = _standardize(features)
     n, d = z.shape
-    if not 1 <= k < n:
-        raise OutOfRange(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
     cols, vals = [], []
     # the dense matrix's zero diagonal; a block's own diagonal (1, or 0 for
     # a zero-variance sample) cannot lower it

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeatureSet, LabelSet
+from .core import FeatureSet, LabelSet, integer
 from .errors import InvalidSpec
 
 
@@ -20,8 +20,10 @@ class BlobSpec:
     def __post_init__(self):
         if self.blobs < 1 or self.per_blob < 1 or self.dim < 1:
             raise InvalidSpec("blobs, per_blob and dim must all be >= 1")
-        if self.separation < 0 or self.stddev < 0:
-            raise InvalidSpec("separation and stddev must be >= 0")
+        # _place_centroids may double its box 63 times; squared distances in it must stay below 1.8e308
+        box = max(self.separation, 1.0) * max(self.blobs, 2) * 2.0**63 * self.dim**0.5
+        if not (0 <= self.separation and 0 <= self.stddev < np.inf and box < 1e154):
+            raise InvalidSpec("stddev must be finite and >= 0, separation >= 0 and small enough to place centroids")
 
 
 def _place_centroids(spec: BlobSpec, rng) -> np.ndarray:
@@ -46,9 +48,9 @@ def make_synthetic(spec: BlobSpec, seed: int) -> tuple[FeatureSet, LabelSet]:
     Centroids are mutually at least ``spec.separation`` apart; each blob
     contributes ``spec.per_blob`` points drawn isotropically with
     ``spec.stddev``. With stddev 0 every point sits exactly on its
-    centroid.
+    centroid. ``seed`` is an integer >= 0.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer("seed", seed, low=0))
     centroids = _place_centroids(spec, rng)
     points = np.vstack(
         [
@@ -65,5 +67,5 @@ def make_synthetic(spec: BlobSpec, seed: int) -> tuple[FeatureSet, LabelSet]:
 def true_centroids(spec: BlobSpec, seed: int) -> np.ndarray:
     """The generator's centroids for the same (spec, seed); lets callers
     build a nearest-true-centroid reference classifier."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer("seed", seed, low=0))
     return _place_centroids(spec, rng)

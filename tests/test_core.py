@@ -13,7 +13,7 @@ from transduct import (
     label_spreading,
     run_dynamics,
 )
-from transduct.core import iterate, normalize_rows
+from transduct.core import check_graph, iterate, normalize_rows
 from transduct.errors import DataError, DuplicateId, NonFinite, OutOfRange, ShapeMismatch
 from transduct.pipeline import _report
 
@@ -166,6 +166,11 @@ def test_every_propagator_rejects_a_negative_weight(name, form):
     with pytest.raises(DataError, match="^similarity weights must be non-negative$"):
         PROPAGATORS[name](w)
     PROPAGATORS[name](np.abs(w))  # the same graph with that weight flipped is accepted
+
+
+def test_check_graph_does_not_copy_a_dense_float64_graph():
+    w = np.abs(NEGATIVE_W)
+    assert check_graph(w, w.shape[0], "x") is w
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

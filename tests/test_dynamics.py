@@ -9,7 +9,7 @@ from transduct import (
     run_dynamics,
     uniform_prior,
 )
-from transduct.errors import ConfigError, EmptyInput, OutOfRange, ShapeMismatch
+from transduct.errors import ConfigError, DataError, EmptyInput, NonFinite, OutOfRange, ShapeMismatch
 
 from oracles import replicator_step_elementwise
 
@@ -214,6 +214,14 @@ class TestRunDynamics:
     def test_prior_must_be_2d(self, shape):
         with pytest.raises(ShapeMismatch, match="^assignment matrix must be 2-d$"):
             run_dynamics(THREE_NODE_W, np.full(shape, 0.5))
+
+    def test_prior_must_lie_on_the_simplex(self):
+        w = np.array([[0, 1], [1, 0.0]])
+        with pytest.raises(DataError, match="^prior rows must lie on the simplex"):
+            run_dynamics(w, [[-1, 2], [0.5, 0.5]])
+        with pytest.raises(NonFinite):
+            run_dynamics(w, [[np.nan, 0.5], [0.5, 0.5]])
+        run_dynamics(w, [[1 - 5e-10, 0.0], [0.5, 0.5]])  # a row sum within 1e-9 of 1 passes
 
     def test_config_validation(self):
         x0 = uniform_prior(3, 2)

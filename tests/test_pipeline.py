@@ -559,6 +559,21 @@ class TestCli:
         assert r.returncode == 1
         assert r.stderr.splitlines() == ["config error: tolerance must be finite and >= 0, got nan"]
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--features", "f.csv", "--method", "gtg", "--anchor-fraction", "0.1", "--seed", "-1"],
+        ["eval", "--features", "f.csv", "--truth", "t.csv", "--seed", "-1"],
+        ["synth", "--seed", "-1"],
+        *(["synth", "--separation", value] for value in ("inf", "nan", "1e308")),
+        *(["synth", "--stddev", value] for value in ("inf", "nan")),
+    ], ids=["run-seed", "eval-seed", "synth-seed", "separation-inf", "separation-nan", "separation-1e308",
+            "stddev-inf", "stddev-nan"])
+    def test_negative_seed_and_undrawable_spec_are_config_errors(self, tmp_path, capsys, argv):
+        """Rejected before any file is read or written: the inputs do not exist."""
+        assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "nan", "inf", "out-dir-is-a-file"])
     def test_exit_code_data_error(self, tmp_path, case):
         fpath = tmp_path / "f.csv"

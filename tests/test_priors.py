@@ -40,6 +40,10 @@ class TestSoftmax:
         with pytest.raises(NonFinite):
             softmax_with_temperature([[np.inf, 0.0]], 1.0)
 
+    def test_logits_must_be_2d(self):
+        with pytest.raises(ShapeMismatch, match="^logits must be 2-d$"):
+            softmax_with_temperature([2.0, 0.0])
+
     @pytest.mark.parametrize("temperature", [0.0, -1.0, np.nan, np.inf])
     def test_temperature_must_be_finite_and_positive(self, temperature):
         # an infinite temperature would otherwise give uniform rows
