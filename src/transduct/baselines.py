@@ -5,9 +5,11 @@ F <- alpha * S * F + (1 - alpha) * Y with the symmetrically normalized
 similarity S = D^{-1/2} W D^{-1/2} to its fixed point
 (1 - alpha) (I - alpha S)^{-1} Y.
 The harmonic function solution of Zhu et al. (2003) solves the grounded
-Laplacian system directly, and label propagation (Zhu, 2002) iterates the
-row-normalized walk matrix with labeled rows re-clamped; on connected
-graphs both converge to the same harmonic labeling.
+Laplacian system by preconditioned conjugate gradients (Hestenes and
+Stiefel, 1952), directly where that does not apply or does not converge,
+and label propagation (Zhu, 2002) iterates the row-normalized walk matrix
+with labeled rows re-clamped; on connected graphs both converge to the
+same harmonic labeling.
 """
 from __future__ import annotations
 
@@ -58,18 +60,35 @@ def _to_simplex(scores) -> np.ndarray:
     return out
 
 
+#: Relative residual the conjugate-gradient harmonic solve must reach in
+#: every class column: ``|r| <= CG_TOLERANCE * |b|`` on the recurrence's
+#: residual, and ``|b - A x| <= CG_TOLERANCE * (|b| + |D x|)`` on the
+#: recomputed one (2-norms).
+CG_TOLERANCE = 1e-14
+#: Conjugate-gradient steps before the harmonic solve falls back to the
+#: direct one. Blob graphs, dense or k-NN, took 11-41 steps; elongated
+#: graphs (a weighted path, samples along a noisy curve) took 179-2131,
+#: and on those the direct solve was 2 to 400 times faster.
+CG_MAX_STEPS = 100
+#: Side of the square tiles the dense symmetry check compares.
+SYMMETRY_TILE = 256
+
+
 def harmonic_function(w, labels: LabelSet) -> np.ndarray:
-    """Gaussian-fields harmonic labeling via a direct grounded-Laplacian solve.
+    """Gaussian-fields harmonic labeling: the grounded-Laplacian solution.
 
     Labeled rows are their one-hot labels; every unlabeled row solves
     (D_uu - W_uu) f_u = W_ul Y_l, i.e. equals the weighted average of its
     neighbors' rows. The system is solved only on the unlabeled vertices
     with a path to a labeled one; the rows of the others
-    (``core.unreached``) are uniform. A dense graph is solved densely, a
-    CSR graph with a sparse LU (``spsolve``). On a symmetric graph the
-    system is nonsingular. An asymmetric one can leave a reached vertex
-    without an out-edge path to a labeled one, and an exactly singular
-    system raises NumericalError.
+    (``core.unreached``) are uniform. On a symmetric graph, dense or CSR,
+    the system is symmetric positive definite and conjugate gradients
+    solve it on the graph as given (``_conjugate_gradient``). An
+    asymmetric graph, or a solve that misses ``CG_TOLERANCE`` within
+    ``CG_MAX_STEPS`` steps, takes the direct solve (``_direct_solve``).
+    An asymmetric graph can leave a reached vertex without an out-edge
+    path to a labeled one, and an exactly singular system raises
+    NumericalError.
     """
     w = check_graph(w, label_set(labels).labels.size, "label vector")
     if labels.labeled_indices().size == 0:
@@ -80,36 +99,107 @@ def harmonic_function(w, labels: LabelSet) -> np.ndarray:
     out[orphans] = 1.0 / labels.num_classes
     u = np.setdiff1d(np.flatnonzero(~labeled), orphans)
     if u.size:
-        l = np.flatnonzero(labeled)
-        w_uu = w[np.ix_(u, u)]
-        w_ul = w[np.ix_(u, l)]
         deg = w.sum(axis=1)[u]
-        singular = "harmonic labeling: the grounded Laplacian is singular"
-        if is_sparse(w):
-            from scipy import sparse
-            from scipy.sparse.linalg import MatrixRankWarning, spsolve
-
-            laplacian_uu = (sparse.diags_array(deg) - w_uu).tocsc()
-            with warnings.catch_warnings():
-                # spsolve warns and returns NaN rows for a singular system
-                warnings.simplefilter("error", MatrixRankWarning)
-                try:
-                    # the pipeline's graphs are symmetric: a minimum-degree
-                    # ordering of A^T + A fills in far less than spsolve's
-                    # default COLAMD (about 3x faster on a 10k-sample k=10 graph)
-                    solved = spsolve(laplacian_uu, w_ul @ out[l], permc_spec="MMD_AT_PLUS_A")
-                except MatrixRankWarning:
-                    raise NumericalError(singular) from None
-            out[u] = solved.reshape(u.size, -1)
-        else:
-            # D_uu - W_uu in the one u x u copy; 0 - w keeps zeros at +0
-            laplacian_uu = np.subtract(0.0, w_uu, out=w_uu)
-            laplacian_uu.flat[:: u.size + 1] += deg
-            try:
-                out[u] = np.linalg.solve(laplacian_uu, w_ul @ out[l])
-            except np.linalg.LinAlgError:
-                raise NumericalError(singular) from None
+        solved = _conjugate_gradient(w, u, deg, out) if _symmetric(w) else None
+        out[u] = _direct_solve(w, u, np.flatnonzero(labeled), deg, out) if solved is None else solved
     return out
+
+
+def _symmetric(w) -> bool:
+    """Whether ``w`` equals its transpose. A dense graph is compared tile
+    by tile with its mirror image, so no ``n x n`` temporary is made."""
+    if is_sparse(w):
+        return (w != w.T).nnz == 0
+    n, t = w.shape[0], SYMMETRY_TILE
+    return all(
+        np.array_equal(w[i:i + t, j:j + t], w[j:j + t, i:i + t].T) for i in range(0, n, t) for j in range(i, n, t)
+    )
+
+
+def _conjugate_gradient(w, u, deg, out):
+    """f_u of the grounded-Laplacian system of a symmetric graph by
+    Jacobi-preconditioned conjugate gradients, or None if some column
+    misses ``CG_TOLERANCE`` within ``CG_MAX_STEPS`` steps.
+
+    Each step is one product of the graph as given with an n x m
+    direction that is zero off ``u``, so (W p)[u] = W_uu p_u and no u x u
+    block is sliced. The same product with ``out`` (zero off the labeled
+    and unreached rows) gives b = W_ul Y_l, since a reached row has no
+    edge to an unreached one. The m columns are m independent solves run
+    together, each with its own step sizes.
+
+    The loop stops on the recurrence's residual; the answer is accepted on
+    the residual recomputed from x. That one is D x - W x subtracted from
+    b, and D x is about b over the anchor fraction, so its rounding error
+    is relative to |b| + |D x|: the direct solve's own answer has a
+    recomputed residual of up to 2.5e-13 |b| but under 1e-15 (|b| + |D x|).
+    """
+    deg = deg[:, None]
+    spread = np.zeros_like(out)
+
+    def graph_uu(v):
+        # W_uu v, with v scattered into the rows u of spread
+        spread[u] = v
+        return (w @ spread)[u]
+
+    def norm(v):
+        return np.sqrt(np.sum(v * v, axis=0))
+
+    b = (w @ out)[u]
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = r / deg
+    p = z
+    rz = np.sum(r * z, axis=0)
+    steps = 0
+    while (norm(r) > CG_TOLERANCE * norm(b)).any():
+        if steps == CG_MAX_STEPS:
+            return None
+        steps += 1
+        q = deg * p - graph_uu(p)
+        # a column already solved exactly has p = 0: its step is 0, not 0/0
+        pq = np.sum(p * q, axis=0)
+        alpha = np.divide(rz, pq, out=np.zeros_like(rz), where=pq > 0)
+        x += alpha * p
+        r -= alpha * q
+        z = r / deg
+        rz_next = np.sum(r * z, axis=0)
+        p = z + np.divide(rz_next, rz, out=np.zeros_like(rz), where=rz > 0) * p
+        rz = rz_next
+    dx = deg * x
+    return x if (norm(b - dx + graph_uu(x)) <= CG_TOLERANCE * (norm(b) + norm(dx))).all() else None
+
+
+def _direct_solve(w, u, l, deg, out):
+    """f_u of the grounded-Laplacian system by LU: dense on a u x u copy,
+    sparse (``spsolve``) on a CSR graph. Raises NumericalError for an
+    exactly singular system."""
+    w_uu = w[np.ix_(u, u)]
+    w_ul = w[np.ix_(u, l)]
+    singular = "harmonic labeling: the grounded Laplacian is singular"
+    if is_sparse(w):
+        from scipy import sparse
+        from scipy.sparse.linalg import MatrixRankWarning, spsolve
+
+        laplacian_uu = (sparse.diags_array(deg) - w_uu).tocsc()
+        with warnings.catch_warnings():
+            # spsolve warns and returns NaN rows for a singular system
+            warnings.simplefilter("error", MatrixRankWarning)
+            try:
+                # the pipeline's graphs are symmetric: a minimum-degree
+                # ordering of A^T + A fills in far less than spsolve's
+                # default COLAMD (about 3x faster on a 10k-sample k=10 graph)
+                solved = spsolve(laplacian_uu, w_ul @ out[l], permc_spec="MMD_AT_PLUS_A")
+            except MatrixRankWarning:
+                raise NumericalError(singular) from None
+        return solved.reshape(u.size, -1)
+    # D_uu - W_uu in the one u x u copy; 0 - w keeps zeros at +0
+    laplacian_uu = np.subtract(0.0, w_uu, out=w_uu)
+    laplacian_uu.flat[:: u.size + 1] += deg
+    try:
+        return np.linalg.solve(laplacian_uu, w_ul @ out[l])
+    except np.linalg.LinAlgError:
+        raise NumericalError(singular) from None
 
 
 def label_propagation(

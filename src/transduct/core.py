@@ -10,6 +10,7 @@ arrays, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -230,18 +231,30 @@ def unreached(w, labels: LabelSet) -> np.ndarray:
     return np.flatnonzero(~reached)
 
 
-def check_settings(max_iterations=None, tolerance=None, alpha=None, temperature=None):
-    """The range check of each run setting; None skips it. The library
-    entry points and ``RunConfig`` share it, so both reject a bad value
-    with the same ConfigError."""
-    if max_iterations is not None:
-        integer("max_iterations", max_iterations, low=1)
-    if tolerance is not None and not 0 <= tolerance < math.inf:
-        raise ConfigError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-    if alpha is not None and not 0 < alpha < 1:
-        raise ConfigError("alpha must lie in (0, 1)")
-    if temperature is not None and not 0 < temperature < math.inf:
-        raise ConfigError(f"temperature must be finite and positive, got {temperature!r}")
+#: The range of each real-valued run setting: (test, what the value must be).
+SETTING_RANGES = {
+    "tolerance": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
+    "alpha": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "temperature": (lambda v: 0 < v < math.inf, "finite and positive"),
+}
+
+
+def check_settings(**settings) -> None:
+    """The check of each run setting passed by keyword: ``max_iterations``
+    an ``integer`` >= 1, the others a real number in their
+    ``SETTING_RANGES`` range. Anything else, None or a string included,
+    is a ConfigError. The library entry points and ``RunConfig`` share
+    it, so both reject a bad value with the same message; ``RunConfig``
+    passes only the settings its method reads."""
+    for name, value in settings.items():
+        if name == "max_iterations":
+            integer(name, value, low=1)
+            continue
+        in_range, must = SETTING_RANGES[name]
+        if not isinstance(value, numbers.Real):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not in_range(value):
+            raise ConfigError(f"{name} must be {must}, got {value!r}")
 
 
 def iterate(step, f, max_steps: int, tolerance: float):

@@ -116,7 +116,7 @@ class RunConfig:
                 prior = name == "temperature" and self.method in DYNAMICS_METHODS
                 without = " without a logits prior" if prior else ""
                 raise ConfigError(f"{name} does not apply to {self.method}{without}")
-        check_settings(self.max_iterations, self.tolerance, self.alpha, self.temperature)
+        check_settings(**{name: getattr(self, name) for name in reads})
         has_fraction = self.anchor_fraction is not None
         has_file = self.anchors_path is not None
         if has_fraction == has_file:

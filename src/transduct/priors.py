@@ -19,13 +19,23 @@ def softmax_with_temperature(logits, temperature: float = 1.0) -> np.ndarray:
     """Row-wise softmax of ``logits / temperature``.
 
     Max-subtraction keeps the exponentials bounded, so very small
-    temperatures sharpen toward one-hot without overflowing. A temperature
-    that is not finite and positive is a ConfigError.
+    temperatures sharpen toward one-hot without overflowing. Finite logits
+    always give a finite row on the simplex, even where the division or
+    the subtraction leaves the float64 range. A temperature that is not
+    finite and positive is a ConfigError.
     """
     logits = finite_matrix(logits, "logits")
     check_settings(temperature=temperature)
-    scaled = logits / temperature
-    scaled = scaled - scaled.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        scaled = logits / temperature
+        overflowed = np.isinf(scaled).any(axis=1)
+        if overflowed.any():
+            # (l - max) / T from halves, which cannot overflow before the
+            # division; a difference that still overflows is -inf, exp 0
+            rows = logits[overflowed] / 2
+            scaled[overflowed] = (rows - rows.max(axis=1, keepdims=True)) / temperature * 2
+        # a difference below -1.8e308 rounds to -inf, whose exp is exactly 0
+        scaled = scaled - scaled.max(axis=1, keepdims=True)
     # each row holds exp(0) = 1, so every row sum is positive
     return normalize_rows(np.exp(scaled))[0]
 

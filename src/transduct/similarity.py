@@ -111,11 +111,14 @@ def handle_negatives(w, mode: str = "clamp") -> np.ndarray:
     positives created this way can add up over large groups, which is why
     clamping is the default. Both are no-ops on already non-negative input.
 
-    A float64 array is modified in place and returned, so the graph never
-    needs a second ``n x n`` buffer; pass a copy to keep the raw
-    correlations. Other input is converted to a new float64 array first.
+    A writable float64 array is modified in place and returned, so the
+    graph never needs a second ``n x n`` buffer; pass a copy to keep the
+    raw correlations. Other input, a read-only array included, is
+    converted to a new float64 array first.
     """
     w = numeric_array(w, 2, "similarity matrix")
+    if not w.flags.writeable:
+        w = w.copy()
     if mode == "clamp":
         return np.maximum(w, 0.0, out=w)
     if mode == "shift":

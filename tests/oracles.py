@@ -54,6 +54,24 @@ def label_spreading_closed_form(w, labels, alpha: float = 0.99) -> np.ndarray:
     return (1 - alpha) * np.linalg.solve(np.eye(n) - alpha * s, y)
 
 
+def harmonic_full_system(w, labels) -> np.ndarray:
+    """Harmonic labeling from one n x n linear solve: row i of the system
+    is f_i = y_i for a labeled i and d_i f_i - sum_j w_ij f_j = 0 for the
+    others, with d_i the row sum. Oracle for ``harmonic_function`` on a
+    graph whose every unlabeled vertex has an out-edge path to a labeled
+    one (otherwise the system is singular)."""
+    w = np.asarray(w.toarray() if hasattr(w, "toarray") else w, dtype=np.float64)
+    n = w.shape[0]
+    system = np.diag(w.sum(axis=1)) - w
+    rhs = np.zeros((n, labels.num_classes))
+    for i, c in enumerate(labels.labels):
+        if c >= 0:
+            system[i] = 0.0
+            system[i, i] = 1.0
+            rhs[i, c] = 1.0
+    return np.linalg.solve(system, rhs)
+
+
 def read_features_csv(path) -> FeatureSet:
     """``csv.reader`` plus one ``float()`` per value; oracle for
     ``io.read_features_csv``, down to which error a bad file raises."""

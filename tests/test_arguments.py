@@ -3,8 +3,9 @@
 Each callable in ``transduct.__all__`` that takes arrays or integers is
 called with arguments drawn from everything an array can be (None, or
 any ndim 0-3, dtype bool, int, float, str or object and small shape,
-with or without NaN and inf) and everything an integer can be (ints,
-floats, None, strings). The tests run with warnings as errors, so a
+with or without NaN and inf), everything an integer can be (ints,
+floats, None, strings) and, for the keyword settings, everything a
+setting can be (``SETTINGS``). The tests run with warnings as errors, so a
 numpy warning fails too.
 """
 import numpy as np
@@ -62,6 +63,17 @@ SIGNATURES = {
     "true_centroids": (SPEC, INTEGERS),
     "uniform_prior": (INTEGERS, INTEGERS),
 }
+#: What a run setting can be: a number in or out of its range, NaN or
+#: inf, None, a bool or a string.
+SETTINGS = st.none() | st.booleans() | st.integers(-2, 6) | st.floats() | st.text("0123.-n", max_size=3)
+#: The keyword settings of each callable that takes them; each is drawn
+#: from SETTINGS or left out.
+KEYWORDS = {
+    "label_propagation": ("max_iterations", "tolerance"),
+    "label_spreading": ("max_iterations", "tolerance", "alpha"),
+    "run_dynamics": ("max_iterations", "tolerance"),
+    "softmax_with_temperature": ("temperature",),
+}
 #: Exports that take neither: constants, the error module, records and
 #: the file-level entry points, which their own tests cover.
 NOT_DRAWN = {"UNLABELED", "errors", "BlobSpec", "DynamicsTrace", "RunConfig", "run_pipeline", "run_eval"}
@@ -76,7 +88,27 @@ def test_every_export_is_drawn_or_excluded():
 @given(data=st.data())
 def test_malformed_arguments_raise_package_errors(name, data):
     args = [data.draw(strategy, label=f"argument {i}") for i, strategy in enumerate(SIGNATURES[name])]
+    kwargs = {}
+    for key in KEYWORDS.get(name, ()):
+        if data.draw(st.booleans(), label=f"pass {key}"):
+            kwargs[key] = data.draw(SETTINGS, label=key)
     try:
-        getattr(td, name)(*args)
+        getattr(td, name)(*args, **kwargs)
     except TransductError:
         pass
+
+
+W = [[0.0, 1.0], [1.0, 0.0]]
+X0 = [[0.5, 0.5], [0.5, 0.5]]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: td.run_dynamics(W, X0, tolerance="1"), "tolerance must be a number, got '1'"),
+    (lambda: td.run_dynamics(W, X0, max_iterations=None), "max_iterations must be an integer, got None"),
+    (lambda: td.label_spreading(W, td.LabelSet(2, [0, -1]), alpha=None), "alpha must be a number, got None"),
+    (lambda: td.softmax_with_temperature(X0, temperature=[1.0]), "temperature must be a number, got [1.0]"),
+], ids=["tolerance-str", "max_iterations-None", "alpha-None", "temperature-list"])
+def test_a_setting_of_the_wrong_type_is_a_config_error(call, message):
+    with pytest.raises(td.errors.ConfigError) as caught:
+        call()
+    assert str(caught.value) == message

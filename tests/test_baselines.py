@@ -20,7 +20,7 @@ from transduct.baselines import lloyd
 from transduct.core import unreached
 from transduct.errors import ConfigError, DataError, NumericalError
 
-from oracles import label_spreading_closed_form
+from oracles import harmonic_full_system, label_spreading_closed_form
 
 CHAIN_W = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0.0]])
 CHAIN_LABELS = LabelSet(2, [0, -1, 1])
@@ -135,6 +135,62 @@ class TestHarmonicFunction:
             x = harmonic_function(w, LabelSet(3, labels))
             assert x.min() >= -1e-9 and x.max() <= 1 + 1e-9
             np.testing.assert_allclose(x.sum(axis=1), 1.0, atol=1e-9)
+
+
+class TestHarmonicSolve:
+    """Which solve ``harmonic_function`` takes, and what each one gives."""
+
+    @pytest.fixture
+    def direct_calls(self, monkeypatch):
+        """Records every call to the direct solve, which still runs."""
+        calls = []
+        direct = baselines._direct_solve
+
+        def spy(*args):
+            calls.append(args)
+            return direct(*args)
+
+        monkeypatch.setattr(baselines, "_direct_solve", spy)
+        return calls
+
+    @pytest.mark.parametrize("form", [np.asarray, sparse.csr_array], ids=["dense", "csr"])
+    def test_conjugate_gradient_matches_the_full_system(self, form, direct_calls):
+        rng = np.random.default_rng(301)
+        for _ in range(25):
+            n = int(rng.integers(4, 60))
+            w = random_connected_graph(rng, n)
+            labels = np.full(n, -1)
+            labels[rng.choice(n, size=3, replace=False)] = [0, 1, 2]
+            labels = LabelSet(3, labels)
+            np.testing.assert_allclose(harmonic_function(form(w), labels), harmonic_full_system(w, labels), rtol=0, atol=1e-12)
+        assert direct_calls == []
+
+    @pytest.mark.parametrize("form", [np.asarray, sparse.csr_array], ids=["dense", "csr"])
+    def test_weighted_path_exhausts_the_budget_and_falls_back(self, form, direct_calls):
+        """Between anchors at its two ends a path's harmonic values are
+        linear in the resistance 1/w walked from the first end; conjugate
+        gradients need about one step per vertex there."""
+        n = 4 * baselines.CG_MAX_STEPS
+        weights = np.random.default_rng(302).uniform(0.2, 1.0, n - 1)
+        w = np.zeros((n, n))
+        w[np.arange(n - 1), np.arange(1, n)] = w[np.arange(1, n), np.arange(n - 1)] = weights
+        labels = np.full(n, -1)
+        labels[[0, -1]] = [0, 1]
+        x = harmonic_function(form(w), LabelSet(2, labels))
+        assert len(direct_calls) == 1
+        walked = np.r_[0.0, np.cumsum(1.0 / weights)] / np.sum(1.0 / weights)
+        np.testing.assert_allclose(x, np.column_stack([1.0 - walked, walked]), rtol=0, atol=1e-12)
+
+    def test_asymmetric_csr_graph_takes_the_direct_solve(self, direct_calls):
+        rng = np.random.default_rng(303)
+        w = random_connected_graph(rng, 30)
+        w[0, 1] += 0.5
+        labels = np.full(30, -1)
+        labels[[2, 3]] = [0, 1]
+        labels = LabelSet(2, labels)
+        x = harmonic_function(sparse.csr_array(w), labels)
+        assert len(direct_calls) == 1
+        np.testing.assert_allclose(x, harmonic_full_system(w, labels), rtol=0, atol=1e-12)
 
 
 class TestLabelPropagation:
@@ -302,16 +358,14 @@ def blob_graph():
     return w, LabelSet(4, labels)
 
 
-@pytest.mark.parametrize("method, bound", [
-    (lambda w, labels: label_spreading(w, labels, max_iterations=5), 0.5),
-    (lambda w, labels: label_propagation(w, labels, max_iterations=5), 0.5),
-    # the u x u grounded Laplacian; np.linalg.solve's own copy of it is
-    # allocated outside tracemalloc's view and doubles the RSS
-    (harmonic_function, 1.1),
+@pytest.mark.parametrize("method", [
+    lambda w, labels: label_spreading(w, labels, max_iterations=5),
+    lambda w, labels: label_propagation(w, labels, max_iterations=5),
+    harmonic_function,
 ], ids=["label_spreading", "label_propagation", "harmonic"])
-def test_dense_baselines_hold_little_beyond_the_graph(blob_graph, method, bound):
-    """Traced memory a dense baseline holds beyond the graph, in units of
-    one 8·n² matrix; a scaled or converted copy of the graph costs 1."""
+def test_dense_baselines_hold_little_beyond_the_graph(blob_graph, method):
+    """Traced memory a dense baseline holds beyond the graph is under half
+    of one 8·n² matrix; a scaled or converted copy of the graph costs 1."""
     w, labels = blob_graph
     tracemalloc.start()
     try:
@@ -319,7 +373,7 @@ def test_dense_baselines_hold_little_beyond_the_graph(blob_graph, method, bound)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < bound * 8 * w.shape[0] ** 2
+    assert peak < 0.5 * 8 * w.shape[0] ** 2
 
 
 def brute_force_kmeans(points, k):

@@ -61,6 +61,26 @@ class TestSoftmax:
         np.testing.assert_allclose(a, b, atol=1e-12)
         np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("logits, temperature, expected", [
+        ([[1.7e308, -1.7e308]], 1.0, [[1.0, 0.0]]),  # the subtraction overflows
+        ([[1e308, 0.0]], 0.1, [[1.0, 0.0]]),  # the division overflows
+        ([[1e308, 9e307]], 0.1, [[1.0, 0.0]]),  # both entries overflow, 1e308 apart
+        ([[-1e308, 1e308, 1e308]], 0.5, [[0.0, 0.5, 0.5]]),  # a tie among them, and both overflows
+    ])
+    def test_finite_logits_beyond_the_float64_range(self, logits, temperature, expected):
+        out = softmax_with_temperature(logits, temperature)
+        np.testing.assert_allclose(out, expected, rtol=1e-15, atol=0)
+        assert np.isfinite(out).all()
+
+    @given(st.integers(1, 6), st.integers(2, 5), st.floats(1e-3, 1e3), st.integers(0, 3000))
+    @settings(max_examples=100, deadline=None)
+    def test_in_range_logits_keep_the_plain_formula_bit_for_bit(self, n, m, t, seed):
+        logits = np.random.default_rng(seed).normal(size=(n, m)) * 50
+        scaled = logits / t
+        raw = np.exp(scaled - scaled.max(axis=1, keepdims=True))
+        np.testing.assert_array_equal(softmax_with_temperature(logits, t), raw / raw.sum(axis=1)[:, None])
+
     @given(st.floats(0.1, 10.0), st.integers(0, 1000))
     @settings(max_examples=50, deadline=None)
     def test_monotone_in_logits(self, t, seed):

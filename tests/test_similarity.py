@@ -143,6 +143,14 @@ class TestHandleNegatives:
         assert handle_negatives(raw, mode).min() == 0
         assert raw == [[0, -1], [2, 0]]
 
+    @pytest.mark.parametrize("mode", ["clamp", "shift"])
+    def test_read_only_float64_gets_a_new_array(self, mode):
+        w = np.array([[0, -0.5], [0.3, 0]])
+        w.setflags(write=False)
+        out = handle_negatives(w, mode)
+        assert out is not w and out.min() == 0
+        np.testing.assert_array_equal(w, [[0, -0.5], [0.3, 0]])
+
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             handle_negatives(np.zeros((2, 2)), "abs")
