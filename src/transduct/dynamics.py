@@ -14,7 +14,6 @@ import numpy as np
 
 from .core import LabelSet, check_graph, check_settings, check_simplex, finite_matrix, iterate, label_set, normalize_rows
 from .errors import EmptyInput
-from .priors import inject_anchors
 
 #: Probability floor used before taking logs in the cross-entropy readout.
 PROB_FLOOR = 1e-12
@@ -33,7 +32,6 @@ class DynamicsTrace:
 def run_dynamics(
     w,
     x0,
-    anchors: LabelSet | None = None,
     *,
     max_iterations: int = 100,
     tolerance: float = 1e-6,
@@ -49,10 +47,12 @@ def run_dynamics(
     (frozen) rows seen. With ``tolerance=0`` exactly ``max_iterations``
     steps run and ``converged`` is False, since no L1 change is below 0:
     that is the fixed-step refinement (``group_loss``), and one step with
-    ``max_iterations=1``. Anchored rows are exact fixed points of
-    the update; they are pinned to their one-hot labels at the start
-    (``inject_anchors``) and re-pinned after every step anyway, so float
-    drift on very long runs cannot move them.
+    ``max_iterations=1``. Anchors are pinned into x0 by the caller
+    (``inject_anchors``): a one-hot row is an exact fixed point of the
+    update, since its zero entries stay 0 and its class entry is divided
+    by itself, so it stays one-hot bit for bit on every step. A one-hot
+    row whose class gets no support is frozen as it is and listed in
+    ``degenerate_rows``.
 
     The loop is deterministic: identical inputs produce bit-identical
     iterates and traces.
@@ -61,10 +61,6 @@ def run_dynamics(
     x = finite_matrix(x0)
     w = check_graph(w, x.shape[0], "assignment matrix")
     check_simplex(x, "prior")
-    if anchors is not None:
-        x = inject_anchors(x, anchors)
-        pinned = anchors.labeled_indices()
-        onehots = x[pinned]
     functional_values: list[float] = []
     degenerate: set[int] = set()
 
@@ -77,8 +73,6 @@ def run_dynamics(
         if degen.size:
             x_next[degen] = x[degen]
             degenerate.update(int(i) for i in degen)
-        if anchors is not None:
-            x_next[pinned] = onehots
         return x_next
 
     x, iterations, converged = iterate(step, x, max_iterations, tolerance)

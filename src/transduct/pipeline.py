@@ -256,10 +256,9 @@ def _propagate(w, anchors: LabelSet, logits, cfg: RunConfig):
     if cfg.method in DYNAMICS_METHODS:
         n, m = anchors.labels.size, anchors.num_classes
         x0 = uniform_prior(n, m) if logits is None else softmax_with_temperature(logits, cfg.temperature)
-        # run_dynamics pins the anchors again, but perfbench/tracer.py times
-        # this call as priors.inject_anchors; rebinding frees the raw prior
+        # rebinding frees the raw prior
         x0 = inject_anchors(x0, anchors)
-        x, trace = run_dynamics(w, x0, anchors, **loop)
+        x, trace = run_dynamics(w, x0, **loop)
         meta = {"iterations": trace.iterations_used, "converged": trace.converged}
         info["functional_trace"] = trace.functional_values
         info["degenerate_rows"] = list(trace.degenerate_rows)

@@ -57,7 +57,7 @@ SIGNATURES = {
     "nmi": (ARRAYS, ARRAYS),
     "pearson_matrix": (ARRAYS,),
     "recall_at_k": (ARRAYS, ARRAYS, INTEGERS | st.lists(INTEGERS, max_size=3)),
-    "run_dynamics": (ARRAYS, ARRAYS, st.none() | LABEL_SETS),
+    "run_dynamics": (ARRAYS, ARRAYS),
     "softmax_with_temperature": (ARRAYS,),
     "sparsify_knn": (ARRAYS, INTEGERS),
     "true_centroids": (SPEC, INTEGERS),

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -439,4 +440,19 @@ class TestKmeans:
         points = rng.normal(size=(30, 3))
         a = kmeans(points, 4, seed=5)
         b = kmeans(points, 4, seed=5)
+        np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("points", [
+        np.zeros((5, 2)),
+        np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]]),
+    ], ids=["identical-rows", "two-duplicate-pairs"])
+    def test_fewer_distinct_points_than_k(self, points):
+        # k-means++ runs out of distance mass to draw from and Lloyd re-seeds
+        # an empty cluster; with fewer distinct points than k a cluster can
+        # still end empty, so only the label range is asserted
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = kmeans(points, 3, seed=6)
+            b = kmeans(points, 3, seed=6)
+        assert a.shape == (len(points),) and 0 <= a.min() and a.max() < 3
         np.testing.assert_array_equal(a, b)

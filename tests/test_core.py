@@ -9,6 +9,7 @@ from transduct import (
     LabelSet,
     argmax_decode,
     harmonic_function,
+    inject_anchors,
     label_propagation,
     label_spreading,
     run_dynamics,
@@ -149,7 +150,7 @@ UNIFORM_X = np.full((3, 2), 0.5)
 CHAIN_LABELS = LabelSet(2, [0, -1, 1])
 ONE_STEP = {"max_iterations": 1, "tolerance": 0.0}
 PROPAGATORS = {
-    "run_dynamics": lambda w: run_dynamics(w, UNIFORM_X, CHAIN_LABELS),
+    "run_dynamics": lambda w: run_dynamics(w, inject_anchors(UNIFORM_X, CHAIN_LABELS)),
     # one unanchored step, and the consistency functional its trace records
     "replicator_step": lambda w: run_dynamics(w, UNIFORM_X, **ONE_STEP)[0],
     "consistency_functional": lambda w: run_dynamics(w, UNIFORM_X, **ONE_STEP)[1].functional_values,

@@ -9,7 +9,7 @@ from transduct import (
     run_dynamics,
     uniform_prior,
 )
-from transduct.errors import ConfigError, DataError, EmptyInput, NonFinite, OutOfRange, ShapeMismatch
+from transduct.errors import ConfigError, DataError, EmptyInput, NonFinite, ShapeMismatch
 
 from oracles import replicator_step_elementwise
 
@@ -141,14 +141,14 @@ class TestConsistencyFunctional:
 class TestRunDynamics:
     def test_three_node_hand_iteration(self):
         x0 = inject_anchors(uniform_prior(3, 2), THREE_NODE_ANCHORS)
-        x1, trace = run_dynamics(THREE_NODE_W, x0, THREE_NODE_ANCHORS, max_iterations=1, tolerance=0.0)
+        x1, trace = run_dynamics(THREE_NODE_W, x0, max_iterations=1, tolerance=0.0)
         np.testing.assert_allclose(x1[1], [0.9, 0.1], atol=1e-12)
-        x2, _ = run_dynamics(THREE_NODE_W, x0, THREE_NODE_ANCHORS, max_iterations=2, tolerance=0.0)
+        x2, _ = run_dynamics(THREE_NODE_W, x0, max_iterations=2, tolerance=0.0)
         np.testing.assert_allclose(x2[1], [0.9878, 0.0122], atol=1e-4)
 
     def test_three_node_converges_to_anchor_class(self):
         x0 = inject_anchors(uniform_prior(3, 2), THREE_NODE_ANCHORS)
-        x, trace = run_dynamics(THREE_NODE_W, x0, THREE_NODE_ANCHORS)
+        x, trace = run_dynamics(THREE_NODE_W, x0)
         assert trace.converged
         np.testing.assert_allclose(x[1], [1, 0], atol=1e-5)
 
@@ -180,8 +180,8 @@ class TestRunDynamics:
         w, x = random_instance(rng, n=12, m=3)
         anchors = LabelSet(3, [0, -1, -1, -1, -1, 2] + [-1] * 6)
         x0 = inject_anchors(x, anchors)
-        a, ta = run_dynamics(w, x0, anchors)
-        b, tb = run_dynamics(w, x0, anchors)
+        a, ta = run_dynamics(w, x0)
+        b, tb = run_dynamics(w, x0)
         assert np.array_equal(a, b)
         assert ta.functional_values == tb.functional_values
         assert (ta.iterations_used, ta.converged) == (tb.iterations_used, tb.converged)
@@ -191,24 +191,34 @@ class TestRunDynamics:
         w[0, 1] = w[1, 0] = 1.0
         anchors = LabelSet(2, [0, -1, -1])
         x0 = inject_anchors(uniform_prior(3, 2), anchors)
-        x, trace = run_dynamics(w, x0, anchors)
+        x, trace = run_dynamics(w, x0)
         assert 2 in trace.degenerate_rows
         np.testing.assert_allclose(x[2], [0.5, 0.5])
 
-    def test_anchors_repinned_and_range_checked(self):
-        # start from an x0 whose anchored row is not one-hot: run_dynamics
-        # pins it itself, and keeps it pinned on every step
-        cfg = {"max_iterations": 3, "tolerance": 0.0}
-        x, trace = run_dynamics(THREE_NODE_W, uniform_prior(3, 2), THREE_NODE_ANCHORS, **cfg)
-        np.testing.assert_array_equal(x[[0, 2]], [[1, 0], [0, 1]])
-        pinned_first = inject_anchors(uniform_prior(3, 2), THREE_NODE_ANCHORS)
-        same, same_trace = run_dynamics(THREE_NODE_W, pinned_first, THREE_NODE_ANCHORS, **cfg)
-        np.testing.assert_array_equal(x, same)
-        assert trace.functional_values == same_trace.functional_values
-        with pytest.raises(ShapeMismatch):
-            run_dynamics(THREE_NODE_W, uniform_prior(3, 2), LabelSet(2, [0, -1]))
-        with pytest.raises(OutOfRange, match="anchor class 2 out of range for m=2"):
-            run_dynamics(THREE_NODE_W, uniform_prior(3, 2), LabelSet(3, [0, -1, 2]))
+    @pytest.mark.parametrize("form", ["dense", "csr"])
+    def test_pinned_anchors_stay_one_hot(self, form):
+        # run_dynamics never re-pins: the one-hot rows inject_anchors puts
+        # into x0 must come out of a 100-step run bit for bit
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            n, m = int(rng.integers(4, 30)), int(rng.integers(2, 5))
+            w, x = random_instance(rng, n=n, m=m)
+            w[w < 0.6] = 0.0  # sparse enough to leave some rows without edges
+            # rows 0 and 1 touch only each other and are anchored to different
+            # classes, so neither gets support on its class
+            w[:2] = 0.0
+            w[:, :2] = 0.0
+            w[0, 1] = w[1, 0] = 0.5
+            vector = np.where(rng.random(n) < 0.3, rng.integers(m, size=n), -1)
+            vector[:2] = [0, 1]
+            anchors = LabelSet(m, vector)
+            x0 = inject_anchors(x, anchors)
+            graph = w if form == "dense" else sparse.csr_array(w)
+            out, trace = run_dynamics(graph, x0, max_iterations=100, tolerance=0.0)
+            rows = anchors.labeled_indices()
+            np.testing.assert_array_equal(out[rows], x0[rows])
+            assert {0, 1} <= set(trace.degenerate_rows)
+            np.testing.assert_array_equal(out[:2], np.eye(m)[:2])
 
     @pytest.mark.parametrize("shape", [(3,), (3, 2, 1)], ids=["1-d", "3-d"])
     def test_prior_must_be_2d(self, shape):
@@ -253,8 +263,8 @@ class TestCsrGraph:
             vector[[0, n - 1]] = [0, 1]
             anchors = LabelSet(2, vector)
             x0 = inject_anchors(x, anchors)
-            dense, dense_trace = run_dynamics(w, x0, anchors, max_iterations=200)
-            csr, csr_trace = run_dynamics(sparse.csr_array(w), x0, anchors, max_iterations=200)
+            dense, dense_trace = run_dynamics(w, x0, max_iterations=200)
+            csr, csr_trace = run_dynamics(sparse.csr_array(w), x0, max_iterations=200)
             np.testing.assert_allclose(csr, dense, rtol=0, atol=1e-12)
             np.testing.assert_allclose(csr_trace.functional_values, dense_trace.functional_values, rtol=1e-12)
             assert csr_trace.degenerate_rows == dense_trace.degenerate_rows

@@ -836,6 +836,18 @@ class TestCli:
         assert r.returncode == 3, r.stderr
         assert r.stderr.splitlines() == ["numerical error: feature values too large: squared distances overflow float64"]
 
+    def test_eval_nmi_on_identical_rows(self, tmp_path):
+        """nmi's k-means sees one distinct point for its k clusters; eval
+        still exits 0 with a finite score and no warning."""
+        fpath = tmp_path / "f.csv"
+        fpath.write_text("id,f0,f1,f2\n" + "".join(f"{i},1,2,3\n" for i in "abcde"))
+        tpath = tmp_path / "t.csv"
+        tpath.write_text("id,label\na,x\nb,y\nc,x\nd,y\ne,z\n")
+        out = tmp_path / "out"
+        args = ["eval", "--features", str(fpath), "--truth", str(tpath), "--metrics", "nmi,recall@1"]
+        assert main([*args, "--out-dir", str(out)]) == 0
+        assert np.isfinite(json.loads((out / "report.json").read_text())["metrics"]["nmi"])
+
     @pytest.mark.parametrize("command, names", [
         ("run", "accuracy,accuracy"), ("run", "recall@1,macro_f1,recall@1"), ("eval", "nmi,nmi"),
     ])
