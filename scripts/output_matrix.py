@@ -1,0 +1,56 @@
+#!/usr/bin/env python3
+"""Output matrix: the predictions.csv and report.json of every method,
+dense and with --knn 7, under both negative handlings, on synthetic sets
+of n=300, 1200 and 4000 samples.
+
+Every file is written under OUT by the `transduct` CLI of the checkout
+this script belongs to. All paths a run is given are relative to OUT, so
+the paths a report records are the same wherever OUT is. Run it from two
+checkouts at the same TRANSDUCT_THREADS and compare the trees with
+`diff -r` to show that a change keeps every output byte-identical.
+
+Usage: TRANSDUCT_THREADS=2 python scripts/output_matrix.py OUT
+"""
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+METHODS = ("gtg", "group_loss", "label_spreading", "label_propagation", "harmonic")
+SIZES = (300, 1200, 4000)
+GRAPHS = {"dense": [], "knn7": ["--knn", "7"]}
+MODES = ("clamp", "shift")
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def cli(out: Path, *args: str) -> None:
+    """One `transduct` command run in ``out`` on this checkout's source; exits on failure."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-m", "transduct.cli", *args], cwd=out, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    if done.returncode:
+        sys.exit(f"transduct {' '.join(args)} exited {done.returncode}: {done.stderr.strip()}")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", type=Path, help="directory to write the data and the runs into")
+    out = parser.parse_args().out
+    out.mkdir(parents=True, exist_ok=True)
+    for n in SIZES:
+        data = f"data/n{n}"
+        cli(out, "synth", "--blobs", "4", "--per-blob", str(n // 4), "--dim", "64", "--seed", "0", "--out-dir", data)
+        for graph, graph_args in GRAPHS.items():
+            for mode in MODES:
+                for method in METHODS:
+                    run = f"runs/n{n}/{graph}/{mode}/{method}"
+                    print(run, flush=True)
+                    cli(out, "run", "--features", f"{data}/features.csv", "--labels", f"{data}/labels.csv",
+                        "--truth", f"{data}/labels.csv", "--method", method, "--anchor-fraction", "0.05",
+                        "--negative-handling", mode, *graph_args, "--out-dir", run)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

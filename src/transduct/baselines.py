@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .core import LabelSet, check_graph, check_settings, feature_data, integer, is_sparse, iterate, label_set, normalize_rows, squared_norms, unreached
+from .core import LabelSet, check_graph, check_settings, feature_data, graph_product, integer, is_sparse, iterate, label_set, normalize_rows, squared_norms, unreached
 from .errors import DataError, NumericalError
 from .priors import inject_anchors
 
@@ -46,7 +46,7 @@ def label_spreading(
 
     def step(f):
         # S F = D^-1/2 (W (D^-1/2 F)): the graph itself is never scaled
-        return alpha * (inv_sqrt * (w @ (inv_sqrt * f))) + (1 - alpha) * y
+        return alpha * (inv_sqrt * graph_product(w, inv_sqrt * f)) + (1 - alpha) * y
 
     f, iterations, converged = iterate(step, y, max_iterations, tolerance)
     x = _to_simplex(f)
@@ -140,12 +140,12 @@ def _conjugate_gradient(w, u, deg, out):
     def graph_uu(v):
         # W_uu v, with v scattered into the rows u of spread
         spread[u] = v
-        return (w @ spread)[u]
+        return graph_product(w, spread)[u]
 
     def norm(v):
         return np.sqrt(np.sum(v * v, axis=0))
 
-    b = (w @ out)[u]
+    b = graph_product(w, out)[u]
     x = np.zeros_like(b)
     r = b.copy()
     z = r / deg
@@ -224,7 +224,7 @@ def label_propagation(
     safe = np.where(degree > 0, degree, 1.0)[:, None]
 
     def step(f):
-        f_next = w @ f
+        f_next = graph_product(w, f)
         f_next /= safe
         f_next[labeled] = y_labeled
         return f_next

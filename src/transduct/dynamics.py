@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelSet, check_graph, check_settings, check_simplex, finite_matrix, iterate, label_set, normalize_rows
+from .core import LabelSet, check_graph, check_settings, check_simplex, finite_matrix, graph_product, iterate, label_set, normalize_rows
 from .errors import EmptyInput
 
 #: Probability floor used before taking logs in the cross-entropy readout.
@@ -65,7 +65,7 @@ def run_dynamics(
     degenerate: set[int] = set()
 
     def step(x):
-        pi = w @ x
+        pi = graph_product(w, x)
         functional_values.append(float(np.sum(x * pi)))
         x_next, degen = normalize_rows(x * pi)
         # a row with no reweighted mass (an isolated vertex, or no support on
@@ -76,7 +76,7 @@ def run_dynamics(
         return x_next
 
     x, iterations, converged = iterate(step, x, max_iterations, tolerance)
-    functional_values.append(float(np.sum((w @ x) * x)))
+    functional_values.append(float(np.sum(graph_product(w, x) * x)))
     return x, DynamicsTrace(functional_values, iterations, converged, tuple(sorted(degenerate)))
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import FeatureSet
-from .errors import DataError, DimensionMismatch, DuplicateId, ParseError
+from .errors import DataError, DimensionMismatch, DuplicateId, NonFinite, ParseError
 
 
 #: Feature rows parsed per ``np.loadtxt`` call: enough to amortise the
@@ -155,12 +155,18 @@ def _read_records(path, records) -> FeatureSet:
     lines: list[int] = []
     seen: set[str] = set()
     pending: list = []
-    blocks: list[np.ndarray] = []
+    data = np.empty((0, width))
 
     def parse_pending():
         if pending:
             values, pending[:] = pending[:], []  # a failed block is not parsed twice
-            blocks.append(_parse_block(path, values, lines[-len(values):]))
+            block = _parse_block(path, values, lines[-len(values):])
+            if len(lines) > data.shape[0]:
+                # grown in place by an eighth (no view of ``data`` exists):
+                # the matrix and its spare rows stay within 1.125x the rows
+                # read, and no second copy of it is made
+                data.resize((max(len(lines), data.shape[0] * 9 // 8), width), refcheck=False)
+            data[len(lines) - len(values):len(lines)] = block
 
     try:
         for lineno, record in enumerate(records, start=2):
@@ -185,12 +191,13 @@ def _read_records(path, records) -> FeatureSet:
     parse_pending()
     if not ids:
         raise ParseError(path, 1, "no data rows")
-    data = np.concatenate(blocks)
-    blocks.clear()  # FeatureSet copies ``data``: hold two copies, not three
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        raise ParseError(path, lines[int(np.argmin(finite))], "value is NaN or infinite")
-    return FeatureSet(data, tuple(ids))
+    data.resize((len(ids), width), refcheck=False)
+    data.setflags(write=False)  # nothing else holds ``data``: FeatureSet keeps it, uncopied
+    try:
+        return FeatureSet(data, tuple(ids))
+    except NonFinite:
+        finite = np.isfinite(data).all(axis=1)
+        raise ParseError(path, lines[int(np.argmin(finite))], "value is NaN or infinite") from None
 
 
 def read_features_csv(path) -> FeatureSet:

@@ -18,7 +18,7 @@ from transduct import (
     pearson_matrix,
 )
 from transduct.baselines import lloyd
-from transduct.core import unreached
+from transduct.core import DENSE_PRODUCT_FLIP, unreached
 from transduct.errors import ConfigError, DataError, NumericalError
 
 from oracles import harmonic_full_system, label_spreading_closed_form
@@ -40,6 +40,27 @@ def random_connected_graph(rng, n):
             weight = rng.uniform(0.2, 1.0)
             w[i, j] = w[j, i] = weight
     return w
+
+
+#: Vertices of the graphs whose products with 3 label columns take the
+#: turned-round branch of ``core.graph_product`` (n·n·m > 1e6).
+LARGE_N = 640
+
+
+def large_symmetric_graph(rng, n):
+    """A dense symmetric graph, every weight in [0.01, 1), no self-loops."""
+    w = rng.uniform(0.01, 1.0, size=(n, n))
+    w = (w + w.T) / 2
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def large_labels():
+    """Three anchors of three classes among ``LARGE_N`` vertices."""
+    vector = np.full(LARGE_N, -1)
+    vector[[5, 300, 600]] = [0, 1, 2]
+    assert LARGE_N * LARGE_N * 3 > DENSE_PRODUCT_FLIP
+    return LabelSet(3, vector)
 
 
 class TestLabelSpreading:
@@ -79,6 +100,13 @@ class TestLabelSpreading:
             _, meta = label_spreading(w, ls, **cfg)
             oracle = label_spreading_closed_form(w, ls, alpha=0.9)
             np.testing.assert_allclose(meta["raw_scores"], oracle, atol=1e-8)
+
+    def test_iterative_matches_closed_form_above_the_product_rule(self):
+        labels = large_labels()
+        w = large_symmetric_graph(np.random.default_rng(102), LARGE_N)
+        _, meta = label_spreading(w, labels, alpha=0.9, tolerance=1e-13, max_iterations=50_000)
+        assert meta["converged"]
+        np.testing.assert_allclose(meta["raw_scores"], label_spreading_closed_form(w, labels, alpha=0.9), atol=1e-8)
 
     def test_needs_labels(self):
         with pytest.raises(DataError):
@@ -164,6 +192,12 @@ class TestHarmonicSolve:
             labels[rng.choice(n, size=3, replace=False)] = [0, 1, 2]
             labels = LabelSet(3, labels)
             np.testing.assert_allclose(harmonic_function(form(w), labels), harmonic_full_system(w, labels), rtol=0, atol=1e-12)
+        assert direct_calls == []
+
+    def test_conjugate_gradient_matches_the_full_system_above_the_product_rule(self, direct_calls):
+        labels = large_labels()
+        w = large_symmetric_graph(np.random.default_rng(304), LARGE_N)
+        np.testing.assert_allclose(harmonic_function(w, labels), harmonic_full_system(w, labels), rtol=0, atol=1e-12)
         assert direct_calls == []
 
     @pytest.mark.parametrize("form", [np.asarray, sparse.csr_array], ids=["dense", "csr"])

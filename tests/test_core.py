@@ -14,7 +14,7 @@ from transduct import (
     label_spreading,
     run_dynamics,
 )
-from transduct.core import check_graph, iterate, normalize_rows
+from transduct.core import DENSE_PRODUCT_FLIP, check_graph, graph_product, iterate, normalize_rows
 from transduct.errors import DataError, DuplicateId, NonFinite, OutOfRange, ShapeMismatch
 from transduct.pipeline import _report
 
@@ -93,6 +93,23 @@ class TestContainers:
         with pytest.raises(ValueError):
             fs.data[0, 0] = 9.0
 
+    def test_feature_set_copies_an_array_the_caller_can_write(self):
+        data = np.array([[1.0, 2.0], [3.0, 4.0]])
+        fs = FeatureSet(data, ("a", "b"))
+        data[0, 0] = 9.0
+        assert fs.data[0, 0] == 1.0
+        view = np.array([[1.0, 2.0], [3.0, 4.0]])
+        readonly_view = view[:]
+        readonly_view.setflags(write=False)
+        fs = FeatureSet(readonly_view, ("a", "b"))
+        view[0, 0] = 9.0
+        assert fs.data[0, 0] == 1.0
+
+    def test_feature_set_keeps_a_read_only_array_it_is_given(self):
+        data = np.array([[1.0, 2.0], [3.0, 4.0]])
+        data.setflags(write=False)
+        assert FeatureSet(data, ("a", "b")).data is data
+
     def test_label_set_range_check(self):
         with pytest.raises(OutOfRange):
             LabelSet(num_classes=2, labels=[0, 2])
@@ -107,6 +124,34 @@ class TestContainers:
         report = _report({"accuracy": 0.5}, {"seed": 1}, ("a",), 1, [])
         assert report["metrics"]["accuracy"] == 0.5
         assert report["classes"] == ["a"]
+
+
+class TestGraphProduct:
+    """W X on both sides of ``DENSE_PRODUCT_FLIP``: n=20 is below it and
+    n=640 with 3 columns above, where a dense W is turned round."""
+
+    @staticmethod
+    def graph(rng, n, kind):
+        w = rng.uniform(0, 1, size=(n, n))
+        w[rng.uniform(size=(n, n)) < 0.5] = 0.0
+        if kind == "symmetric":
+            return (w + w.T) / 2
+        return sparse.csr_array(w) if kind == "csr" else w
+
+    @pytest.mark.parametrize("kind", ["symmetric", "asymmetric", "csr"])
+    @pytest.mark.parametrize("n", [20, 640])
+    def test_matches_w_times_x(self, n, kind):
+        rng = np.random.default_rng(n)
+        w = self.graph(rng, n, kind)
+        x = rng.uniform(0, 1, size=(n, 3))
+        assert (n * n * 3 > DENSE_PRODUCT_FLIP) == (n == 640)
+        dense = np.array(w.toarray() if kind == "csr" else w)
+        x_before = x.copy()
+        out = graph_product(w, x)
+        assert out.flags.c_contiguous and out.shape == (n, 3)
+        np.testing.assert_allclose(out, dense @ x, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(w.toarray() if kind == "csr" else w, dense)
+        np.testing.assert_array_equal(x, x_before)
 
 
 def counting(move):

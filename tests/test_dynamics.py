@@ -9,6 +9,7 @@ from transduct import (
     run_dynamics,
     uniform_prior,
 )
+from transduct.core import DENSE_PRODUCT_FLIP
 from transduct.errors import ConfigError, DataError, EmptyInput, NonFinite, ShapeMismatch
 
 from oracles import replicator_step_elementwise
@@ -104,6 +105,19 @@ class TestReplicatorStep:
             slow, dslow = replicator_step_elementwise(w, x)
             np.testing.assert_allclose(fast, slow, atol=1e-12)
             np.testing.assert_array_equal(trace.degenerate_rows, dslow)
+
+    def test_matches_elementwise_form_above_the_product_rule(self):
+        """n·n·m > 1e6 takes ``graph_product``'s turned-round branch; an
+        asymmetric W tells W X from W^T X there."""
+        rng = np.random.default_rng(6)
+        n, m = 640, 3
+        assert n * n * m > DENSE_PRODUCT_FLIP
+        w = rng.uniform(0, 1, size=(n, n))
+        x = rng.dirichlet(np.ones(m), size=n)
+        fast, trace = one_step(w, x)
+        slow, dslow = replicator_step_elementwise(w, x)
+        np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(trace.degenerate_rows, dslow)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(9)

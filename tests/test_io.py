@@ -181,8 +181,10 @@ def test_field_over_the_csv_limit(tmp_path, block_rows, text, line, message):
 
 
 def test_reader_peak_memory(tmp_path):
-    """Parsing in blocks keeps the reader's peak below 4x the matrix it
-    returns; a list of Python floats per row peaked at 6.6x."""
+    """Parsing in blocks, and handing the parsed matrix to the FeatureSet
+    uncopied, keeps the reader's peak within 1.6x the matrix it returns;
+    a list of Python floats per row peaked at 6.6x, and a FeatureSet
+    copy of its own at 2.4x."""
     rng = np.random.default_rng(0)
     path = tmp_path / "f.csv"
     io.write_features_csv(path, FeatureSet(rng.normal(size=(4000, 64)), tuple(f"s{i:05d}" for i in range(4000))))
@@ -192,7 +194,7 @@ def test_reader_peak_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * data.nbytes
+    assert peak <= 1.6 * data.nbytes
 
 
 EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1e-310,
