@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Output matrix: the predictions.csv and report.json of every method,
-dense and with --knn 7, under both negative handlings, on synthetic sets
-of n=300, 1200 and 4000 samples.
+dense and with --knn 7, under both negative handlings, plus the
+report.json of one `eval` of recall@K and nmi, on synthetic sets of
+n=300, 1200 and 4000 samples.
 
 Every file is written under OUT by the `transduct` CLI of the checkout
 this script belongs to. All paths a run is given are relative to OUT, so
@@ -21,6 +22,7 @@ METHODS = ("gtg", "group_loss", "label_spreading", "label_propagation", "harmoni
 SIZES = (300, 1200, 4000)
 GRAPHS = {"dense": [], "knn7": ["--knn", "7"]}
 MODES = ("clamp", "shift")
+EVAL_METRICS = "recall@1,recall@2,recall@4,recall@8,nmi"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -49,6 +51,10 @@ def main() -> int:
                     cli(out, "run", "--features", f"{data}/features.csv", "--labels", f"{data}/labels.csv",
                         "--truth", f"{data}/labels.csv", "--method", method, "--anchor-fraction", "0.05",
                         "--negative-handling", mode, *graph_args, "--out-dir", run)
+        run = f"runs/n{n}/eval"
+        print(run, flush=True)
+        cli(out, "eval", "--features", f"{data}/features.csv", "--truth", f"{data}/labels.csv",
+            "--metrics", EVAL_METRICS, "--out-dir", run)
     return 0
 
 

@@ -37,8 +37,12 @@ def integer(name: str, value, low=-math.inf, high=math.inf) -> int:
 
 def numeric_array(values, ndim: int, what: str, dtype=np.float64) -> np.ndarray:
     """``values`` as an ``ndim``-d (ShapeMismatch) bool, int or float (DataError) array cast to
-    ``dtype`` unless None. One already of that dtype is not copied: a caller may work in place."""
-    arr = np.asarray(values)
+    ``dtype`` unless None. One already of that dtype is not copied: a caller may work in place.
+    A ragged sequence, whose rows differ in length, is a DataError."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise DataError(f"{what} is ragged: its rows differ in length") from None
     if arr.dtype.kind not in "biuf":
         raise DataError(f"{what} must be numeric, got dtype {arr.dtype}")
     if arr.ndim != ndim:

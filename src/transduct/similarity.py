@@ -3,8 +3,9 @@
 The default pipeline is Pearson correlation followed by clamping of
 negative entries, as a dense ``n x n`` array. With k-NN sparsification
 ``knn_graph`` builds the same graph block by block straight into CSR, in
-O(n·k) memory; ``sparsify_knn`` is its dense reference. All functions
-accept either a FeatureSet or a bare ``n x d`` array.
+O(n·k) memory plus one ``BLOCK_ROWS x n`` block; ``sparsify_knn`` is its
+dense reference. All functions accept either a FeatureSet or a bare
+``n x d`` array.
 """
 from __future__ import annotations
 
@@ -21,6 +22,10 @@ if TYPE_CHECKING:
 #: Rows of an ``n x n`` similarity or distance matrix held at once by the
 #: blocked builders (``knn_graph`` here, ``recall_at_k`` in metrics).
 BLOCK_ROWS = 256
+
+#: Columns of each row, evenly spaced across it, whose k-th largest value
+#: bounds the candidates ``top_k`` ranks (at most this many, at least half).
+TOP_K_SAMPLE = 1024
 
 
 def _standardize(features) -> tuple[np.ndarray, np.ndarray]:
@@ -54,13 +59,62 @@ def top_k(values, k: int) -> np.ndarray:
     """Column indices of each row's k largest values, best first.
 
     Rank order is descending value, then ascending column, so a tie at
-    the k-th value goes to the lower column. ``argpartition`` alone picks
-    among tied entries arbitrarily, so rows holding more entries equal to
-    their k-th value than there are slots left are re-picked in column
-    order.
+    the k-th value goes to the lower column. ``values`` must hold no NaN;
+    both callers pass finite values and ``-inf``.
+
+    Only candidates are ranked. A row's bound is the k-th largest of at
+    most ``TOP_K_SAMPLE`` of its columns, evenly spaced. Any k entries of
+    the row have a minimum no greater than the row's k-th largest value,
+    so every pick is >= the bound. The columns holding a value >= the bound
+    are gathered in column order, padded with ``-inf`` to the widest row
+    and ranked as one narrow matrix, so ties still go to the lower
+    column. The whole matrix is ranked instead when the sample holds
+    fewer than k columns, or when the candidates fill more than an eighth
+    of the matrix or of its widest row: a clamped row whose bound is 0, a
+    zero-variance sample, heavy ties.
     """
     n = values.shape[1]
     k = integer("k", k, 1, n - 1)
+    narrowed = _candidates(values, k)
+    if narrowed is None:
+        return _rank(values, k)
+    narrow, columns = narrowed
+    return np.take_along_axis(columns, _rank(narrow, k), axis=1)
+
+
+def _candidates(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each row's ``top_k`` candidates, padded with ``-inf``, and their
+    columns; None where the whole matrix is to be ranked."""
+    rows, n = values.shape
+    sample = values[:, ::-(-n // TOP_K_SAMPLE)]
+    if sample.shape[1] < k:
+        return None
+    bound = np.partition(sample, sample.shape[1] - k, axis=1)[:, sample.shape[1] - k]
+    candidate = values >= bound[:, None]
+    # checked first, the total caps the index arrays built below
+    if np.count_nonzero(candidate) > candidate.size // 8:
+        return None
+    at = np.flatnonzero(candidate)
+    row, col = np.divmod(at, n)
+    counts = np.bincount(row, minlength=rows)
+    width = int(counts.max(initial=0))
+    if not k <= width <= n // 8:
+        return None
+    # each candidate's slot in its row of the narrow matrix
+    slot = np.arange(at.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    narrow = np.full((rows, width), -np.inf)
+    narrow[row, slot] = values.ravel()[at]
+    columns = np.zeros((rows, width), dtype=np.intp)
+    columns[row, slot] = col
+    return narrow, columns
+
+
+def _rank(values: np.ndarray, k: int) -> np.ndarray:
+    """``top_k`` by a partition of every column, for 1 <= k <= columns.
+    ``argpartition`` alone picks among tied entries arbitrarily, so rows
+    holding more entries equal to their k-th value than there are slots
+    left are re-picked in column order."""
+    n = values.shape[1]
     picked = np.argpartition(values, n - k, axis=1)[:, n - k:]
     kth = np.take_along_axis(values, picked[:, :1], axis=1)
     above = values > kth
@@ -178,8 +232,13 @@ def knn_graph(features, k: int, mode: str = "clamp") -> tuple[sparse.csr_array, 
     # the dense matrix's zero diagonal; a block's own diagonal (1, or 0 for
     # a zero-variance sample) cannot lower it
     lowest = 0.0
+    # one block buffer reused by every block; dividing in place rounds as
+    # the division into a new array would
+    buffer = np.empty((min(BLOCK_ROWS, n), n))
     for start in range(0, n, BLOCK_ROWS):
-        block = (z[start:start + BLOCK_ROWS] @ z.T) / d
+        queries = z[start:start + BLOCK_ROWS]
+        block = np.matmul(queries, z.T, out=buffer[:queries.shape[0]])
+        block /= d
         # zero-variance rows of z are exactly 0 (see _standardize), so
         # their correlations already read 0
         if mode == "clamp":

@@ -1,12 +1,12 @@
 """Every library call returns or raises a TransductError, never numpy's.
 
 Each callable in ``transduct.__all__`` that takes arrays or integers is
-called with arguments drawn from everything an array can be (None, or
-any ndim 0-3, dtype bool, int, float, str or object and small shape,
-with or without NaN and inf), everything an integer can be (ints,
-floats, None, strings) and, for the keyword settings, everything a
-setting can be (``SETTINGS``). The tests run with warnings as errors, so a
-numpy warning fails too.
+called with arguments drawn from everything an array can be (None, a
+ragged nested list, or any ndim 0-3, dtype bool, int, float, str or
+object and small shape, with or without NaN and inf), everything an
+integer can be (ints, floats, None, strings) and, for the keyword
+settings, everything a setting can be (``SETTINGS``). The tests run with
+warnings as errors, so a numpy warning fails too.
 """
 import numpy as np
 import pytest
@@ -25,7 +25,9 @@ ELEMENTS = (
     (object, st.none() | st.integers(-2, 4) | st.floats(-4, 4)),
 )
 SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
-ARRAYS = st.none() | st.one_of(*(hnp.arrays(dtype, SHAPES, elements=e) for dtype, e in ELEMENTS))
+#: Nested lists whose rows may differ in length, which numpy cannot make an array of.
+RAGGED = st.lists(st.lists(st.floats(-4, 4), max_size=3), min_size=2, max_size=4)
+ARRAYS = st.none() | RAGGED | st.one_of(*(hnp.arrays(dtype, SHAPES, elements=e) for dtype, e in ELEMENTS))
 INTEGERS = st.integers(-2, 6) | st.floats(-2, 6) | st.none() | st.text("0123-", max_size=2)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transduct import accuracy, macro_f1, metrics, nmi, recall_at_k
+from transduct import accuracy, macro_f1, metrics, nmi, recall_at_k, similarity
 from transduct.errors import EmptyInput, InsufficientSamples, LengthMismatch
 
 
@@ -150,17 +150,19 @@ class TestRecallAtK:
         with pytest.raises(InsufficientSamples):
             recall_at_k(np.zeros((3, 2)), [0, 1, 0], [3])
 
-    @given(st.integers(2, 40), st.integers(1, 4), st.sampled_from([1, 3, 7, 256]), st.integers(0, 5000))
+    @given(st.integers(2, 40), st.integers(1, 4), st.sampled_from([1, 3, 7, 256]),
+           st.sampled_from([2, similarity.TOP_K_SAMPLE]), st.integers(0, 5000))
     @settings(max_examples=100, deadline=None)
-    def test_blocked_equals_brute_force_on_ties(self, n, d, block, seed):
+    def test_blocked_equals_brute_force_on_ties(self, n, d, block, sample, seed):
         """Small-integer coordinates: exact distances, many of them tied
         and duplicated points, every K up to n - 1, blocks that do not
-        divide n."""
+        divide n, a top-k sample narrower than the row."""
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 3, size=(n, d)).astype(np.float64)
         truth = rng.integers(0, 3, size=n)
         ks = list(range(1, n))
-        with mock.patch.object(metrics, "BLOCK_ROWS", block):
+        with mock.patch.object(metrics, "BLOCK_ROWS", block), \
+                mock.patch.object(similarity, "TOP_K_SAMPLE", sample):
             assert recall_at_k(data, truth, ks) == brute_force_recall(data, truth, ks)
 
     def test_blocked_equals_brute_force_across_default_blocks(self):
@@ -169,4 +171,9 @@ class TestRecallAtK:
         data = rng.normal(size=(n, 8))
         truth = rng.integers(0, 4, size=n)
         ks = [1, 2, 4, 8, 50]
-        assert recall_at_k(data, truth, ks) == brute_force_recall(data, truth, ks)
+        expected = brute_force_recall(data, truth, ks)
+        # a sample narrower than K, one whose bound is too loose to prune,
+        # and the whole row as the sample
+        for sample in (16, 64, similarity.TOP_K_SAMPLE):
+            with mock.patch.object(similarity, "TOP_K_SAMPLE", sample):
+                assert recall_at_k(data, truth, ks) == expected

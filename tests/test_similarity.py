@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from transduct import handle_negatives, knn_graph, pearson_matrix, similarity, sparsify_knn
+from transduct import (BlobSpec, handle_negatives, knn_graph, make_synthetic, pearson_matrix, similarity,
+                       sparsify_knn)
 from transduct.errors import ConfigError, OutOfRange, ShapeMismatch
 from transduct.similarity import top_k
 
@@ -233,14 +234,42 @@ def exact_samples(rng, n, d):
 
 
 class TestTopK:
-    @given(st.integers(2, 30), st.integers(0, 5000))
+    @given(st.integers(2, 120), st.sampled_from([4, 32, 1000]),
+           st.sampled_from([1, 4, 16, similarity.TOP_K_SAMPLE]), st.integers(0, 5000))
     @settings(max_examples=100, deadline=None)
-    def test_matches_stable_argsort_on_ties(self, n, seed):
+    def test_matches_stable_argsort_on_ties(self, n, levels, sample, seed):
+        """Ties, -inf entries and at times an all-zero row, every k: small
+        k with a sample of at least k columns ranks only the candidates,
+        while a sample narrower than k or a wide candidate row (a
+        tie-heavy or all-zero row) ranks the whole matrix."""
         rng = np.random.default_rng(seed)
-        values = rng.integers(0, 4, size=(5, n)).astype(np.float64)
+        values = rng.integers(0, levels, size=(6, n)).astype(np.float64)
+        values[rng.random((6, n)) < 0.1] = -np.inf
+        if rng.random() < 0.5:
+            values[rng.integers(0, 6)] = 0.0
         for k in range(1, n):
             expected = np.argsort(-values, axis=1, kind="stable")[:, :k]
-            np.testing.assert_array_equal(top_k(values, k), expected)
+            with mock.patch.object(similarity, "TOP_K_SAMPLE", sample):
+                np.testing.assert_array_equal(top_k(values, k), expected)
+
+    @pytest.mark.parametrize("sample", [128, similarity.TOP_K_SAMPLE])
+    def test_ranks_candidates_or_the_whole_row_exactly(self, sample):
+        """Wide negative rows with ties at the k-th value and -inf
+        entries rank only their candidates; an all-zero row sends the
+        block to the whole-row ranking. Both match a stable argsort."""
+        rng = np.random.default_rng(3)
+        values = rng.integers(-300, 0, size=(8, 3000)).astype(np.float64)
+        values[rng.random(values.shape) < 0.1] = -np.inf
+        for k in (1, 2, 4, 8):
+            expected = np.argsort(-values, axis=1, kind="stable")[:, :k]
+            with mock.patch.object(similarity, "TOP_K_SAMPLE", sample):
+                assert similarity._candidates(values, k) is not None
+                np.testing.assert_array_equal(top_k(values, k), expected)
+        values[2] = 0.0
+        expected = np.argsort(-values, axis=1, kind="stable")[:, :10]
+        with mock.patch.object(similarity, "TOP_K_SAMPLE", sample):
+            assert similarity._candidates(values, 10) is None
+            np.testing.assert_array_equal(top_k(values, 10), expected)
 
     def test_k_out_of_range(self):
         with pytest.raises(OutOfRange):
@@ -249,28 +278,33 @@ class TestTopK:
 
 class TestKnnGraph:
     @given(st.integers(2, 40), st.sampled_from([2, 4, 6, 8]), st.sampled_from([1, 3, 7, 256]),
-           st.sampled_from(["clamp", "shift"]), st.integers(0, 5000))
+           st.sampled_from([2, similarity.TOP_K_SAMPLE]), st.sampled_from(["clamp", "shift"]),
+           st.integers(0, 5000))
     @settings(max_examples=100, deadline=None)
-    def test_matches_dense_exactly_with_ties(self, n, d, block, mode, seed):
-        """Duplicated samples, zero-variance rows and blocks that do not
-        divide n: the same edges with the same weights for every k."""
+    def test_matches_dense_exactly_with_ties(self, n, d, block, sample, mode, seed):
+        """Duplicated samples, zero-variance rows, blocks that do not
+        divide n and a top-k sample narrower than the row: the same edges
+        with the same weights for every k."""
         data = exact_samples(np.random.default_rng(seed), n, d)
         for k in range(1, n):
-            with mock.patch.object(similarity, "BLOCK_ROWS", block):
+            with mock.patch.object(similarity, "BLOCK_ROWS", block), \
+                    mock.patch.object(similarity, "TOP_K_SAMPLE", sample):
                 graph, flagged = knn_graph(data, k, mode)
             expected = dense_knn(data, k, mode)
             np.testing.assert_array_equal(graph.toarray(), expected)
             np.testing.assert_array_equal(flagged, pearson_matrix(data)[1])
 
     @given(st.integers(3, 30), st.integers(3, 10), st.sampled_from([1, 3, 7, 256]),
-           st.sampled_from(["clamp", "shift"]), st.integers(0, 5000))
+           st.sampled_from([2, similarity.TOP_K_SAMPLE]), st.sampled_from(["clamp", "shift"]),
+           st.integers(0, 5000))
     @settings(max_examples=100, deadline=None)
-    def test_matches_dense_on_real_valued_data(self, n, d, block, mode, seed):
+    def test_matches_dense_on_real_valued_data(self, n, d, block, sample, mode, seed):
         rng = np.random.default_rng(seed)
         data = rng.normal(size=(n, d))
         data[rng.integers(0, n)] = 1.5  # one zero-variance sample
         for k in range(1, n):
-            with mock.patch.object(similarity, "BLOCK_ROWS", block):
+            with mock.patch.object(similarity, "BLOCK_ROWS", block), \
+                    mock.patch.object(similarity, "TOP_K_SAMPLE", sample):
                 graph = knn_graph(data, k, mode)[0].toarray()
             expected = dense_knn(data, k, mode)
             np.testing.assert_array_equal(graph != 0, expected != 0)
@@ -302,13 +336,18 @@ class TestKnnGraph:
             knn_graph(data, 2, "abs")
 
     def test_peak_memory_below_one_dense_matrix(self):
-        """The k-NN path must never hold an n x n float64 matrix."""
+        """The k-NN path must never hold an n x n float64 matrix: it
+        holds one BLOCK_ROWS x n block, reused, and ranks only each row's
+        candidates, so it peaks below two blocks. Samples sorted by class
+        too, whose leading columns all lie in one class."""
         n = 4000
-        data = np.random.default_rng(1).normal(size=(n, 16))
-        tracemalloc.start()
-        try:
-            knn_graph(data, 10)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * n * n
+        shuffled = np.random.default_rng(1).normal(size=(n, 16))
+        by_class = make_synthetic(BlobSpec(blobs=4, per_blob=n // 4, dim=16, stddev=2.5), 1)[0].data
+        for data in (shuffled, by_class):
+            tracemalloc.start()
+            try:
+                knn_graph(data, 10)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 8 * similarity.BLOCK_ROWS * n
