@@ -2,17 +2,22 @@
 """Output matrix: the predictions.csv and report.json of every method,
 dense and with --knn 7, under both negative handlings, plus the
 report.json of one `eval` of recall@K and nmi, on synthetic sets of
-n=300, 1200 and 4000 samples.
+n=300, 1200 and 4000 samples. Beside the --knn 7 runs of each negative
+handling it writes graph.sha256: the SHA-256 of the data, indices and
+indptr arrays of the `knn_graph` those runs build, so the graph's bits
+are compared too.
 
-Every file is written under OUT by the `transduct` CLI of the checkout
-this script belongs to. All paths a run is given are relative to OUT, so
-the paths a report records are the same wherever OUT is. Run it from two
-checkouts at the same TRANSDUCT_THREADS and compare the trees with
-`diff -r` to show that a change keeps every output byte-identical.
+Every run is written under OUT by the `transduct` CLI of the checkout
+this script belongs to, and the graphs by its `knn_graph`. All paths a
+run is given are relative to OUT, so the paths a report records are the
+same wherever OUT is. Run it from two checkouts at the same
+TRANSDUCT_THREADS and compare the trees with `diff -r` to show that a
+change keeps every output byte-identical.
 
 Usage: TRANSDUCT_THREADS=2 python scripts/output_matrix.py OUT
 """
 import argparse
+import hashlib
 import os
 import subprocess
 import sys
@@ -20,10 +25,15 @@ from pathlib import Path
 
 METHODS = ("gtg", "group_loss", "label_spreading", "label_propagation", "harmonic")
 SIZES = (300, 1200, 4000)
-GRAPHS = {"dense": [], "knn7": ["--knn", "7"]}
+KNN = 7
+GRAPHS = {"dense": [], f"knn{KNN}": ["--knn", str(KNN)]}
 MODES = ("clamp", "shift")
 EVAL_METRICS = "recall@1,recall@2,recall@4,recall@8,nmi"
 SRC = Path(__file__).resolve().parents[1] / "src"
+# transduct applies TRANSDUCT_THREADS when first imported, before numpy loads BLAS
+sys.path.insert(0, str(SRC))
+from transduct.io import read_features_csv  # noqa: E402
+from transduct.similarity import knn_graph  # noqa: E402
 
 
 def cli(out: Path, *args: str) -> None:
@@ -33,6 +43,15 @@ def cli(out: Path, *args: str) -> None:
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     if done.returncode:
         sys.exit(f"transduct {' '.join(args)} exited {done.returncode}: {done.stderr.strip()}")
+
+
+def write_graph_digest(out: Path, features: str, mode: str, runs: str) -> None:
+    """The SHA-256 of each CSR array of ``knn_graph(features, KNN, mode)``,
+    one ``name digest`` line per array, into ``runs/graph.sha256``."""
+    graph = knn_graph(read_features_csv(out / features), KNN, mode)[0]
+    lines = [f"{name} {hashlib.sha256(getattr(graph, name).tobytes()).hexdigest()}\n"
+             for name in ("data", "indices", "indptr")]
+    (out / runs / "graph.sha256").write_text("".join(lines))
 
 
 def main() -> int:
@@ -51,6 +70,8 @@ def main() -> int:
                     cli(out, "run", "--features", f"{data}/features.csv", "--labels", f"{data}/labels.csv",
                         "--truth", f"{data}/labels.csv", "--method", method, "--anchor-fraction", "0.05",
                         "--negative-handling", mode, *graph_args, "--out-dir", run)
+                if graph_args:
+                    write_graph_digest(out, f"{data}/features.csv", mode, f"runs/n{n}/{graph}/{mode}")
         run = f"runs/n{n}/eval"
         print(run, flush=True)
         cli(out, "eval", "--features", f"{data}/features.csv", "--truth", f"{data}/labels.csv",

@@ -262,20 +262,25 @@ def _kmeans_pp_init(points, k, rng) -> np.ndarray:
     return points[centers].copy()
 
 
-def lloyd(points, centroids, max_iterations: int = 300) -> tuple[np.ndarray, np.ndarray, list[float]]:
+def lloyd(points, centroids, max_iterations: int = 300) -> tuple[np.ndarray, np.ndarray, float]:
     """Lloyd iterations from given centroids.
 
-    Returns (assignment, centroids, per-iteration WCSS history). Empty
-    clusters are repaired by re-seeding at the point farthest from its
-    current centroid.
+    Returns (assignment, centroids, WCSS of the two). Empty clusters are
+    repaired by re-seeding at the point farthest from its current
+    centroid. Squared distances are filled into one n x k array a
+    centroid at a time, so the only n x d temporary is one difference.
     """
     points = np.asarray(points, dtype=np.float64)
     centroids = np.array(centroids, dtype=np.float64)
     k = centroids.shape[0]
-    history = []
+    diff = np.empty_like(points)
+    d2 = np.empty((points.shape[0], k))
     assign = None
     for _ in range(max_iterations):
-        d2 = np.sum((points[:, None, :] - centroids[None]) ** 2, axis=2)
+        for c in range(k):
+            np.subtract(points, centroids[c], out=diff)
+            np.square(diff, out=diff)
+            np.sum(diff, axis=1, out=d2[:, c])
         new_assign = np.argmin(d2, axis=1)
         for c in range(k):
             members = new_assign == c
@@ -286,11 +291,10 @@ def lloyd(points, centroids, max_iterations: int = 300) -> tuple[np.ndarray, np.
                 far = int(np.argmax(residual))
                 centroids[c] = points[far]
                 new_assign[far] = c
-        history.append(_wcss(points, new_assign, centroids))
         if assign is not None and np.array_equal(assign, new_assign):
             break
         assign = new_assign
-    return assign, centroids, history
+    return assign, centroids, _wcss(points, assign, centroids)
 
 
 def kmeans(features, k: int, seed: int = 0) -> np.ndarray:
@@ -309,8 +313,7 @@ def kmeans(features, k: int, seed: int = 0) -> np.ndarray:
     for restart in range(KMEANS_RESTARTS):
         rng = np.random.default_rng([seed, restart])
         centroids = _kmeans_pp_init(points, k, rng)
-        assign, centroids, history = lloyd(points, centroids)
-        score = history[-1]
+        assign, centroids, score = lloyd(points, centroids)
         if best is None or score < best[0] - 1e-12:
             best = (score, assign)
     return best[1]

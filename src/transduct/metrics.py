@@ -7,7 +7,7 @@ import numpy as np
 
 from .core import feature_data, integer, label_vector, squared_norms
 from .errors import EmptyInput, InsufficientSamples
-from .similarity import BLOCK_ROWS, top_k
+from .similarity import neighbour_scan
 
 
 def _aligned(pred, truth):
@@ -98,11 +98,11 @@ def recall_at_k(features, truth, ks) -> dict[int, float]:
     Neighbors are ranked by Euclidean distance with the query itself
     excluded; distance ties break toward the lower sample index. A query
     scores 1 for a given K if any of its K nearest neighbors shares its
-    class. Exact search: squared distances are computed one block of
-    queries at a time and only each query's max(ks) nearest are kept, so
-    every K is scored from one pass without an ``n x n`` matrix. Values
-    so large that a distance could overflow raise NonFinite
-    (``core.squared_norms``).
+    class. Exact search: ``similarity.neighbour_scan`` computes squared
+    distances one block of queries at a time in two reused block buffers
+    and keeps only each query's max(ks) nearest, so every K is scored
+    from one pass without an ``n x n`` matrix. Values so large that a
+    distance could overflow raise NonFinite (``core.squared_norms``).
     """
     data = feature_data(features)
     n = data.shape[0]
@@ -111,13 +111,17 @@ def recall_at_k(features, truth, ks) -> dict[int, float]:
     if n < max(ks, default=0) + 1:
         raise InsufficientSamples(f"need at least {max(ks) + 1} samples for K={max(ks)}")
     sq = squared_norms(data)
+
+    def closeness(rows, block, sums):
+        # -(|a|^2 + |b|^2 - 2 a.b), rounded exactly as the full-matrix form:
+        # 2 a.b - s rounds to exactly -(s - 2 a.b), so the negation needs no
+        # pass of its own (an exact 0 reads +0.0, which ranks as -0.0)
+        np.matmul(data[rows], data.T, out=block)
+        block *= 2.0
+        np.add(sq[rows, None], sq, out=sums)
+        np.subtract(block, sums, out=block)
+
     hits = np.empty((n, max(ks)), dtype=bool)
-    for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
-        # -(|a|^2 + |b|^2 - 2 a.b), rounded exactly as the full-matrix form
-        closeness = sq[start:stop, None] + sq[None, :]
-        closeness -= 2.0 * (data[start:stop] @ data.T)
-        np.negative(closeness, out=closeness)
-        closeness[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-        hits[start:stop] = truth[top_k(closeness, max(ks))] == truth[start:stop, None]
+    for rows, _, picked in neighbour_scan(n, max(ks), closeness, buffers=2):
+        hits[rows] = truth[picked] == truth[rows, None]
     return {k: float(np.mean(hits[:, :k].any(axis=1))) for k in ks}

@@ -4,11 +4,14 @@ The default pipeline is Pearson correlation followed by clamping of
 negative entries, as a dense ``n x n`` array. With k-NN sparsification
 ``knn_graph`` builds the same graph block by block straight into CSR, in
 O(n·k) memory plus one ``BLOCK_ROWS x n`` block; ``sparsify_knn`` is its
-dense reference. All functions accept either a FeatureSet or a bare
-``n x d`` array.
+dense reference. ``neighbour_scan`` is the one blocked loop behind
+``knn_graph`` and ``metrics.recall_at_k``: it owns the reused block
+buffers, and each caller passes the function that fills a block. All
+functions accept either a FeatureSet or a bare ``n x d`` array.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -19,9 +22,10 @@ from .errors import ConfigError, NonFinite, ShapeMismatch
 if TYPE_CHECKING:
     from scipy import sparse
 
-#: Rows of an ``n x n`` similarity or distance matrix held at once by the
-#: blocked builders (``knn_graph`` here, ``recall_at_k`` in metrics).
-BLOCK_ROWS = 256
+#: Rows of an ``n x n`` similarity or distance matrix held at once by
+#: ``neighbour_scan`` (for ``knn_graph`` here and ``recall_at_k`` in
+#: metrics), and of the feature rows ``_standardize`` squares at once.
+BLOCK_ROWS = 64
 
 #: Columns of each row, evenly spaced across it, whose k-th largest value
 #: bounds the candidates ``top_k`` ranks (at most this many, at least half).
@@ -39,18 +43,23 @@ def _standardize(features) -> tuple[np.ndarray, np.ndarray]:
     if n < 2 or d < 2:
         raise ShapeMismatch(f"need n >= 2 and d >= 2, got {n} x {d}")
 
+    # z is the one n x d array: centred, then scaled in place
+    var = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        centered = data - data.mean(axis=1, keepdims=True)
+        z = data - data.mean(axis=1, keepdims=True)
         # population normalization (divide by d); the ratio is normalization
-        # invariant but fixing it keeps tests bit-stable
-        var = np.mean(centered**2, axis=1)
+        # invariant but fixing it keeps tests bit-stable. Squaring a chunk of
+        # rows at a time needs no second n x d array, and each row's mean is
+        # the same reduction over a chunk as over all rows.
+        for start in range(0, n, BLOCK_ROWS):
+            var[start:start + BLOCK_ROWS] = np.mean(z[start:start + BLOCK_ROWS] ** 2, axis=1)
     # an overflow anywhere in a row leaves its variance inf or NaN
     overflowed = np.flatnonzero(~np.isfinite(var))
     if overflowed.size:
         raise NonFinite(f"feature row {overflowed[0]} overflows float64 when centred")
     # a constant row's rounded mean can centre it to a nonzero constant
     flat = (np.ptp(data, axis=1) == 0) | (var == 0)
-    z = centered / np.sqrt(np.where(flat, 1.0, var))[:, None]
+    z /= np.sqrt(np.where(flat, 1.0, var))[:, None]
     z[flat] = 0.0
     return z, np.flatnonzero(flat)
 
@@ -127,6 +136,30 @@ def _rank(values: np.ndarray, k: int) -> np.ndarray:
         picked[crowded] = np.nonzero(keep)[1].reshape(crowded.size, k)
     order = np.lexsort((picked, -np.take_along_axis(values, picked, axis=1)), axis=1)
     return np.take_along_axis(picked, order, axis=1)
+
+
+def neighbour_scan(n: int, k: int, fill: Callable[..., None],
+                   buffers: int = 1) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Each block of ``BLOCK_ROWS`` query rows of an ``n x n`` score
+    matrix, with the ``top_k`` picks of its rows: yields ``(rows, block,
+    picks)``, the query rows as a slice and ``picks = top_k(block, k)``.
+
+    ``fill(rows, block, *scratch)`` writes the scores of queries ``rows``
+    against all n samples into ``block`` in place, with ``buffers - 1``
+    more blocks of its shape to use as scratch. The scan then sets each
+    query's own column to ``-inf``, so no sample picks itself. The
+    buffers are allocated once, ``min(BLOCK_ROWS, n)`` rows each, and
+    every block reuses them: a yielded block holds its values only until
+    the next one is filled.
+    """
+    space = np.empty((buffers, min(BLOCK_ROWS, n), n))
+    for start in range(0, n, BLOCK_ROWS):
+        rows = slice(start, min(start + BLOCK_ROWS, n))
+        blocks = space[:, :rows.stop - start]
+        fill(rows, *blocks)
+        block = blocks[0]
+        block[np.arange(block.shape[0]), np.arange(rows.start, rows.stop)] = -np.inf
+        yield rows, block, top_k(block, k)
 
 
 def pearson_matrix(features) -> tuple[np.ndarray, np.ndarray]:
@@ -211,13 +244,15 @@ def knn_graph(features, k: int, mode: str = "clamp") -> tuple[sparse.csr_array, 
     """Pearson k-NN graph in CSR form, never holding the dense matrix.
 
     Builds ``sparsify_knn(handle_negatives(pearson_matrix(features)[0],
-    mode), k)`` one block of ``BLOCK_ROWS`` rows at a time: correlate the
-    block against every sample, apply the negative handling, take each
-    row's top k (ties to the lower column), then max-symmetrize. ``shift``
-    needs the global minimum, zero diagonal included; top-k does not move
-    under a constant shift, so the minimum is collected in the same pass
-    and subtracted from the kept values at the end. Picks whose final
-    weight is 0 are not stored, as in the dense result.
+    mode), k)`` with ``neighbour_scan``, one block of ``BLOCK_ROWS`` rows
+    at a time: correlate the block against every sample, apply the
+    negative handling, take each row's top k (ties to the lower column),
+    then max-symmetrize. ``shift`` needs the global minimum, zero diagonal
+    included; top-k does not move under a constant shift, so the minimum
+    is collected in the same pass and subtracted from the kept values at
+    the end. Picks whose final weight is 0 are not stored, as in the dense
+    result. The standardized features and the block are freed before the
+    CSR build, which holds only O(n·k) arrays.
 
     Returns (graph, zero_variance) like ``pearson_matrix``: symmetric by
     construction, flagging the samples whose coordinates are all equal.
@@ -226,32 +261,10 @@ def knn_graph(features, k: int, mode: str = "clamp") -> tuple[sparse.csr_array, 
         raise ConfigError(f"unknown negative-handling mode {mode!r} (use clamp or shift)")
     from scipy import sparse
 
-    z, zero_variance = _standardize(features)
-    n, d = z.shape
-    cols, vals = [], []
-    # the dense matrix's zero diagonal; a block's own diagonal (1, or 0 for
-    # a zero-variance sample) cannot lower it
-    lowest = 0.0
-    # one block buffer reused by every block; dividing in place rounds as
-    # the division into a new array would
-    buffer = np.empty((min(BLOCK_ROWS, n), n))
-    for start in range(0, n, BLOCK_ROWS):
-        queries = z[start:start + BLOCK_ROWS]
-        block = np.matmul(queries, z.T, out=buffer[:queries.shape[0]])
-        block /= d
-        # zero-variance rows of z are exactly 0 (see _standardize), so
-        # their correlations already read 0
-        if mode == "clamp":
-            np.maximum(block, 0.0, out=block)
-        else:
-            lowest = min(lowest, float(block.min()))
-        block[np.arange(block.shape[0]), np.arange(start, start + block.shape[0])] = -np.inf
-        picked = top_k(block, k)
-        cols.append(picked.ravel())
-        vals.append(np.take_along_axis(block, picked, axis=1).ravel())
+    cols, vals, zero_variance = _knn_picks(features, k, mode)
+    n, k = cols.shape
     rows = np.repeat(np.arange(n), k)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals) - lowest
+    cols, vals = cols.ravel(), vals.ravel()
 
     # Max-symmetrize over unordered pairs. A pair picked from both ends
     # holds two products that the dense matrix has as one exactly
@@ -271,3 +284,35 @@ def knn_graph(features, k: int, mode: str = "clamp") -> tuple[sparse.csr_array, 
         shape=(n, n),
     )
     return graph, zero_variance
+
+
+def _knn_picks(features, k: int, mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``knn_graph``'s scan: each row's k picks and their weights after
+    the negative handling, as two n x k arrays, plus the zero-variance
+    samples. The standardized features live only while it runs."""
+    z, zero_variance = _standardize(features)
+    n, d = z.shape
+    k = integer("k", k, 1, n - 1)
+    # the dense matrix's zero diagonal; a block's own diagonal (1, or 0 for
+    # a zero-variance sample) cannot lower it
+    lowest = 0.0
+
+    def correlate(rows, block):
+        nonlocal lowest
+        # dividing in place rounds as the division into a new array would
+        np.matmul(z[rows], z.T, out=block)
+        block /= d
+        # zero-variance rows of z are exactly 0 (see _standardize), so
+        # their correlations already read 0
+        if mode == "clamp":
+            np.maximum(block, 0.0, out=block)
+        else:
+            lowest = min(lowest, float(block.min()))
+
+    cols = np.empty((n, k), dtype=np.intp)
+    vals = np.empty((n, k))
+    for rows, block, picked in neighbour_scan(n, k, correlate):
+        cols[rows] = picked
+        vals[rows] = np.take_along_axis(block, picked, axis=1)
+    vals -= lowest
+    return cols, vals, zero_variance

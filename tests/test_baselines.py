@@ -457,7 +457,15 @@ class TestKmeans:
         for _ in range(20):
             points = rng.normal(size=(15, 2))
             centroids = points[rng.choice(15, size=3, replace=False)]
-            _, _, history = lloyd(points, centroids)
+            # lloyd returns only the final WCSS: rerun it from the same
+            # start for 1, 2, ... iterations until the assignment repeats
+            history, previous = [], None
+            for iterations in range(1, 301):
+                assign, _, wcss = lloyd(points, centroids, iterations)
+                history.append(wcss)
+                if np.array_equal(assign, previous):
+                    break
+                previous = assign
             assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
     def test_matches_exhaustive_optimum_on_small_instances(self):

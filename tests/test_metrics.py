@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transduct import accuracy, macro_f1, metrics, nmi, recall_at_k, similarity
+from transduct import BlobSpec, accuracy, macro_f1, make_synthetic, nmi, recall_at_k, similarity
 from transduct.errors import EmptyInput, InsufficientSamples, LengthMismatch
 
 
@@ -150,7 +151,7 @@ class TestRecallAtK:
         with pytest.raises(InsufficientSamples):
             recall_at_k(np.zeros((3, 2)), [0, 1, 0], [3])
 
-    @given(st.integers(2, 40), st.integers(1, 4), st.sampled_from([1, 3, 7, 256]),
+    @given(st.integers(2, 40), st.integers(1, 4), st.sampled_from([1, 3, 7, 64, 256]),
            st.sampled_from([2, similarity.TOP_K_SAMPLE]), st.integers(0, 5000))
     @settings(max_examples=100, deadline=None)
     def test_blocked_equals_brute_force_on_ties(self, n, d, block, sample, seed):
@@ -161,13 +162,13 @@ class TestRecallAtK:
         data = rng.integers(0, 3, size=(n, d)).astype(np.float64)
         truth = rng.integers(0, 3, size=n)
         ks = list(range(1, n))
-        with mock.patch.object(metrics, "BLOCK_ROWS", block), \
+        with mock.patch.object(similarity, "BLOCK_ROWS", block), \
                 mock.patch.object(similarity, "TOP_K_SAMPLE", sample):
             assert recall_at_k(data, truth, ks) == brute_force_recall(data, truth, ks)
 
     def test_blocked_equals_brute_force_across_default_blocks(self):
         rng = np.random.default_rng(6)
-        n = 2 * metrics.BLOCK_ROWS + 45
+        n = 2 * similarity.BLOCK_ROWS + 45
         data = rng.normal(size=(n, 8))
         truth = rng.integers(0, 4, size=n)
         ks = [1, 2, 4, 8, 50]
@@ -177,3 +178,21 @@ class TestRecallAtK:
         for sample in (16, 64, similarity.TOP_K_SAMPLE):
             with mock.patch.object(similarity, "TOP_K_SAMPLE", sample):
                 assert recall_at_k(data, truth, ks) == expected
+
+    def test_peak_memory_is_two_reused_blocks(self):
+        """Distances are computed in two reused 64 x n blocks (4.1 MB
+        here), with no fresh n-wide array per block: it peaks near 5.1 MB.
+        Shuffled data, and blobs in class order, whose candidates crowd
+        into one class."""
+        n = 4000
+        rng = np.random.default_rng(1)
+        shuffled = rng.normal(size=(n, 16))
+        by_class = make_synthetic(BlobSpec(blobs=4, per_blob=n // 4, dim=16, stddev=2.5), 1)[0].data
+        for data, truth in ((shuffled, rng.integers(0, 4, size=n)), (by_class, np.repeat(np.arange(4), n // 4))):
+            tracemalloc.start()
+            try:
+                recall_at_k(data, truth, [1, 2, 4, 8])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 7_000_000

@@ -95,6 +95,23 @@ class TestPearson:
         for band in (w[flat], w[:, flat]):
             assert np.all(band == 0.0) and not np.signbit(band).any()
 
+    @pytest.mark.parametrize("block", [1, 3, 64, 256])
+    def test_standardize_by_row_chunks_matches_whole_matrix(self, block):
+        """The variance is taken over chunks of BLOCK_ROWS rows; each row's
+        z must be bit-identical to the whole-matrix formula."""
+        rng = np.random.default_rng(11)
+        data = rng.normal(size=(301, 37)) * rng.uniform(0.1, 100, size=(301, 1))
+        data[[0, 150]] = 0.1
+        with mock.patch.object(similarity, "BLOCK_ROWS", block):
+            z, flagged = similarity._standardize(data)
+        centered = data - data.mean(axis=1, keepdims=True)
+        var = np.mean(centered**2, axis=1)
+        flat = (np.ptp(data, axis=1) == 0) | (var == 0)
+        expected = centered / np.sqrt(np.where(flat, 1.0, var))[:, None]
+        expected[flat] = 0.0
+        np.testing.assert_array_equal(z, expected)
+        assert list(flagged) == [0, 150]
+
     def test_constant_row_with_an_inexact_mean_is_flagged(self):
         """The mean of (.1, .1, .1) rounds away from .1, so centring leaves
         a nonzero constant; the row is still flagged and reads +0.0."""
@@ -277,7 +294,7 @@ class TestTopK:
 
 
 class TestKnnGraph:
-    @given(st.integers(2, 40), st.sampled_from([2, 4, 6, 8]), st.sampled_from([1, 3, 7, 256]),
+    @given(st.integers(2, 40), st.sampled_from([2, 4, 6, 8]), st.sampled_from([1, 3, 7, 64, 256]),
            st.sampled_from([2, similarity.TOP_K_SAMPLE]), st.sampled_from(["clamp", "shift"]),
            st.integers(0, 5000))
     @settings(max_examples=100, deadline=None)
@@ -294,7 +311,7 @@ class TestKnnGraph:
             np.testing.assert_array_equal(graph.toarray(), expected)
             np.testing.assert_array_equal(flagged, pearson_matrix(data)[1])
 
-    @given(st.integers(3, 30), st.integers(3, 10), st.sampled_from([1, 3, 7, 256]),
+    @given(st.integers(3, 30), st.integers(3, 10), st.sampled_from([1, 3, 7, 64, 256]),
            st.sampled_from([2, similarity.TOP_K_SAMPLE]), st.sampled_from(["clamp", "shift"]),
            st.integers(0, 5000))
     @settings(max_examples=100, deadline=None)
@@ -337,9 +354,10 @@ class TestKnnGraph:
 
     def test_peak_memory_below_one_dense_matrix(self):
         """The k-NN path must never hold an n x n float64 matrix: it
-        holds one BLOCK_ROWS x n block, reused, and ranks only each row's
-        candidates, so it peaks below two blocks. Samples sorted by class
-        too, whose leading columns all lie in one class."""
+        holds one 64 x n block (2 MB here), reused, and ranks only each
+        row's candidates, so it peaks near 4.2 MB, far below the 128 MB
+        dense matrix. Samples sorted by class too, whose leading columns
+        all lie in one class."""
         n = 4000
         shuffled = np.random.default_rng(1).normal(size=(n, 16))
         by_class = make_synthetic(BlobSpec(blobs=4, per_blob=n // 4, dim=16, stddev=2.5), 1)[0].data
@@ -350,4 +368,4 @@ class TestKnnGraph:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 2 * 8 * similarity.BLOCK_ROWS * n
+            assert peak < 6_000_000
