@@ -7,7 +7,7 @@ import numpy as np
 
 from .core import feature_data, integer, label_vector, squared_norms
 from .errors import EmptyInput, InsufficientSamples
-from .similarity import neighbour_scan
+from . import similarity
 
 
 def _aligned(pred, truth):
@@ -99,10 +99,11 @@ def recall_at_k(features, truth, ks) -> dict[int, float]:
     excluded; distance ties break toward the lower sample index. A query
     scores 1 for a given K if any of its K nearest neighbors shares its
     class. Exact search: ``similarity.neighbour_scan`` computes squared
-    distances one block of queries at a time in two reused block buffers
-    and keeps only each query's max(ks) nearest, so every K is scored
-    from one pass without an ``n x n`` matrix. Values so large that a
-    distance could overflow raise NonFinite (``core.squared_norms``).
+    distances one block of queries at a time into its reused block, with
+    one more reused block for the norm sums, and keeps only each query's
+    max(ks) nearest, so every K is scored from one pass without an
+    ``n x n`` matrix. Values so large that a distance could overflow
+    raise NonFinite (``core.squared_norms``).
     """
     data = feature_data(features)
     n = data.shape[0]
@@ -112,16 +113,20 @@ def recall_at_k(features, truth, ks) -> dict[int, float]:
         raise InsufficientSamples(f"need at least {max(ks) + 1} samples for K={max(ks)}")
     sq = squared_norms(data)
 
-    def closeness(rows, block, sums):
+    # each block's norm sums, in one buffer reused like the scan's block
+    norm_sums = np.empty((min(similarity.BLOCK_ROWS, n), n))
+
+    def closeness(rows, block):
         # -(|a|^2 + |b|^2 - 2 a.b), rounded exactly as the full-matrix form:
         # 2 a.b - s rounds to exactly -(s - 2 a.b), so the negation needs no
         # pass of its own (an exact 0 reads +0.0, which ranks as -0.0)
+        sums = norm_sums[:block.shape[0]]
         np.matmul(data[rows], data.T, out=block)
         block *= 2.0
         np.add(sq[rows, None], sq, out=sums)
         np.subtract(block, sums, out=block)
 
     hits = np.empty((n, max(ks)), dtype=bool)
-    for rows, _, picked in neighbour_scan(n, max(ks), closeness, buffers=2):
+    for rows, _, picked in similarity.neighbour_scan(n, max(ks), closeness):
         hits[rows] = truth[picked] == truth[rows, None]
     return {k: float(np.mean(hits[:, :k].any(axis=1))) for k in ks}

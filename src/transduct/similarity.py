@@ -5,8 +5,8 @@ negative entries, as a dense ``n x n`` array. With k-NN sparsification
 ``knn_graph`` builds the same graph block by block straight into CSR, in
 O(n·k) memory plus one ``BLOCK_ROWS x n`` block; ``sparsify_knn`` is its
 dense reference. ``neighbour_scan`` is the one blocked loop behind
-``knn_graph`` and ``metrics.recall_at_k``: it owns the reused block
-buffers, and each caller passes the function that fills a block. All
+``knn_graph`` and ``metrics.recall_at_k``: it owns the reused block,
+and each caller passes the function that fills it. All
 functions accept either a FeatureSet or a bare ``n x d`` array.
 """
 from __future__ import annotations
@@ -24,8 +24,11 @@ if TYPE_CHECKING:
 
 #: Rows of an ``n x n`` similarity or distance matrix held at once by
 #: ``neighbour_scan`` (for ``knn_graph`` here and ``recall_at_k`` in
-#: metrics), and of the feature rows ``_standardize`` squares at once.
+#: metrics).
 BLOCK_ROWS = 64
+
+#: Feature rows ``_standardize`` squares at once for the variance.
+VARIANCE_ROWS = 256
 
 #: Columns of each row, evenly spaced across it, whose k-th largest value
 #: bounds the candidates ``top_k`` ranks (at most this many, at least half).
@@ -51,8 +54,8 @@ def _standardize(features) -> tuple[np.ndarray, np.ndarray]:
         # invariant but fixing it keeps tests bit-stable. Squaring a chunk of
         # rows at a time needs no second n x d array, and each row's mean is
         # the same reduction over a chunk as over all rows.
-        for start in range(0, n, BLOCK_ROWS):
-            var[start:start + BLOCK_ROWS] = np.mean(z[start:start + BLOCK_ROWS] ** 2, axis=1)
+        for start in range(0, n, VARIANCE_ROWS):
+            var[start:start + VARIANCE_ROWS] = np.mean(z[start:start + VARIANCE_ROWS] ** 2, axis=1)
     # an overflow anywhere in a row leaves its variance inf or NaN
     overflowed = np.flatnonzero(~np.isfinite(var))
     if overflowed.size:
@@ -138,26 +141,23 @@ def _rank(values: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(picked, order, axis=1)
 
 
-def neighbour_scan(n: int, k: int, fill: Callable[..., None],
-                   buffers: int = 1) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+def neighbour_scan(n: int, k: int,
+                   fill: Callable[[slice, np.ndarray], None]) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """Each block of ``BLOCK_ROWS`` query rows of an ``n x n`` score
     matrix, with the ``top_k`` picks of its rows: yields ``(rows, block,
     picks)``, the query rows as a slice and ``picks = top_k(block, k)``.
 
-    ``fill(rows, block, *scratch)`` writes the scores of queries ``rows``
-    against all n samples into ``block`` in place, with ``buffers - 1``
-    more blocks of its shape to use as scratch. The scan then sets each
-    query's own column to ``-inf``, so no sample picks itself. The
-    buffers are allocated once, ``min(BLOCK_ROWS, n)`` rows each, and
-    every block reuses them: a yielded block holds its values only until
-    the next one is filled.
+    ``fill(rows, block)`` writes the scores of queries ``rows`` against
+    all n samples into ``block`` in place. The scan then sets each
+    query's own column to ``-inf``, so no sample picks itself. The block
+    is allocated once, ``min(BLOCK_ROWS, n)`` rows, and reused: a yielded
+    block holds its values only until the next one is filled.
     """
-    space = np.empty((buffers, min(BLOCK_ROWS, n), n))
+    space = np.empty((min(BLOCK_ROWS, n), n))
     for start in range(0, n, BLOCK_ROWS):
         rows = slice(start, min(start + BLOCK_ROWS, n))
-        blocks = space[:, :rows.stop - start]
-        fill(rows, *blocks)
-        block = blocks[0]
+        block = space[:rows.stop - start]
+        fill(rows, block)
         block[np.arange(block.shape[0]), np.arange(rows.start, rows.stop)] = -np.inf
         yield rows, block, top_k(block, k)
 

@@ -167,16 +167,24 @@ class TestRecallAtK:
             assert recall_at_k(data, truth, ks) == brute_force_recall(data, truth, ks)
 
     def test_blocked_equals_brute_force_across_default_blocks(self):
+        """557 samples span several default blocks and leave K = 50 within
+        an eighth of a row, so the whole-row sample prunes."""
         rng = np.random.default_rng(6)
-        n = 2 * similarity.BLOCK_ROWS + 45
+        n = 557
         data = rng.normal(size=(n, 8))
         truth = rng.integers(0, 4, size=n)
         ks = [1, 2, 4, 8, 50]
         expected = brute_force_recall(data, truth, ks)
+        assert n > 2 * similarity.BLOCK_ROWS
+        # the first block's closeness, as recall_at_k ranks it
+        sq = np.sum(data**2, axis=1)
+        first = -(sq[:similarity.BLOCK_ROWS, None] + sq - 2.0 * (data[:similarity.BLOCK_ROWS] @ data.T))
+        first[np.arange(similarity.BLOCK_ROWS), np.arange(similarity.BLOCK_ROWS)] = -np.inf
         # a sample narrower than K, one whose bound is too loose to prune,
-        # and the whole row as the sample
-        for sample in (16, 64, similarity.TOP_K_SAMPLE):
+        # and the whole row as the sample, which ranks only candidates
+        for sample, prunes in ((16, False), (64, False), (similarity.TOP_K_SAMPLE, True)):
             with mock.patch.object(similarity, "TOP_K_SAMPLE", sample):
+                assert (similarity._candidates(first, max(ks)) is not None) == prunes
                 assert recall_at_k(data, truth, ks) == expected
 
     def test_peak_memory_is_two_reused_blocks(self):

@@ -95,14 +95,14 @@ class TestPearson:
         for band in (w[flat], w[:, flat]):
             assert np.all(band == 0.0) and not np.signbit(band).any()
 
-    @pytest.mark.parametrize("block", [1, 3, 64, 256])
-    def test_standardize_by_row_chunks_matches_whole_matrix(self, block):
-        """The variance is taken over chunks of BLOCK_ROWS rows; each row's
-        z must be bit-identical to the whole-matrix formula."""
+    @pytest.mark.parametrize("chunk", [1, 3, 64, similarity.VARIANCE_ROWS, 512])
+    def test_standardize_by_row_chunks_matches_whole_matrix(self, chunk):
+        """The variance is taken over chunks of VARIANCE_ROWS rows; each
+        row's z must be bit-identical to the whole-matrix formula."""
         rng = np.random.default_rng(11)
         data = rng.normal(size=(301, 37)) * rng.uniform(0.1, 100, size=(301, 1))
         data[[0, 150]] = 0.1
-        with mock.patch.object(similarity, "BLOCK_ROWS", block):
+        with mock.patch.object(similarity, "VARIANCE_ROWS", chunk):
             z, flagged = similarity._standardize(data)
         centered = data - data.mean(axis=1, keepdims=True)
         var = np.mean(centered**2, axis=1)
@@ -330,7 +330,8 @@ class TestKnnGraph:
     @pytest.mark.parametrize("mode", ["clamp", "shift"])
     def test_several_default_blocks(self, mode):
         rng = np.random.default_rng(4)
-        n = 2 * similarity.BLOCK_ROWS + 45
+        n = 557
+        assert n > 2 * similarity.BLOCK_ROWS
         data = rng.normal(size=(n, 12))
         data[[3, n - 2]] = 7.0
         graph = knn_graph(data, 6, mode)[0]
