@@ -19,6 +19,7 @@ from . import errors
 from .baselines import harmonic_function, kmeans, label_propagation, label_spreading
 from .core import (
     UNLABELED,
+    CsrGraph,
     FeatureSet,
     LabelSet,
     argmax_decode,
@@ -35,6 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "UNLABELED",
     "BlobSpec",
+    "CsrGraph",
     "DynamicsTrace",
     "FeatureSet",
     "LabelSet",

@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .core import LabelSet, check_graph, check_settings, feature_data, graph_product, integer, is_sparse, iterate, label_set, normalize_rows, squared_norms, unreached
+from .core import CsrGraph, LabelSet, check_graph, check_settings, feature_data, graph_product, integer, iterate, label_set, loop_graph, normalize_rows, row_sums, squared_norms, unreached
 from .errors import DataError, NumericalError
 from .priors import inject_anchors
 
@@ -40,9 +40,10 @@ def label_spreading(
     w = check_graph(w, label_set(labels).labels.size, "label vector")
     if labels.labeled_indices().size == 0:
         raise DataError("label spreading needs at least one labeled sample")
-    degree = w.sum(axis=1)
+    degree = row_sums(w)
     inv_sqrt = np.where(degree > 0, 1.0 / np.sqrt(np.where(degree > 0, degree, 1.0)), 0.0)[:, None]
     y = inject_anchors(np.zeros((w.shape[0], labels.num_classes)), labels)
+    w = loop_graph(w, max_iterations, labels.num_classes)
 
     def step(f):
         # S F = D^-1/2 (W (D^-1/2 F)): the graph itself is never scaled
@@ -95,21 +96,24 @@ def harmonic_function(w, labels: LabelSet) -> np.ndarray:
         raise DataError("harmonic labeling needs at least one labeled sample")
     labeled = labels.labeled_mask()
     out = inject_anchors(np.zeros((w.shape[0], labels.num_classes)), labels)
-    orphans = unreached(w, labels)
+    # the reachability pass, b, the CG steps and the recomputed residual
+    # all multiply the one graph the rule picks
+    graph = loop_graph(w, CG_MAX_STEPS + 2, labels.num_classes)
+    orphans = unreached(graph, labels)
     out[orphans] = 1.0 / labels.num_classes
     u = np.setdiff1d(np.flatnonzero(~labeled), orphans)
     if u.size:
-        deg = w.sum(axis=1)[u]
-        solved = _conjugate_gradient(w, u, deg, out) if _symmetric(w) else None
-        out[u] = _direct_solve(w, u, np.flatnonzero(labeled), deg, out) if solved is None else solved
+        deg = row_sums(w)[u]
+        solved = _conjugate_gradient(graph, u, deg, out) if _symmetric(w) else None
+        out[u] = _direct_solve(graph, u, np.flatnonzero(labeled), deg, out) if solved is None else solved
     return out
 
 
 def _symmetric(w) -> bool:
     """Whether ``w`` equals its transpose. A dense graph is compared tile
     by tile with its mirror image, so no ``n x n`` temporary is made."""
-    if is_sparse(w):
-        return (w != w.T).nnz == 0
+    if isinstance(w, CsrGraph):
+        return w.is_symmetric()
     n, t = w.shape[0], SYMMETRY_TILE
     return all(
         np.array_equal(w[i:i + t, j:j + t], w[j:j + t, i:i + t].T) for i in range(0, n, t) for j in range(i, n, t)
@@ -172,12 +176,15 @@ def _conjugate_gradient(w, u, deg, out):
 
 def _direct_solve(w, u, l, deg, out):
     """f_u of the grounded-Laplacian system by LU: dense on a u x u copy,
-    sparse (``spsolve``) on a CSR graph. Raises NumericalError for an
-    exactly singular system."""
+    sparse (``spsolve``) on a CSR graph, through its scipy view. Raises
+    NumericalError for an exactly singular system."""
+    dense = isinstance(w, np.ndarray)
+    if isinstance(w, CsrGraph):
+        w = w.to_scipy()
     w_uu = w[np.ix_(u, u)]
     w_ul = w[np.ix_(u, l)]
     singular = "harmonic labeling: the grounded Laplacian is singular"
-    if is_sparse(w):
+    if not dense:
         from scipy import sparse
         from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
@@ -220,8 +227,9 @@ def label_propagation(
     f0 = inject_anchors(np.full((w.shape[0], m), 1.0 / m), labels)
     labeled = labels.labeled_indices()
     y_labeled = f0[labeled]
-    degree = w.sum(axis=1)
+    degree = row_sums(w)
     safe = np.where(degree > 0, degree, 1.0)[:, None]
+    w = loop_graph(w, max_iterations, m)
 
     def step(f):
         f_next = graph_product(w, f)

@@ -5,7 +5,10 @@ around. Every public function passes each argument through a coercion
 below, so malformed input raises a TransductError subclass, never a numpy
 exception. The dataclasses are validating containers used at module
 boundaries (file loading, pipeline plumbing), frozen with read-only
-arrays, so instances can be shared freely across threads.
+arrays, so instances can be shared freely across threads. ``CsrGraph``
+is the sparse graph type: a k-NN graph is built and multiplied with
+numpy alone, and ``loop_graph`` hands a long loop scipy's kernel over a
+view of the same arrays, with the same bits.
 """
 from __future__ import annotations
 
@@ -197,34 +200,190 @@ def is_sparse(w) -> bool:
     return sparse is not None and sparse.issparse(w)
 
 
+def _frozen(values, dtype, what: str) -> np.ndarray:
+    """``values`` as a read-only 1-d ``numeric_array`` of ``dtype``, an
+    integer one only from integers (DataError). One already read-only, of
+    that dtype and owning its memory is kept; any other is copied."""
+    arr = numeric_array(values, 1, what, dtype=None)
+    if np.dtype(dtype).kind == "i" and arr.dtype.kind not in "iu":
+        raise DataError(f"{what} must have an integer dtype, got {arr.dtype}")
+    if arr.dtype != dtype or arr.flags.writeable or not arr.flags.owndata:
+        arr = np.array(arr, dtype=dtype)  # a copy of its own
+        arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class CsrGraph:
+    """An n x n graph in compressed sparse row form, built and multiplied
+    with numpy alone, so a ``--knn`` run need not load scipy.
+
+    Row i stores the columns ``indices[indptr[i]:indptr[i + 1]]`` with the
+    weights ``data[indptr[i]:indptr[i + 1]]``, in the order given: a
+    product sums each row in that order, exactly as scipy's CSR kernel
+    does, so ``graph @ x`` has the bits of ``graph.to_scipy() @ x``. The
+    arrays are read-only, int64 indices and float64 weights; a column
+    may repeat within a row (the repeats add up). ``check_graph`` checks
+    the weights.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    # numpy hands ``v @ graph`` to __rmatmul__ instead of converting the graph
+    __array_ufunc__ = None
+
+    def __post_init__(self):
+        indptr = _frozen(self.indptr, np.int64, "CSR indptr")
+        indices = _frozen(self.indices, np.int64, "CSR indices")
+        data = _frozen(self.data, np.float64, "CSR data")
+        n = indptr.size - 1
+        if n < 0 or indptr[0] != 0 or (np.diff(indptr) < 0).any() or indptr[-1] != indices.size:
+            raise DataError("CSR indptr must rise from 0 to the number of stored entries")
+        if data.size != indices.size:
+            raise ShapeMismatch(f"CSR data has {data.size} entries for {indices.size} indices")
+        if indices.size and not 0 <= indices.min() <= indices.max() < n:
+            raise DataError(f"CSR indices must lie in [0, {n})")
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "data", data)
+        # each stored entry's row: the bins of the products' bincount
+        object.__setattr__(self, "_rows", np.repeat(np.arange(n), np.diff(indptr)))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.indptr.size - 1,) * 2
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries, explicit zeros included, as scipy counts them."""
+        return self.data.size
+
+    def __matmul__(self, x) -> np.ndarray:
+        """W x for a vector of n entries, or W X, C-ordered, for an n x m
+        matrix. Each output entry is one ``np.bincount`` sum over the
+        row's stored entries in stored order, starting from 0: the
+        sequence of additions scipy's ``csr_matvec(s)`` makes."""
+        x = np.asarray(x, dtype=np.float64)
+        n = self.shape[0]
+        if x.shape[:1] != (n,) or x.ndim > 2:
+            raise ShapeMismatch(f"cannot multiply an {n} x {n} graph by shape {x.shape}")
+        if x.ndim == 1:
+            return np.bincount(self._rows, self.data * x[self.indices], minlength=n)
+        out = np.empty(x.shape)
+        for c, column in enumerate(np.ascontiguousarray(x.T)):
+            out[:, c] = np.bincount(self._rows, self.data * column[self.indices], minlength=n)
+        return out
+
+    def __rmatmul__(self, v) -> np.ndarray:
+        """v W for a vector v of n entries."""
+        v = np.asarray(v, dtype=np.float64)
+        n = self.shape[0]
+        if v.shape != (n,):
+            raise ShapeMismatch(f"cannot multiply shape {v.shape} by an {n} x {n} graph")
+        return np.bincount(self.indices, self.data * v[self._rows], minlength=n)
+
+    def row_sums(self) -> np.ndarray:
+        """Each row's sum, with the bits of scipy's ``sum(axis=1)``: one
+        ``np.add.reduceat`` over the non-empty rows, as scipy runs it."""
+        sums = np.zeros(self.shape[0])
+        nonempty = np.flatnonzero(np.diff(self.indptr))
+        if nonempty.size:
+            sums[nonempty] = np.add.reduceat(self.data, self.indptr[nonempty])
+        return sums
+
+    def is_symmetric(self) -> bool:
+        """Whether the graph equals its transpose as a matrix: stored
+        zeros drop out and repeated entries add up."""
+        return all(np.array_equal(a, b) for a, b in zip(self._triangle(self._rows, self.indices),
+                                                        self._triangle(self.indices, self._rows)))
+
+    def _triangle(self, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzero entries at (rows, cols) with row < col, as sorted
+        keys row·n + col and their summed weights: the upper triangle, or
+        with rows and columns swapped the lower one mirrored."""
+        keep = (rows < cols) & (self.data != 0)
+        key = rows[keep] * self.shape[0] + cols[keep]
+        # only repeated entries tie, and two of them add up alike either way
+        order = np.argsort(key)
+        key, weights = key[order], self.data[keep][order]
+        if not key.size:
+            return key, weights
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        return key[first], np.add.reduceat(weights, first)
+
+    def toarray(self) -> np.ndarray:
+        """The dense n x n matrix, repeated entries added in stored order."""
+        dense = np.zeros(self.shape)
+        np.add.at(dense, (self._rows, self.indices), self.data)
+        return dense
+
+    def to_scipy(self):
+        """A ``scipy.sparse.csr_array`` over the same (read-only) arrays,
+        made without a copy. Loads ``scipy.sparse``."""
+        from scipy import sparse
+
+        return sparse.csr_array((self.data, self.indices, self.indptr), shape=self.shape, copy=False)
+
+
 def check_graph(w, rows: int, what: str):
     """A similarity graph as every propagator takes it.
 
-    Dense input becomes a float64 array; scipy sparse input (the k-NN
-    graph) becomes a float64 CSR array. Raises ShapeMismatch unless the
-    graph is square with one vertex per row of ``what``, whose length is
-    ``rows``, NonFinite for a NaN or infinite weight, and DataError for a
-    negative weight: the replicator step's ascent (Baum-Eagon) and both
-    random-walk baselines need W >= 0.
+    Dense input becomes a float64 array and a CsrGraph is kept; a scipy
+    sparse graph becomes a CsrGraph of its CSR form, whose rows keep their
+    stored order. Raises ShapeMismatch unless the graph is square with one
+    vertex per row of ``what``, whose length is ``rows``, NonFinite for a
+    NaN or infinite weight, and DataError for a negative weight: the
+    replicator step's ascent (Baum-Eagon) and both random-walk baselines
+    need W >= 0.
     """
     if is_sparse(w):
         from scipy import sparse
 
         w = sparse.csr_array(w, dtype=np.float64)
-    else:
+    elif not isinstance(w, CsrGraph):
         w = numeric_array(w, 2, "similarity matrix")
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+    if len(w.shape) != 2 or w.shape[0] != w.shape[1]:
         raise ShapeMismatch("similarity matrix must be square")
     if rows != w.shape[0]:
         raise ShapeMismatch(f"{what} has {rows} rows but the similarity graph has {w.shape[0]} vertices")
-    # a CSR minimum counts its implicit zeros; an empty graph has no minimum;
-    # min and max propagate NaN, so no n x n finiteness mask is needed
-    if w.shape[0]:
-        low, high = w.min(), w.max()
+    if is_sparse(w):
+        w = CsrGraph(w.indptr, w.indices, w.data)
+    # a CSR graph's unstored entries are 0; min and max propagate NaN, so
+    # no n x n finiteness mask is needed
+    weights = w.data if isinstance(w, CsrGraph) else w
+    if weights.size:
+        low, high = weights.min(), weights.max()
         if not (math.isfinite(low) and math.isfinite(high)):
             raise NonFinite("similarity weights must be finite")
         if low < 0:
             raise DataError("similarity weights must be non-negative")
+    return w
+
+
+def row_sums(w) -> np.ndarray:
+    """Each vertex's degree, for a graph from ``check_graph``."""
+    return w.row_sums() if isinstance(w, CsrGraph) else w.sum(axis=1)
+
+
+#: Multiply-adds (products x nnz x m) up to which a propagator's loop
+#: multiplies a CsrGraph with numpy's kernel; more, and it loads scipy's.
+#: numpy's kernel costs 2.5-5.5 ns more per multiply-add than scipy's at
+#: n=3000; at this budget that reaches the ~0.2 s of loading scipy.sparse.
+CSR_NUMPY_BUDGET = 40_000_000
+
+
+def loop_graph(w, products: int, columns: int):
+    """The graph a loop of up to ``products`` graph products with
+    ``columns`` columns runs on: a CsrGraph's zero-copy scipy view when
+    ``scipy.sparse`` is already loaded or the loop's multiply-adds pass
+    ``CSR_NUMPY_BUDGET``, so its compiled kernel runs them; any other
+    graph as it is. Both kernels give the same bits."""
+    if isinstance(w, CsrGraph) and (
+        sys.modules.get("scipy.sparse") is not None or products * w.nnz * columns > CSR_NUMPY_BUDGET
+    ):
+        return w.to_scipy()
     return w
 
 
@@ -234,8 +393,9 @@ DENSE_PRODUCT_FLIP = 1_000_000
 
 
 def graph_product(w, x) -> np.ndarray:
-    """W X, C-ordered, for an n x n graph W from ``check_graph`` and an
-    n x m float64 matrix X. Every propagator's graph product runs here.
+    """W X, C-ordered, for an n x n graph W from ``check_graph`` or
+    ``loop_graph`` and an n x m float64 matrix X. Every propagator's graph
+    product runs here.
 
     A dense product of more than ``DENSE_PRODUCT_FLIP`` multiply-adds is
     computed as ``(x.T @ w.T).T``, which is W X for any W, symmetric or
@@ -250,11 +410,11 @@ def graph_product(w, x) -> np.ndarray:
     the last bits. From n=600 (above the rule) they give the same bits,
     and it took 0.58-0.78x the time at m=3 and 0.70-1.07x at m=4 (n=4000,
     m=4, 2 threads: 12.9 ms against 9.7 ms). So a product up to the rule
-    and a CSR graph keep ``w @ x``.
+    and a CSR graph, numpy's kernel or scipy's, keep ``w @ x``.
     """
-    if w.size * x.shape[1] <= DENSE_PRODUCT_FLIP or is_sparse(w):
-        return w @ x
-    return np.ascontiguousarray((x.T @ w.T).T)
+    if isinstance(w, np.ndarray) and w.size * x.shape[1] > DENSE_PRODUCT_FLIP:
+        return np.ascontiguousarray((x.T @ w.T).T)
+    return w @ x
 
 
 def unreached(w, labels: LabelSet) -> np.ndarray:

@@ -103,13 +103,15 @@ def recall_at_k(features, truth, ks) -> dict[int, float]:
     one more reused block for the norm sums, and keeps only each query's
     max(ks) nearest, so every K is scored from one pass without an
     ``n x n`` matrix. Values so large that a distance could overflow
-    raise NonFinite (``core.squared_norms``).
+    raise NonFinite (``core.squared_norms``). No K gives an empty dict.
     """
     data = feature_data(features)
     n = data.shape[0]
     truth = label_vector(truth, "truth vector", n)
     ks = [integer("K", k, low=1) for k in np.ravel(ks)]
-    if n < max(ks, default=0) + 1:
+    if not ks:
+        return {}
+    if n < max(ks) + 1:
         raise InsufficientSamples(f"need at least {max(ks) + 1} samples for K={max(ks)}")
     sq = squared_norms(data)
 

@@ -2,25 +2,22 @@
 
 The default pipeline is Pearson correlation followed by clamping of
 negative entries, as a dense ``n x n`` array. With k-NN sparsification
-``knn_graph`` builds the same graph block by block straight into CSR, in
-O(n·k) memory plus one ``BLOCK_ROWS x n`` block; ``sparsify_knn`` is its
-dense reference. ``neighbour_scan`` is the one blocked loop behind
-``knn_graph`` and ``metrics.recall_at_k``: it owns the reused block,
-and each caller passes the function that fills it. All
-functions accept either a FeatureSet or a bare ``n x d`` array.
+``knn_graph`` builds the same graph block by block straight into a
+``core.CsrGraph``, with numpy alone, in O(n·k) memory plus one
+``BLOCK_ROWS x n`` block; ``sparsify_knn`` is its dense reference.
+``neighbour_scan`` is the one blocked loop behind ``knn_graph`` and
+``metrics.recall_at_k``: it owns the reused block, and each caller
+passes the function that fills it. All functions accept either a
+FeatureSet or a bare ``n x d`` array.
 """
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import feature_data, integer, numeric_array
+from .core import CsrGraph, feature_data, integer, numeric_array
 from .errors import ConfigError, NonFinite, ShapeMismatch
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 #: Rows of an ``n x n`` similarity or distance matrix held at once by
 #: ``neighbour_scan`` (for ``knn_graph`` here and ``recall_at_k`` in
@@ -240,8 +237,9 @@ def sparsify_knn(w, k: int) -> np.ndarray:
     return np.maximum(kept, kept.T)
 
 
-def knn_graph(features, k: int, mode: str = "clamp") -> tuple[sparse.csr_array, np.ndarray]:
-    """Pearson k-NN graph in CSR form, never holding the dense matrix.
+def knn_graph(features, k: int, mode: str = "clamp") -> tuple[CsrGraph, np.ndarray]:
+    """Pearson k-NN graph as a ``core.CsrGraph``, never holding the dense
+    matrix and never loading scipy.
 
     Builds ``sparsify_knn(handle_negatives(pearson_matrix(features)[0],
     mode), k)`` with ``neighbour_scan``, one block of ``BLOCK_ROWS`` rows
@@ -251,39 +249,42 @@ def knn_graph(features, k: int, mode: str = "clamp") -> tuple[sparse.csr_array, 
     included; top-k does not move under a constant shift, so the minimum
     is collected in the same pass and subtracted from the kept values at
     the end. Picks whose final weight is 0 are not stored, as in the dense
-    result. The standardized features and the block are freed before the
-    CSR build, which holds only O(n·k) arrays.
+    result. Each row stores its columns in ascending order, once each:
+    the arrays scipy's canonical CSR form of the same graph holds. The
+    standardized features and the block are freed before the CSR build,
+    which holds only O(n·k) arrays.
 
     Returns (graph, zero_variance) like ``pearson_matrix``: symmetric by
     construction, flagging the samples whose coordinates are all equal.
     """
     if mode not in ("clamp", "shift"):
         raise ConfigError(f"unknown negative-handling mode {mode!r} (use clamp or shift)")
-    from scipy import sparse
-
     cols, vals, zero_variance = _knn_picks(features, k, mode)
     n, k = cols.shape
     rows = np.repeat(np.arange(n), k)
     cols, vals = cols.ravel(), vals.ravel()
 
-    # Max-symmetrize over unordered pairs. A pair picked from both ends
-    # holds two products that the dense matrix has as one exactly
-    # symmetric value; small BLAS kernels can round them a last ulp apart,
-    # so the pair takes the smaller, which keeps a pair at the shifted
-    # minimum at 0 on both sides as in the dense result.
-    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
-    key = lo * n + hi
-    order = np.argsort(key, kind="stable")
-    key, vals = key[order], vals[order]
+    # Max-symmetrize: each pick (r, c) is stored at (r, c) and at (c, r),
+    # and each position keeps the smallest of its one or two weights. A
+    # pair picked from both ends holds two products that the dense matrix
+    # has as one exactly symmetric value; small BLAS kernels can round
+    # them a last ulp apart, so the pair takes the smaller, which keeps a
+    # pair at the shifted minimum at 0 on both sides as in the dense
+    # result. Sorting by row, then column, orders the CSR arrays; a
+    # position's copies tie, and their minimum is the same in any order.
+    key = np.concatenate([rows * n + cols, cols * n + rows])
+    order = np.argsort(key)
+    key, vals = key[order], np.concatenate([vals, vals])[order]
     first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     key, vals = key[first], np.minimum.reduceat(vals, first)
     stored = vals > 0
-    lo, hi, vals = key[stored] // n, key[stored] % n, vals[stored]
-    graph = sparse.csr_array(
-        (np.concatenate([vals, vals]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
-        shape=(n, n),
-    )
-    return graph, zero_variance
+    rows, indices = np.divmod(key[stored], n)
+    data = vals[stored]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    for array in (indptr, indices, data):
+        array.setflags(write=False)  # the graph keeps them without a copy
+    return CsrGraph(indptr, indices, data), zero_variance
 
 
 def _knn_picks(features, k: int, mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

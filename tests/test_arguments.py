@@ -42,6 +42,7 @@ SPEC = st.just(td.BlobSpec(blobs=2, per_blob=3, dim=2))
 
 #: The argument strategies of each callable, in call order.
 SIGNATURES = {
+    "CsrGraph": (ARRAYS, ARRAYS, ARRAYS),
     "FeatureSet": (ARRAYS, st.lists(st.text("ab", max_size=2), max_size=4)),
     "LabelSet": (INTEGERS, ARRAYS),
     "accuracy": (ARRAYS, ARRAYS),

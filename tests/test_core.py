@@ -1,3 +1,6 @@
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,9 @@ from transduct import (
     label_spreading,
     run_dynamics,
 )
-from transduct.core import DENSE_PRODUCT_FLIP, check_graph, graph_product, iterate, normalize_rows
+from transduct import core
+from transduct.baselines import _symmetric
+from transduct.core import DENSE_PRODUCT_FLIP, CsrGraph, check_graph, graph_product, iterate, normalize_rows
 from transduct.errors import DataError, DuplicateId, NonFinite, OutOfRange, ShapeMismatch
 from transduct.pipeline import _report
 
@@ -152,6 +157,103 @@ class TestGraphProduct:
         np.testing.assert_allclose(out, dense @ x, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(w.toarray() if kind == "csr" else w, dense)
         np.testing.assert_array_equal(x, x_before)
+
+
+def random_csr(rng, n, symmetric=False):
+    """The three CSR arrays of a random n x n graph with weights >= 0:
+    empty rows, stored zeros, and, unless ``symmetric``, asymmetric
+    entries and each row's columns shuffled, some repeated. A symmetric
+    one stores each row in column order, and some stored zeros without
+    their mirror."""
+    w = rng.uniform(0, 1, size=(n, n)) * 10.0 ** rng.uniform(-3, 3, size=(n, n))
+    stored = rng.uniform(size=(n, n)) < rng.uniform(0.02, 0.3)
+    zero = rng.uniform(size=(n, n)) < 0.1
+    if symmetric:
+        w, stored, zero = np.triu(w) + np.triu(w, 1).T, stored | stored.T, zero | zero.T
+    w[zero] = 0.0
+    empty = rng.uniform(size=n) < 0.2
+    stored[empty] = False
+    if symmetric:
+        stored[:, empty] = False
+        # a stored zero's mirror may be left out: the matrix stays symmetric
+        stored &= ~(zero & (rng.uniform(size=(n, n)) < 0.5))
+    rows, cols = np.nonzero(stored)
+    if not symmetric:
+        order = np.lexsort((rng.uniform(size=rows.size), rows))
+        repeat = rng.uniform(size=rows.size) < 0.1
+        rows, cols = np.r_[rows[order], rows[repeat]], np.r_[cols[order], cols[repeat]]
+        order = np.argsort(rows, kind="stable")
+        rows, cols = rows[order], cols[order]
+    indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]
+    return indptr, cols, w[rows, cols]
+
+
+class TestCsrGraph:
+    """The numpy kernels of ``core.CsrGraph`` against scipy's on the same
+    arrays, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 60, 300])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_products_and_row_sums_match_scipy(self, n, seed):
+        rng = np.random.default_rng([n, seed])
+        arrays = random_csr(rng, n)
+        graph, reference = CsrGraph(*arrays), sparse.csr_array(arrays[::-1], shape=(n, n))
+        for x in [rng.normal(size=n), *(rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3, 3, size=m)
+                                        for m in range(1, 6))]:
+            out = graph @ x
+            assert out.flags.c_contiguous and out.shape == x.shape
+            np.testing.assert_array_equal(out, reference @ x)
+            if x.ndim == 2:
+                np.testing.assert_array_equal(graph_product(graph, x), reference @ x)
+            else:
+                np.testing.assert_allclose(x @ graph, x @ reference.toarray(), rtol=1e-12, atol=1e-300)
+        np.testing.assert_array_equal(graph.row_sums(), reference.sum(axis=1))
+        np.testing.assert_array_equal(graph.toarray(), reference.toarray())
+        assert graph.nnz == reference.nnz and graph.shape == reference.shape
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 60, 300])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_symmetry_matches_scipy(self, n, seed):
+        rng = np.random.default_rng([n, seed, 1])
+        arrays = random_csr(rng, n, symmetric=seed % 3 != 0)
+        if seed % 3 == 2 and arrays[2].size:
+            # one weight moved off its mirror's value
+            arrays[2][rng.integers(arrays[2].size)] += 1.0
+        reference = sparse.csr_array(arrays[::-1], shape=(n, n))
+        assert _symmetric(CsrGraph(*arrays)) == ((reference != reference.T).nnz == 0)
+        if seed % 3 == 1:
+            assert _symmetric(CsrGraph(*arrays))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_propagators_give_the_same_bits_on_either_kernel(self, seed):
+        """A budget of 0 runs every loop on scipy's kernel, and so does a
+        huge one once scipy.sparse is loaded; a huge one with scipy.sparse
+        taken for not loaded runs them on numpy's."""
+        rng = np.random.default_rng([seed, 2])
+        n, m = 80, 3
+        graph = CsrGraph(*random_csr(rng, n, symmetric=True))
+        labels = LabelSet(m, np.where(rng.uniform(size=n) < 0.2, rng.integers(0, m, size=n), -1))
+        x0 = inject_anchors(np.full((n, m), 1.0 / m), labels)
+        runs = {
+            "run_dynamics": lambda: run_dynamics(graph, x0, max_iterations=50, tolerance=0.0),
+            "label_spreading": lambda: label_spreading(graph, labels, max_iterations=200),
+            "label_propagation": lambda: label_propagation(graph, labels, max_iterations=200),
+            "harmonic_function": lambda: harmonic_function(graph, labels),
+        }
+        to_scipy = mock.patch.object(CsrGraph, "to_scipy", autospec=True, side_effect=CsrGraph.to_scipy)
+        with mock.patch.object(core, "CSR_NUMPY_BUDGET", 0), to_scipy as views:
+            on_scipy = {name: run() for name, run in runs.items()}
+        assert views.call_count == len(runs)
+        with mock.patch.object(core, "CSR_NUMPY_BUDGET", 10**18), to_scipy as views:
+            for run in runs.values():
+                run()
+        assert views.call_count == len(runs)
+        with mock.patch.object(core, "CSR_NUMPY_BUDGET", 10**18), to_scipy as views, \
+                mock.patch.dict(sys.modules, {"scipy.sparse": None}):
+            on_numpy = {name: run() for name, run in runs.items()}
+        assert views.call_count == 0
+        for name in runs:
+            np.testing.assert_equal(on_numpy[name], on_scipy[name], err_msg=name)
 
 
 def counting(move):

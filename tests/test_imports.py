@@ -1,12 +1,15 @@
 """What the package imports, and what it exports.
 
-scipy loads only when a sparse graph is built or solved. Importing
-scipy.sparse costs about 0.2 s and 22 MB, more than the rest of the
-package's import. A dense run of any method and ``eval`` never touch a
-sparse object, so they must not load it; a module level
-``from scipy ...`` anywhere in the package fails these tests. Its linalg
-submodule adds up to 0.15 s and 10 MB more; only the direct fallback of
-the harmonic solve loads it, so a ``--knn`` run does not.
+scipy loads only for a long loop over a k-NN graph or a sparse solve.
+Importing scipy.sparse costs 0.20-0.23 s and 20 MiB (scipy 1.17.1 on a
+2-core x86-64 host, after importing ``transduct.cli``), more than the
+rest of the package's import. A dense run of any method and ``eval`` never touch a sparse
+graph, and a ``--knn`` run builds and multiplies its ``core.CsrGraph``
+with numpy until a loop's multiply-adds pass ``core.CSR_NUMPY_BUDGET``,
+so none of them may load it; a module level ``from scipy ...`` anywhere
+in the package fails these tests. Its linalg submodule adds 0.08-0.09 s
+and 10 MiB more; only the direct fallback of the harmonic solve loads
+it, so a ``--knn`` run does not, even on scipy's kernel.
 
 Every name in ``transduct.__all__`` is used by the package or a script,
 so no public function exists only for the tests to call.
@@ -21,13 +24,22 @@ from pathlib import Path
 import pytest
 
 import transduct
+from transduct.baselines import CG_MAX_STEPS
+from transduct.core import CSR_NUMPY_BUDGET
+from transduct.io import read_features_csv
+from transduct.pipeline import METHOD_SETTINGS
+from transduct.similarity import knn_graph
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 PROBE = """
 import json, sys
+from transduct import core
 from transduct.cli import main
+budget = json.loads(sys.argv[2])
+if budget is not None:
+    core.CSR_NUMPY_BUDGET = budget
 for argv in json.loads(sys.argv[1]):
     if main(argv) != 0:
         sys.exit(f"transduct {' '.join(argv)} failed")
@@ -35,27 +47,31 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 """
 
 
-def scipy_modules_after(*commands) -> list[str]:
+def scipy_modules_after(*commands, budget=None) -> list[str]:
     """The scipy modules loaded in a fresh interpreter after importing
-    ``transduct.cli`` and running each CLI command in turn."""
+    ``transduct.cli`` and running each CLI command in turn, with
+    ``core.CSR_NUMPY_BUDGET`` set to ``budget`` unless it is None."""
     env = dict(os.environ, PYTHONPATH=str(SRC), TRANSDUCT_THREADS="1")
     result = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(commands)],
+        [sys.executable, "-c", PROBE, json.dumps(commands), json.dumps(budget)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.splitlines()[-1])
 
 
-@pytest.fixture(scope="module")
-def data(tmp_path_factory):
-    out = tmp_path_factory.mktemp("data")
+def synth(out, blobs, per_blob):
     subprocess.run(
-        [sys.executable, "-m", "transduct.cli", "synth", "--blobs", "3", "--per-blob", "20",
+        [sys.executable, "-m", "transduct.cli", "synth", "--blobs", str(blobs), "--per-blob", str(per_blob),
          "--dim", "8", "--seed", "1", "--out-dir", str(out)],
         check=True, capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
     )
     return out
+
+
+@pytest.fixture(scope="module")
+def data(tmp_path_factory):
+    return synth(tmp_path_factory.mktemp("data"), 3, 20)
 
 
 METHODS = ["gtg", "group_loss", "label_spreading", "label_propagation", "harmonic"]
@@ -79,13 +95,31 @@ def test_dense_run_and_eval_load_no_scipy(data, tmp_path):
     assert scipy_modules_after(*runs, eval_args) == []
 
 
-def test_knn_run_loads_scipy_sparse(data, tmp_path):
-    assert "scipy.sparse" in scipy_modules_after(run_args(data, tmp_path / "run", "--knn", "5"))
+def test_knn_runs_below_the_budget_load_no_scipy(data, tmp_path):
+    runs = [run_args(data, tmp_path / method, "--knn", "5", method=method) for method in METHODS]
+    assert scipy_modules_after(*runs) == []
+
+
+def test_knn_run_over_the_budget_loads_scipy_sparse(tmp_path):
+    """label_propagation's 1000-step cap on a 1000-sample k=10 graph is
+    past the budget: its loop runs on scipy's kernel, which needs no
+    linalg. gtg's and harmonic's loops on the same graph are not."""
+    data = synth(tmp_path / "data", 4, 250)
+    graph = knn_graph(read_features_csv(data / "features.csv"), 10)[0]
+    cap = METHOD_SETTINGS["label_propagation"]["max_iterations"]
+    # harmonic's cap of CG_MAX_STEPS + 2 products is gtg's 101 or more
+    assert cap * graph.nnz * 4 > CSR_NUMPY_BUDGET >= (CG_MAX_STEPS + 2) * graph.nnz * 4
+    loaded = scipy_modules_after(run_args(data, tmp_path / "run", "--knn", "10", method="label_propagation"))
+    assert "scipy.sparse" in loaded
+    assert "scipy.sparse.linalg" not in loaded
+    short = [run_args(data, tmp_path / method, "--knn", "10", method=method) for method in ("gtg", "harmonic")]
+    assert scipy_modules_after(*short) == []
 
 
 def test_knn_harmonic_run_loads_no_sparse_linalg(data, tmp_path):
-    """The conjugate-gradient solve needs only the CSR product."""
-    loaded = scipy_modules_after(run_args(data, tmp_path / "run", "--knn", "5", method="harmonic"))
+    """The conjugate-gradient solve needs only the CSR product, on
+    scipy's kernel too (a budget of 0 sends every loop there)."""
+    loaded = scipy_modules_after(run_args(data, tmp_path / "run", "--knn", "5", method="harmonic"), budget=0)
     assert "scipy.sparse" in loaded
     assert "scipy.sparse.linalg" not in loaded
 

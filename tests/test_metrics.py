@@ -151,6 +151,13 @@ class TestRecallAtK:
         with pytest.raises(InsufficientSamples):
             recall_at_k(np.zeros((3, 2)), [0, 1, 0], [3])
 
+    def test_no_k_is_an_empty_result(self):
+        data = np.random.default_rng(0).normal(size=(5, 2))
+        assert recall_at_k(data, [0, 1, 0, 1, 0], []) == {}
+        # the arguments are still checked
+        with pytest.raises(LengthMismatch):
+            recall_at_k(data, [0, 1], [])
+
     @given(st.integers(2, 40), st.integers(1, 4), st.sampled_from([1, 3, 7, 64, 256]),
            st.sampled_from([2, similarity.TOP_K_SAMPLE]), st.integers(0, 5000))
     @settings(max_examples=100, deadline=None)

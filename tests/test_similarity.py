@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from transduct import (BlobSpec, handle_negatives, knn_graph, make_synthetic, pearson_matrix, similarity,
+from transduct import (BlobSpec, CsrGraph, handle_negatives, knn_graph, make_synthetic, pearson_matrix, similarity,
                        sparsify_knn)
 from transduct.errors import ConfigError, OutOfRange, ShapeMismatch
 from transduct.similarity import top_k
@@ -340,11 +340,24 @@ class TestKnnGraph:
         np.testing.assert_allclose(graph.toarray(), expected, rtol=0, atol=1e-12)
 
     def test_symmetric_csr_without_stored_zeros(self):
+        """Canonical CSR (each row's columns sorted, once each), no stored
+        zeros, equal to its transpose: the arrays scipy makes of the same
+        matrix, read-only and int64."""
         data = exact_samples(np.random.default_rng(9), 30, 6)
         graph = knn_graph(data, 4, "clamp")[0]
-        assert isinstance(graph, sparse.csr_array)
-        assert graph.has_canonical_format and np.all(graph.data > 0)
-        assert (graph != graph.T).nnz == 0
+        assert isinstance(graph, CsrGraph)
+        for columns in np.split(graph.indices, graph.indptr[1:-1]):
+            assert (np.diff(columns) > 0).all()
+        assert np.all(graph.data > 0)
+        dense = graph.toarray()
+        np.testing.assert_array_equal(dense, dense.T)
+        assert graph.is_symmetric()
+        canonical = sparse.csr_array(dense)
+        for name in ("indptr", "indices", "data"):
+            array = getattr(graph, name)
+            np.testing.assert_array_equal(array, getattr(canonical, name))
+            assert not array.flags.writeable
+        assert graph.indptr.dtype == graph.indices.dtype == np.int64
 
     def test_rejects_bad_k_and_mode(self):
         data = np.random.default_rng(0).normal(size=(4, 3))
