@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .core import CsrGraph, LabelSet, check_graph, check_settings, feature_data, graph_product, integer, iterate, label_set, loop_graph, normalize_rows, row_sums, squared_norms, unreached
+from .core import CsrGraph, LabelSet, check_graph, check_settings, feature_data, graph_product, integer, iterate, label_set, normalize_rows, row_sums, squared_norms, unreached
 from .errors import DataError, NumericalError
 from .priors import inject_anchors
 
@@ -43,7 +43,6 @@ def label_spreading(
     degree = row_sums(w)
     inv_sqrt = np.where(degree > 0, 1.0 / np.sqrt(np.where(degree > 0, degree, 1.0)), 0.0)[:, None]
     y = inject_anchors(np.zeros((w.shape[0], labels.num_classes)), labels)
-    w = loop_graph(w, max_iterations, labels.num_classes)
 
     def step(f):
         # S F = D^-1/2 (W (D^-1/2 F)): the graph itself is never scaled
@@ -96,16 +95,13 @@ def harmonic_function(w, labels: LabelSet) -> np.ndarray:
         raise DataError("harmonic labeling needs at least one labeled sample")
     labeled = labels.labeled_mask()
     out = inject_anchors(np.zeros((w.shape[0], labels.num_classes)), labels)
-    # the reachability pass, b, the CG steps and the recomputed residual
-    # all multiply the one graph the rule picks
-    graph = loop_graph(w, CG_MAX_STEPS + 2, labels.num_classes)
-    orphans = unreached(graph, labels)
+    orphans = unreached(w, labels)
     out[orphans] = 1.0 / labels.num_classes
     u = np.setdiff1d(np.flatnonzero(~labeled), orphans)
     if u.size:
         deg = row_sums(w)[u]
-        solved = _conjugate_gradient(graph, u, deg, out) if _symmetric(w) else None
-        out[u] = _direct_solve(graph, u, np.flatnonzero(labeled), deg, out) if solved is None else solved
+        solved = _conjugate_gradient(w, u, deg, out) if _symmetric(w) else None
+        out[u] = _direct_solve(w, u, np.flatnonzero(labeled), deg, out) if solved is None else solved
     return out
 
 
@@ -179,7 +175,7 @@ def _direct_solve(w, u, l, deg, out):
     sparse (``spsolve``) on a CSR graph, through its scipy view. Raises
     NumericalError for an exactly singular system."""
     dense = isinstance(w, np.ndarray)
-    if isinstance(w, CsrGraph):
+    if not dense:
         w = w.to_scipy()
     w_uu = w[np.ix_(u, u)]
     w_ul = w[np.ix_(u, l)]
@@ -229,7 +225,6 @@ def label_propagation(
     y_labeled = f0[labeled]
     degree = row_sums(w)
     safe = np.where(degree > 0, degree, 1.0)[:, None]
-    w = loop_graph(w, max_iterations, m)
 
     def step(f):
         f_next = graph_product(w, f)

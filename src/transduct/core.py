@@ -7,8 +7,9 @@ exception. The dataclasses are validating containers used at module
 boundaries (file loading, pipeline plumbing), frozen with read-only
 arrays, so instances can be shared freely across threads. ``CsrGraph``
 is the sparse graph type: a k-NN graph is built and multiplied with
-numpy alone, and ``loop_graph`` hands a long loop scipy's kernel over a
-view of the same arrays, with the same bits.
+numpy alone, and moves to scipy's kernel over a view of the same
+arrays, with the same bits, only once the products it has run pass
+``CSR_NUMPY_BUDGET``.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -213,6 +215,16 @@ def _frozen(values, dtype, what: str) -> np.ndarray:
     return arr
 
 
+#: Multiply-adds (nnz x columns, summed over a graph's products) up to
+#: which a CsrGraph multiplies with numpy's kernel; past it, it loads
+#: scipy's. numpy's kernel costs 2.5-5.5 ns more per multiply-add than
+#: scipy's (n=3000 and 30k, k=10); at this budget that reaches the ~0.2 s
+#: of loading scipy.sparse. So what a graph's products pay beyond scipy's
+#: kernel, numpy's extra time plus the load, is at most about twice what
+#: the better fixed choice of kernel would pay for them.
+CSR_NUMPY_BUDGET = 40_000_000
+
+
 @dataclass(frozen=True, eq=False)
 class CsrGraph:
     """An n x n graph in compressed sparse row form, built and multiplied
@@ -225,6 +237,12 @@ class CsrGraph:
     arrays are read-only, int64 indices and float64 weights; a column
     may repeat within a row (the repeats add up). ``check_graph`` checks
     the weights.
+
+    Products run on numpy's kernel until their multiply-adds pass
+    ``CSR_NUMPY_BUDGET``; from the product that passes it on, they run on
+    scipy's compiled kernel over the graph's zero-copy view, which loads
+    ``scipy.sparse``. Both kernels give the same bits, so only the time a
+    product takes depends on the products run before it.
     """
 
     indptr: np.ndarray
@@ -248,8 +266,16 @@ class CsrGraph:
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "data", data)
-        # each stored entry's row: the bins of the products' bincount
-        object.__setattr__(self, "_rows", np.repeat(np.arange(n), np.diff(indptr)))
+        # the multiply-adds run so far, and the scipy view once they pass
+        # the budget; a race between threads only moves the switch
+        object.__setattr__(self, "_work", 0)
+        object.__setattr__(self, "_view", None)
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """Each stored entry's row: the bins of the products' bincount,
+        built on the first numpy product (8 bytes per stored entry)."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -260,6 +286,16 @@ class CsrGraph:
         """Stored entries, explicit zeros included, as scipy counts them."""
         return self.data.size
 
+    def _scipy_kernel(self, columns: int):
+        """The scipy view a product of ``columns`` columns runs on, or None
+        while the multiply-adds run so far, this product's included, are
+        within ``CSR_NUMPY_BUDGET``."""
+        if self._view is None:
+            object.__setattr__(self, "_work", self._work + self.nnz * columns)
+            if self._work > CSR_NUMPY_BUDGET:
+                object.__setattr__(self, "_view", self.to_scipy())
+        return self._view
+
     def __matmul__(self, x) -> np.ndarray:
         """W x for a vector of n entries, or W X, C-ordered, for an n x m
         matrix. Each output entry is one ``np.bincount`` sum over the
@@ -269,6 +305,9 @@ class CsrGraph:
         n = self.shape[0]
         if x.shape[:1] != (n,) or x.ndim > 2:
             raise ShapeMismatch(f"cannot multiply an {n} x {n} graph by shape {x.shape}")
+        view = self._scipy_kernel(x.shape[1] if x.ndim == 2 else 1)
+        if view is not None:
+            return view @ x
         if x.ndim == 1:
             return np.bincount(self._rows, self.data * x[self.indices], minlength=n)
         out = np.empty(x.shape)
@@ -282,6 +321,9 @@ class CsrGraph:
         n = self.shape[0]
         if v.shape != (n,):
             raise ShapeMismatch(f"cannot multiply shape {v.shape} by an {n} x {n} graph")
+        view = self._scipy_kernel(1)
+        if view is not None:
+            return v @ view
         return np.bincount(self.indices, self.data * v[self._rows], minlength=n)
 
     def row_sums(self) -> np.ndarray:
@@ -367,34 +409,14 @@ def row_sums(w) -> np.ndarray:
     return w.row_sums() if isinstance(w, CsrGraph) else w.sum(axis=1)
 
 
-#: Multiply-adds (products x nnz x m) up to which a propagator's loop
-#: multiplies a CsrGraph with numpy's kernel; more, and it loads scipy's.
-#: numpy's kernel costs 2.5-5.5 ns more per multiply-add than scipy's at
-#: n=3000; at this budget that reaches the ~0.2 s of loading scipy.sparse.
-CSR_NUMPY_BUDGET = 40_000_000
-
-
-def loop_graph(w, products: int, columns: int):
-    """The graph a loop of up to ``products`` graph products with
-    ``columns`` columns runs on: a CsrGraph's zero-copy scipy view when
-    ``scipy.sparse`` is already loaded or the loop's multiply-adds pass
-    ``CSR_NUMPY_BUDGET``, so its compiled kernel runs them; any other
-    graph as it is. Both kernels give the same bits."""
-    if isinstance(w, CsrGraph) and (
-        sys.modules.get("scipy.sparse") is not None or products * w.nnz * columns > CSR_NUMPY_BUDGET
-    ):
-        return w.to_scipy()
-    return w
-
-
 #: Multiply-adds (n·n·m) above which ``graph_product`` runs a dense graph
 #: as BLAS's long operand. Up to here OpenBLAS uses its small-matrix kernel.
 DENSE_PRODUCT_FLIP = 1_000_000
 
 
 def graph_product(w, x) -> np.ndarray:
-    """W X, C-ordered, for an n x n graph W from ``check_graph`` or
-    ``loop_graph`` and an n x m float64 matrix X. Every propagator's graph
+    """W X, C-ordered, for an n x n graph W from ``check_graph`` and an
+    n x m float64 matrix X. Every propagator's graph
     product runs here.
 
     A dense product of more than ``DENSE_PRODUCT_FLIP`` multiply-adds is

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelSet, check_graph, check_settings, check_simplex, finite_matrix, graph_product, iterate, label_set, loop_graph, normalize_rows
+from .core import LabelSet, check_graph, check_settings, check_simplex, finite_matrix, graph_product, iterate, label_set, normalize_rows
 from .errors import EmptyInput
 
 #: Probability floor used before taking logs in the cross-entropy readout.
@@ -61,8 +61,6 @@ def run_dynamics(
     x = finite_matrix(x0)
     w = check_graph(w, x.shape[0], "assignment matrix")
     check_simplex(x, "prior")
-    # one product per step and one for the final functional
-    w = loop_graph(w, max_iterations + 1, x.shape[1])
     functional_values: list[float] = []
     degenerate: set[int] = set()
 

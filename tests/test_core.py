@@ -1,4 +1,5 @@
 import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -226,34 +227,78 @@ class TestCsrGraph:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_propagators_give_the_same_bits_on_either_kernel(self, seed):
-        """A budget of 0 runs every loop on scipy's kernel, and so does a
-        huge one once scipy.sparse is loaded; a huge one with scipy.sparse
-        taken for not loaded runs them on numpy's."""
+        """A budget of 0 runs every product on scipy's kernel, a huge one
+        on numpy's, and one of a few products moves each propagator's
+        fresh graph to scipy's part way through its loop; a graph makes
+        its scipy view at most once."""
         rng = np.random.default_rng([seed, 2])
         n, m = 80, 3
-        graph = CsrGraph(*random_csr(rng, n, symmetric=True))
+        arrays = random_csr(rng, n, symmetric=True)
         labels = LabelSet(m, np.where(rng.uniform(size=n) < 0.2, rng.integers(0, m, size=n), -1))
         x0 = inject_anchors(np.full((n, m), 1.0 / m), labels)
         runs = {
-            "run_dynamics": lambda: run_dynamics(graph, x0, max_iterations=50, tolerance=0.0),
-            "label_spreading": lambda: label_spreading(graph, labels, max_iterations=200),
-            "label_propagation": lambda: label_propagation(graph, labels, max_iterations=200),
-            "harmonic_function": lambda: harmonic_function(graph, labels),
+            "run_dynamics": lambda: run_dynamics(CsrGraph(*arrays), x0, max_iterations=50, tolerance=0.0),
+            "label_spreading": lambda: label_spreading(CsrGraph(*arrays), labels, max_iterations=200),
+            "label_propagation": lambda: label_propagation(CsrGraph(*arrays), labels, max_iterations=200),
+            "harmonic_function": lambda: harmonic_function(CsrGraph(*arrays), labels),
         }
+        few = 5 * arrays[2].size * m
+        outputs = {}
+        for budget, views_made in ((0, len(runs)), (few, len(runs)), (10**18, 0)):
+            to_scipy = mock.patch.object(CsrGraph, "to_scipy", autospec=True, side_effect=CsrGraph.to_scipy)
+            with mock.patch.object(core, "CSR_NUMPY_BUDGET", budget), to_scipy as views:
+                outputs[budget] = {name: run() for name, run in runs.items()}
+            assert views.call_count == views_made, budget
+        for budget in (0, few):
+            for name in runs:
+                np.testing.assert_equal(outputs[10**18][name], outputs[budget][name], err_msg=(name, budget))
+
+    def test_products_move_to_scipy_once_they_pass_the_budget(self):
+        """Products of 2 columns with a budget of 3 such products: the
+        fourth, a 2-column one, passes it and makes the scipy view, which
+        every later product runs on."""
+        rng = np.random.default_rng(3)
+        arrays = random_csr(rng, 40)
+        graph, reference = CsrGraph(*arrays), sparse.csr_array(arrays[::-1], shape=(40, 40))
+        x = rng.normal(size=(40, 2))
         to_scipy = mock.patch.object(CsrGraph, "to_scipy", autospec=True, side_effect=CsrGraph.to_scipy)
-        with mock.patch.object(core, "CSR_NUMPY_BUDGET", 0), to_scipy as views:
-            on_scipy = {name: run() for name, run in runs.items()}
-        assert views.call_count == len(runs)
-        with mock.patch.object(core, "CSR_NUMPY_BUDGET", 10**18), to_scipy as views:
-            for run in runs.values():
-                run()
-        assert views.call_count == len(runs)
-        with mock.patch.object(core, "CSR_NUMPY_BUDGET", 10**18), to_scipy as views, \
-                mock.patch.dict(sys.modules, {"scipy.sparse": None}):
-            on_numpy = {name: run() for name, run in runs.items()}
-        assert views.call_count == 0
-        for name in runs:
-            np.testing.assert_equal(on_numpy[name], on_scipy[name], err_msg=name)
+        with mock.patch.object(core, "CSR_NUMPY_BUDGET", 3 * graph.nnz * 2), to_scipy as views:
+            made = []
+            for product in [lambda: graph @ x] * 3 + [lambda: graph @ x, lambda: x[:, 0] @ graph, lambda: graph @ x[:, 1]]:
+                product()
+                made.append(views.call_count)
+            assert made == [0, 0, 0, 1, 1, 1]
+            np.testing.assert_array_equal(graph @ x, reference @ x)
+            np.testing.assert_allclose(x[:, 0] @ graph, x[:, 0] @ reference.toarray(), rtol=1e-12, atol=1e-300)
+
+    def test_products_from_many_threads_keep_their_bits(self):
+        """Threads sharing one graph race on its count of multiply-adds and
+        may each make the scipy view; every product keeps the bits."""
+        rng = np.random.default_rng(4)
+        arrays = random_csr(rng, 120)
+        graph, reference = CsrGraph(*arrays), sparse.csr_array(arrays[::-1], shape=(120, 120))
+        xs = [rng.normal(size=(120, 3)) for _ in range(8)]
+        failures = []
+
+        def work(x):
+            for _ in range(40):
+                if not np.array_equal(graph @ x, reference @ x):
+                    failures.append(x)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(core, "CSR_NUMPY_BUDGET", 50 * graph.nnz * 3):
+                threads = [threading.Thread(target=work, args=(x,)) for x in xs]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert graph._view is not None
 
 
 def counting(move):

@@ -5,8 +5,8 @@ Importing scipy.sparse costs 0.20-0.23 s and 20 MiB (scipy 1.17.1 on a
 2-core x86-64 host, after importing ``transduct.cli``), more than the
 rest of the package's import. A dense run of any method and ``eval`` never touch a sparse
 graph, and a ``--knn`` run builds and multiplies its ``core.CsrGraph``
-with numpy until a loop's multiply-adds pass ``core.CSR_NUMPY_BUDGET``,
-so none of them may load it; a module level ``from scipy ...`` anywhere
+with numpy until the products a loop has run pass
+``core.CSR_NUMPY_BUDGET``, so none of them may load it; a module level ``from scipy ...`` anywhere
 in the package fails these tests. Its linalg submodule adds 0.08-0.09 s
 and 10 MiB more; only the direct fallback of the harmonic solve loads
 it, so a ``--knn`` run does not, even on scipy's kernel.
@@ -24,10 +24,8 @@ from pathlib import Path
 import pytest
 
 import transduct
-from transduct.baselines import CG_MAX_STEPS
 from transduct.core import CSR_NUMPY_BUDGET
 from transduct.io import read_features_csv
-from transduct.pipeline import METHOD_SETTINGS
 from transduct.similarity import knn_graph
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,15 +99,16 @@ def test_knn_runs_below_the_budget_load_no_scipy(data, tmp_path):
 
 
 def test_knn_run_over_the_budget_loads_scipy_sparse(tmp_path):
-    """label_propagation's 1000-step cap on a 1000-sample k=10 graph is
-    past the budget: its loop runs on scipy's kernel, which needs no
-    linalg. gtg's and harmonic's loops on the same graph are not."""
+    """label_propagation's 1000 steps (``--tol 0`` runs all of them) on a
+    1000-sample k=10 graph pass the budget: the rest of its loop runs on
+    scipy's kernel, which needs no linalg. gtg's and harmonic's loops on
+    the same graph stay under it."""
     data = synth(tmp_path / "data", 4, 250)
     graph = knn_graph(read_features_csv(data / "features.csv"), 10)[0]
-    cap = METHOD_SETTINGS["label_propagation"]["max_iterations"]
-    # harmonic's cap of CG_MAX_STEPS + 2 products is gtg's 101 or more
-    assert cap * graph.nnz * 4 > CSR_NUMPY_BUDGET >= (CG_MAX_STEPS + 2) * graph.nnz * 4
-    loaded = scipy_modules_after(run_args(data, tmp_path / "run", "--knn", "10", method="label_propagation"))
+    loaded = scipy_modules_after(
+        run_args(data, tmp_path / "run", "--knn", "10", "--tol", "0", method="label_propagation"))
+    steps = json.loads((tmp_path / "run" / "report.json").read_text())["iterations_used"]
+    assert steps * graph.nnz * 4 > CSR_NUMPY_BUDGET
     assert "scipy.sparse" in loaded
     assert "scipy.sparse.linalg" not in loaded
     short = [run_args(data, tmp_path / method, "--knn", "10", method=method) for method in ("gtg", "harmonic")]
