@@ -5,8 +5,8 @@ Importing scipy.sparse costs 0.20-0.23 s and 20 MiB (scipy 1.17.1 on a
 2-core x86-64 host, after importing ``transduct.cli``), more than the
 rest of the package's import. A dense run of any method and ``eval`` never touch a sparse
 graph, and a ``--knn`` run builds and multiplies its ``core.CsrGraph``
-with numpy until the products a loop has run pass
-``core.CSR_NUMPY_BUDGET``, so none of them may load it; a module level ``from scipy ...`` anywhere
+with numpy until the products run on it pass ``core.CSR_NUMPY_BUDGET``,
+so none of them may load it; a module level ``from scipy ...`` anywhere
 in the package fails these tests. Its linalg submodule adds 0.08-0.09 s
 and 10 MiB more; only the direct fallback of the harmonic solve loads
 it, so a ``--knn`` run does not, even on scipy's kernel.
