@@ -20,8 +20,7 @@ import numpy as np
 
 from transduct import BlobSpec, RunConfig, make_synthetic, run_pipeline, true_centroids
 from transduct.io import write_features_csv, write_labels_csv
-
-METHODS = ("gtg", "group_loss", "label_spreading", "label_propagation", "harmonic")
+from transduct.pipeline import METHODS
 
 
 def run_one(workdir: Path, spec: BlobSpec, seed: int, method: str, anchor_fraction: float) -> float:

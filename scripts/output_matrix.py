@@ -23,17 +23,15 @@ import subprocess
 import sys
 from pathlib import Path
 
-METHODS = ("gtg", "group_loss", "label_spreading", "label_propagation", "harmonic")
 SIZES = (300, 1200, 4000)
 KNN = 7
 GRAPHS = {"dense": [], f"knn{KNN}": ["--knn", str(KNN)]}
-MODES = ("clamp", "shift")
-EVAL_METRICS = "recall@1,recall@2,recall@4,recall@8,nmi"
 SRC = Path(__file__).resolve().parents[1] / "src"
 # transduct applies TRANSDUCT_THREADS when first imported, before numpy loads BLAS
 sys.path.insert(0, str(SRC))
 from transduct.io import read_features_csv  # noqa: E402
-from transduct.similarity import knn_graph  # noqa: E402
+from transduct.pipeline import EVAL_DEFAULT_METRICS, METHODS  # noqa: E402
+from transduct.similarity import NEGATIVE_MODES, knn_graph  # noqa: E402
 
 
 def cli(out: Path, *args: str) -> None:
@@ -63,7 +61,7 @@ def main() -> int:
         data = f"data/n{n}"
         cli(out, "synth", "--blobs", "4", "--per-blob", str(n // 4), "--dim", "64", "--seed", "0", "--out-dir", data)
         for graph, graph_args in GRAPHS.items():
-            for mode in MODES:
+            for mode in NEGATIVE_MODES:
                 for method in METHODS:
                     run = f"runs/n{n}/{graph}/{mode}/{method}"
                     print(run, flush=True)
@@ -75,7 +73,7 @@ def main() -> int:
         run = f"runs/n{n}/eval"
         print(run, flush=True)
         cli(out, "eval", "--features", f"{data}/features.csv", "--truth", f"{data}/labels.csv",
-            "--metrics", EVAL_METRICS, "--out-dir", run)
+            "--metrics", ",".join(EVAL_DEFAULT_METRICS), "--out-dir", run)
     return 0
 
 

@@ -258,7 +258,7 @@ def _kmeans_pp_init(points, k, rng) -> np.ndarray:
         if total <= 0:
             # all remaining mass at chosen centers; pick any uncovered index
             candidates = np.setdiff1d(np.arange(n), centers)
-            centers.append(int(candidates[0]) if candidates.size else centers[-1])
+            centers.append(int(candidates[0]))
         else:
             centers.append(int(rng.choice(n, p=d2 / total)))
         d2 = np.minimum(d2, np.sum((points - points[centers[-1]]) ** 2, axis=1))

@@ -18,6 +18,7 @@ from pathlib import Path
 from .errors import ConfigError, DataError, NumericalError, TransductError
 from .io import write_features_csv, write_labels_csv
 from .pipeline import METHODS, RunConfig, run_eval, run_pipeline
+from .similarity import NEGATIVE_MODES
 from .synth import BlobSpec, make_synthetic
 
 
@@ -51,7 +52,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--method", required=True, choices=METHODS)
     run.add_argument("--anchor-fraction", type=float, help="stratified anchor sampling fraction in (0,1]")
     run.add_argument("--anchors-file", dest="anchors_path", help="explicit anchor CSV (id,label)")
-    run.add_argument("--negative-handling", choices=("clamp", "shift"))
+    run.add_argument("--negative-handling", choices=NEGATIVE_MODES)
     run.add_argument("--knn", type=int, help="sparsify the similarity graph to k neighbors per row")
     run.add_argument("--logits", dest="logits_path",
                      help="prior logits CSV (id,l0,l1,...); enables the logits prior (gtg, group_loss)")

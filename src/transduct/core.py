@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -191,17 +190,6 @@ def argmax_decode(x) -> np.ndarray:
     return np.argmax(finite_matrix(x), axis=1).astype(np.int64)
 
 
-def is_sparse(w) -> bool:
-    """Whether ``w`` is a scipy sparse matrix or array.
-
-    No such object can exist unless ``scipy.sparse`` has been imported, so
-    the check reads the module table instead of importing scipy: a dense
-    run never pays for loading it.
-    """
-    sparse = sys.modules.get("scipy.sparse")
-    return sparse is not None and sparse.issparse(w)
-
-
 def _frozen(values, dtype, what: str) -> np.ndarray:
     """``values`` as a read-only 1-d ``numeric_array`` of ``dtype``, an
     integer one only from integers (DataError). One already read-only, of
@@ -213,6 +201,24 @@ def _frozen(values, dtype, what: str) -> np.ndarray:
         arr = np.array(arr, dtype=dtype)  # a copy of its own
         arr.setflags(write=False)
     return arr
+
+
+def merge_entries(rows, cols, values, n: int, ufunc) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries ``values`` at (rows, cols) of an n x n matrix as
+    (rows, cols, values) in row, then column order, each position once:
+    ``ufunc`` (``np.add``, ``np.minimum``) reduces a repeated position's
+    values, in no fixed order. ``knn_graph`` peaks here, so each step
+    frees the array it replaces before the next one is made."""
+    key = rows * n + cols
+    order = np.argsort(key)
+    key = key[order]
+    values = values[order]
+    del order
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]]) if key.size else key
+    values = ufunc.reduceat(values, first)
+    key = key[first]
+    rows = key // n
+    return rows, np.remainder(key, n, out=key), values
 
 
 #: Multiply-adds (nnz x columns, summed over a graph's products) up to
@@ -238,11 +244,12 @@ class CsrGraph:
     may repeat within a row (the repeats add up). ``check_graph`` checks
     the weights.
 
-    Products run on numpy's kernel until their multiply-adds pass
-    ``CSR_NUMPY_BUDGET``; from the product that passes it on, they run on
-    scipy's compiled kernel over the graph's zero-copy view, which loads
-    ``scipy.sparse``. Both kernels give the same bits, so only the time a
-    product takes depends on the products run before it.
+    ``graph @ x`` runs on numpy's kernel until the multiply-adds of these
+    products pass ``CSR_NUMPY_BUDGET``; from the one that passes it on,
+    on scipy's compiled kernel over the graph's zero-copy view, which
+    loads ``scipy.sparse``. Both kernels give the same bits, so only the
+    time a product takes depends on the products run before it.
+    ``v @ graph`` (``unreached``) always runs on numpy's and is not counted.
     """
 
     indptr: np.ndarray
@@ -286,44 +293,34 @@ class CsrGraph:
         """Stored entries, explicit zeros included, as scipy counts them."""
         return self.data.size
 
-    def _scipy_kernel(self, columns: int):
-        """The scipy view a product of ``columns`` columns runs on, or None
-        while the multiply-adds run so far, this product's included, are
-        within ``CSR_NUMPY_BUDGET``."""
-        if self._view is None:
-            object.__setattr__(self, "_work", self._work + self.nnz * columns)
-            if self._work > CSR_NUMPY_BUDGET:
-                object.__setattr__(self, "_view", self.to_scipy())
-        return self._view
-
     def __matmul__(self, x) -> np.ndarray:
-        """W x for a vector of n entries, or W X, C-ordered, for an n x m
-        matrix. Each output entry is one ``np.bincount`` sum over the
-        row's stored entries in stored order, starting from 0: the
-        sequence of additions scipy's ``csr_matvec(s)`` makes."""
+        """W x for a vector of n entries, run as one column, or W X,
+        C-ordered, for an n x m matrix. Each output entry is one
+        ``np.bincount`` sum over the row's stored entries in stored order,
+        from 0: the sequence of additions scipy's ``csr_matvec(s)`` makes."""
         x = np.asarray(x, dtype=np.float64)
         n = self.shape[0]
         if x.shape[:1] != (n,) or x.ndim > 2:
             raise ShapeMismatch(f"cannot multiply an {n} x {n} graph by shape {x.shape}")
-        view = self._scipy_kernel(x.shape[1] if x.ndim == 2 else 1)
-        if view is not None:
-            return view @ x
-        if x.ndim == 1:
-            return np.bincount(self._rows, self.data * x[self.indices], minlength=n)
-        out = np.empty(x.shape)
-        for c, column in enumerate(np.ascontiguousarray(x.T)):
+        columns = np.ascontiguousarray((x[:, None] if x.ndim == 1 else x).T)
+        if self._view is None:
+            object.__setattr__(self, "_work", self._work + self.nnz * columns.shape[0])
+            if self._work > CSR_NUMPY_BUDGET:
+                object.__setattr__(self, "_view", self.to_scipy())
+        if self._view is not None:
+            return self._view @ x
+        out = np.empty((n, columns.shape[0]))
+        for c, column in enumerate(columns):
             out[:, c] = np.bincount(self._rows, self.data * column[self.indices], minlength=n)
-        return out
+        return out.reshape(x.shape)
 
     def __rmatmul__(self, v) -> np.ndarray:
-        """v W for a vector v of n entries."""
+        """v W for a vector v of n entries: each output entry sums its
+        column's stored entries in stored order, as scipy's kernel does."""
         v = np.asarray(v, dtype=np.float64)
         n = self.shape[0]
         if v.shape != (n,):
             raise ShapeMismatch(f"cannot multiply shape {v.shape} by an {n} x {n} graph")
-        view = self._scipy_kernel(1)
-        if view is not None:
-            return v @ view
         return np.bincount(self.indices, self.data * v[self._rows], minlength=n)
 
     def row_sums(self) -> np.ndarray:
@@ -341,19 +338,12 @@ class CsrGraph:
         return all(np.array_equal(a, b) for a, b in zip(self._triangle(self._rows, self.indices),
                                                         self._triangle(self.indices, self._rows)))
 
-    def _triangle(self, rows, cols) -> tuple[np.ndarray, np.ndarray]:
-        """The nonzero entries at (rows, cols) with row < col, as sorted
-        keys row·n + col and their summed weights: the upper triangle, or
+    def _triangle(self, rows, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero entries at (rows, cols) with row < col, repeats
+        summed (two add up alike in either order): the upper triangle, or
         with rows and columns swapped the lower one mirrored."""
         keep = (rows < cols) & (self.data != 0)
-        key = rows[keep] * self.shape[0] + cols[keep]
-        # only repeated entries tie, and two of them add up alike either way
-        order = np.argsort(key)
-        key, weights = key[order], self.data[keep][order]
-        if not key.size:
-            return key, weights
-        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        return key[first], np.add.reduceat(weights, first)
+        return merge_entries(rows[keep], cols[keep], self.data[keep], self.shape[0], np.add)
 
     def toarray(self) -> np.ndarray:
         """The dense n x n matrix, repeated entries added in stored order."""
@@ -372,25 +362,25 @@ class CsrGraph:
 def check_graph(w, rows: int, what: str):
     """A similarity graph as every propagator takes it.
 
-    Dense input becomes a float64 array and a CsrGraph is kept; a scipy
-    sparse graph becomes a CsrGraph of its CSR form, whose rows keep their
-    stored order. Raises ShapeMismatch unless the graph is square with one
-    vertex per row of ``what``, whose length is ``rows``, NonFinite for a
-    NaN or infinite weight, and DataError for a negative weight: the
-    replicator step's ascent (Baum-Eagon) and both random-walk baselines
-    need W >= 0.
+    Dense input becomes a float64 array and a CsrGraph is kept. A scipy
+    sparse graph, any object with a ``tocsr()`` method, becomes the
+    CsrGraph of ``w.tocsr()``: a CSR graph's rows keep their stored
+    order, and a COO graph's repeated entries are summed. Raises
+    ShapeMismatch unless the graph is square with one vertex per row of
+    ``what``, whose length is ``rows``, NonFinite for a NaN or infinite
+    weight, and DataError for a negative weight: the replicator step's
+    ascent (Baum-Eagon) and both random-walk baselines need W >= 0.
     """
-    if is_sparse(w):
-        from scipy import sparse
-
-        w = sparse.csr_array(w, dtype=np.float64)
-    elif not isinstance(w, CsrGraph):
+    sparse = hasattr(w, "tocsr")
+    if not sparse and not isinstance(w, CsrGraph):
         w = numeric_array(w, 2, "similarity matrix")
-    if len(w.shape) != 2 or w.shape[0] != w.shape[1]:
+    n = w.shape[0]
+    if w.shape != (n, n):
         raise ShapeMismatch("similarity matrix must be square")
-    if rows != w.shape[0]:
-        raise ShapeMismatch(f"{what} has {rows} rows but the similarity graph has {w.shape[0]} vertices")
-    if is_sparse(w):
+    if rows != n:
+        raise ShapeMismatch(f"{what} has {rows} rows but the similarity graph has {n} vertices")
+    if sparse:
+        w = w.tocsr()
         w = CsrGraph(w.indptr, w.indices, w.data)
     # a CSR graph's unstored entries are 0; min and max propagate NaN, so
     # no n x n finiteness mask is needed

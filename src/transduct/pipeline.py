@@ -27,7 +27,7 @@ from .priors import inject_anchors, softmax_with_temperature, uniform_prior
 # sparsify_knn is not called here (knn_graph replaced it on the run path);
 # it stays importable from this module because perfbench/tracer.py wraps it
 # under this name.
-from .similarity import handle_negatives, knn_graph, pearson_matrix, sparsify_knn  # noqa: F401
+from .similarity import NEGATIVE_MODES, handle_negatives, knn_graph, pearson_matrix, sparsify_knn  # noqa: F401
 
 #: The methods that run replicator dynamics; the others are baselines.
 DYNAMICS_METHODS = ("gtg", "group_loss")
@@ -123,8 +123,8 @@ class RunConfig:
             raise ConfigError("exactly one anchor source required: --anchor-fraction or --anchors-file")
         if has_fraction and not 0 < self.anchor_fraction <= 1:
             raise ConfigError("anchor_fraction must lie in (0, 1]")
-        if self.negative_handling not in ("clamp", "shift"):
-            raise ConfigError("negative_handling must be 'clamp' or 'shift'")
+        if self.negative_handling not in NEGATIVE_MODES:
+            raise ConfigError(f"negative_handling must be {' or '.join(map(repr, NEGATIVE_MODES))}")
         _parse_metrics(self.metrics, RUN_METRICS)
         for name in ("tolerance", "alpha", "temperature", "anchor_fraction"):
             if getattr(self, name) is not None:

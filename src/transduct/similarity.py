@@ -16,8 +16,11 @@ from collections.abc import Callable, Iterator
 
 import numpy as np
 
-from .core import CsrGraph, feature_data, integer, numeric_array
+from .core import CsrGraph, feature_data, integer, merge_entries, numeric_array
 from .errors import ConfigError, NonFinite, ShapeMismatch
+
+#: How ``handle_negatives`` and ``knn_graph`` may map negative similarities.
+NEGATIVE_MODES = ("clamp", "shift")
 
 #: Rows of an ``n x n`` similarity or distance matrix held at once by
 #: ``neighbour_scan`` (for ``knn_graph`` here and ``recall_at_k`` in
@@ -201,17 +204,22 @@ def handle_negatives(w, mode: str = "clamp") -> np.ndarray:
     converted to a new float64 array first.
     """
     w = numeric_array(w, 2, "similarity matrix")
+    _check_mode(mode)
     if not w.flags.writeable:
         w = w.copy()
     if mode == "clamp":
         return np.maximum(w, 0.0, out=w)
-    if mode == "shift":
-        lowest = w.min() if w.size else 0.0
-        if lowest < 0:
-            w -= lowest
-            np.fill_diagonal(w, 0.0)
-        return w
-    raise ConfigError(f"unknown negative-handling mode {mode!r} (use clamp or shift)")
+    lowest = w.min() if w.size else 0.0
+    if lowest < 0:
+        w -= lowest
+        np.fill_diagonal(w, 0.0)
+    return w
+
+
+def _check_mode(mode) -> None:
+    """ConfigError unless ``mode`` is one of ``NEGATIVE_MODES``."""
+    if mode not in NEGATIVE_MODES:
+        raise ConfigError(f"unknown negative-handling mode {mode!r} (use {' or '.join(NEGATIVE_MODES)})")
 
 
 def sparsify_knn(w, k: int) -> np.ndarray:
@@ -257,12 +265,10 @@ def knn_graph(features, k: int, mode: str = "clamp") -> tuple[CsrGraph, np.ndarr
     Returns (graph, zero_variance) like ``pearson_matrix``: symmetric by
     construction, flagging the samples whose coordinates are all equal.
     """
-    if mode not in ("clamp", "shift"):
-        raise ConfigError(f"unknown negative-handling mode {mode!r} (use clamp or shift)")
+    _check_mode(mode)
     cols, vals, zero_variance = _knn_picks(features, k, mode)
     n, k = cols.shape
-    rows = np.repeat(np.arange(n), k)
-    cols, vals = cols.ravel(), vals.ravel()
+    rows, cols, vals = np.repeat(np.arange(n), k), cols.ravel(), vals.ravel()
 
     # Max-symmetrize: each pick (r, c) is stored at (r, c) and at (c, r),
     # and each position keeps the smallest of its one or two weights. A
@@ -270,16 +276,12 @@ def knn_graph(features, k: int, mode: str = "clamp") -> tuple[CsrGraph, np.ndarr
     # has as one exactly symmetric value; small BLAS kernels can round
     # them a last ulp apart, so the pair takes the smaller, which keeps a
     # pair at the shifted minimum at 0 on both sides as in the dense
-    # result. Sorting by row, then column, orders the CSR arrays; a
-    # position's copies tie, and their minimum is the same in any order.
-    key = np.concatenate([rows * n + cols, cols * n + rows])
-    order = np.argsort(key)
-    key, vals = key[order], np.concatenate([vals, vals])[order]
-    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    key, vals = key[first], np.minimum.reduceat(vals, first)
+    # result. The merged entries come in row, then column order, as the
+    # CSR arrays hold them; a position's minimum is the same in any order.
+    rows, cols, vals = np.concatenate([rows, cols]), np.concatenate([cols, rows]), np.concatenate([vals, vals])
+    rows, cols, vals = merge_entries(rows, cols, vals, n, np.minimum)
     stored = vals > 0
-    rows, indices = np.divmod(key[stored], n)
-    data = vals[stored]
+    rows, indices, data = rows[stored], cols[stored], vals[stored]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     for array in (indptr, indices, data):

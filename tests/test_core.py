@@ -256,7 +256,9 @@ class TestCsrGraph:
     def test_products_move_to_scipy_once_they_pass_the_budget(self):
         """Products of 2 columns with a budget of 3 such products: the
         fourth, a 2-column one, passes it and makes the scipy view, which
-        every later product runs on."""
+        every later ``graph @ x`` runs on. ``v @ graph`` runs on numpy's
+        kernel and is not counted: seven of them first, more multiply-adds
+        than the budget, make no view."""
         rng = np.random.default_rng(3)
         arrays = random_csr(rng, 40)
         graph, reference = CsrGraph(*arrays), sparse.csr_array(arrays[::-1], shape=(40, 40))
@@ -264,10 +266,11 @@ class TestCsrGraph:
         to_scipy = mock.patch.object(CsrGraph, "to_scipy", autospec=True, side_effect=CsrGraph.to_scipy)
         with mock.patch.object(core, "CSR_NUMPY_BUDGET", 3 * graph.nnz * 2), to_scipy as views:
             made = []
-            for product in [lambda: graph @ x] * 3 + [lambda: graph @ x, lambda: x[:, 0] @ graph, lambda: graph @ x[:, 1]]:
+            for product in ([lambda: x[:, 0] @ graph] * 7 + [lambda: graph @ x] * 3
+                            + [lambda: graph @ x, lambda: x[:, 0] @ graph, lambda: graph @ x[:, 1]]):
                 product()
                 made.append(views.call_count)
-            assert made == [0, 0, 0, 1, 1, 1]
+            assert made == [0] * 10 + [1, 1, 1]
             np.testing.assert_array_equal(graph @ x, reference @ x)
             np.testing.assert_allclose(x[:, 0] @ graph, x[:, 0] @ reference.toarray(), rtol=1e-12, atol=1e-300)
 
@@ -364,6 +367,83 @@ def test_every_propagator_rejects_a_negative_weight(name, form):
 def test_check_graph_does_not_copy_a_dense_float64_graph():
     w = np.abs(NEGATIVE_W)
     assert check_graph(w, w.shape[0], "x") is w
+
+
+SCIPY_FORMATS = ["csr", "csc", "coo", "lil", "dok", "bsr", "dia"]
+
+
+def scipy_intake_case(dtype):
+    """A symmetric 30-vertex graph with zero diagonal, some isolated
+    vertices and weights exact in ``dtype`` (int64, float32 or float64),
+    a LabelSet of 3 classes over it, and the propagators to run on it."""
+    rng = np.random.default_rng(5)
+    n, m = 30, 3
+    w = np.triu(rng.integers(1, 100, size=(n, n)) * (rng.uniform(size=(n, n)) < 0.3), 1)
+    w = ((w + w.T) * (1 if dtype == np.int64 else 0.125)).astype(dtype)
+    labels = LabelSet(m, np.where(rng.uniform(size=n) < 0.2, rng.integers(0, m, size=n), -1))
+    x0 = inject_anchors(np.full((n, m), 1.0 / m), labels)
+    propagators = {
+        "run_dynamics": lambda g: run_dynamics(g, x0),
+        "label_spreading": lambda g: label_spreading(g, labels),
+        "label_propagation": lambda g: label_propagation(g, labels),
+        "harmonic_function": lambda g: harmonic_function(g, labels),
+    }
+    return w, propagators
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["array", "matrix"])
+@pytest.mark.parametrize("fmt", [*SCIPY_FORMATS, "coo with repeats"])
+def test_every_scipy_format_gives_the_bits_of_its_csr_graph(fmt, kind, dtype):
+    """Each scipy sparse format, as an array and as a matrix class, with
+    scipy's int32 indices and int, float32 or float64 data, runs every
+    propagator to the bits of the ``CsrGraph`` of the same graph's
+    canonical CSR arrays. A COO graph may give a position twice, the
+    copies far apart: they are summed."""
+    w, propagators = scipy_intake_case(dtype)
+    canonical = sparse.csr_array(w)
+    if fmt == "coo with repeats":
+        rows, cols = (index.astype(np.int32) for index in np.nonzero(w))
+        half = w[rows, cols] // 2 if dtype == np.int64 else w[rows, cols] / 2
+        rest = w[rows, cols] - half
+        order = np.random.default_rng(6).permutation(2 * rows.size)
+        entries = (np.r_[half, rest][order], (np.r_[rows, rows][order], np.r_[cols, cols][order]))
+        graph = getattr(sparse, f"coo_{kind}")(entries, shape=w.shape)
+        assert graph.nnz == 2 * canonical.nnz
+    else:
+        graph = getattr(sparse, f"{fmt}_{kind}")(w)
+    assert graph.tocsr().indices.dtype == np.int32 and graph.dtype == dtype
+    for name, run in propagators.items():
+        expected = run(CsrGraph(canonical.indptr, canonical.indices, canonical.data))
+        np.testing.assert_equal(run(graph), expected, err_msg=name)
+
+
+def test_a_scipy_csr_graph_keeps_its_stored_order():
+    """A CSR graph whose rows hold their columns unsorted and repeated
+    becomes the CsrGraph of its own arrays, in their order, and the
+    propagators run on it as on that CsrGraph."""
+    rng = np.random.default_rng(7)
+    indptr, indices, data = random_csr(rng, 40)
+    assert any((np.diff(indices[a:b]) <= 0).any() for a, b in zip(indptr[:-1], indptr[1:]))
+    graph = sparse.csr_array((data, indices, indptr), shape=(40, 40))
+    assert not graph.has_sorted_indices
+    kept = check_graph(graph, 40, "x")
+    assert isinstance(kept, CsrGraph)
+    for name, array in (("indptr", indptr), ("indices", indices), ("data", data)):
+        np.testing.assert_array_equal(getattr(kept, name), array, err_msg=name)
+    labels = LabelSet(2, np.where(rng.uniform(size=40) < 0.3, rng.integers(0, 2, size=40), -1))
+    x0 = inject_anchors(np.full((40, 2), 0.5), labels)
+    np.testing.assert_equal(run_dynamics(graph, x0), run_dynamics(CsrGraph(indptr, indices, data), x0))
+    np.testing.assert_equal(label_propagation(graph, labels),
+                            label_propagation(CsrGraph(indptr, indices, data), labels))
+
+
+@pytest.mark.parametrize("graph", [sparse.csr_array((3, 4)), sparse.coo_matrix(np.ones((4, 3))),
+                                   sparse.coo_array(np.ones(3))], ids=["csr 3x4", "coo 4x3", "1-d coo"])
+def test_a_scipy_graph_that_is_not_square_is_a_shape_mismatch(graph):
+    labels = LabelSet(2, [0, -1, 1])
+    with pytest.raises(ShapeMismatch, match="^similarity matrix must be square$"):
+        label_propagation(graph, labels)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -17,6 +17,7 @@ from transduct import (
     FeatureSet,
     RunConfig,
     handle_negatives,
+    harmonic_function,
     label_propagation,
     label_spreading,
     make_synthetic,
@@ -731,6 +732,26 @@ class TestCli:
         monkeypatch.chdir(tmp_path / "library")
         _, library_eval = run_eval(str(fpath), str(lpath))
         assert cli_eval["config"] == library_eval["config"]
+
+    def test_method_settings_are_the_library_defaults(self):
+        """``METHOD_SETTINGS`` names, for each method, the keyword-only
+        settings of the library call that runs it, with that call's
+        defaults, and ``DEFAULT_TEMPERATURE`` is the softmax's default.
+        ``group_loss`` runs ``run_dynamics`` as the 3-step refinement at
+        tolerance 0; ``harmonic_function`` takes no setting."""
+
+        def defaults(function):
+            return {name: parameter.default for name, parameter in inspect.signature(function).parameters.items()
+                    if parameter.kind is inspect.Parameter.KEYWORD_ONLY}
+
+        library = {"gtg": defaults(run_dynamics), "group_loss": {"max_iterations": 3, "tolerance": 0.0},
+                   "label_spreading": defaults(label_spreading), "label_propagation": defaults(label_propagation),
+                   "harmonic": defaults(harmonic_function)}
+        assert pipeline.METHOD_SETTINGS == library
+        assert pipeline.METHOD_SETTINGS["group_loss"].keys() == library["gtg"].keys()
+        assert library["harmonic"] == {}
+        temperature = inspect.signature(softmax_with_temperature).parameters["temperature"].default
+        assert (pipeline.DEFAULT_TEMPERATURE, type(pipeline.DEFAULT_TEMPERATURE)) == (temperature, type(temperature))
 
     def test_cli_and_library_write_the_same_report(self, blob_dataset, tmp_path):
         """Integral values of the float settings are stored as floats, so a
