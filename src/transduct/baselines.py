@@ -77,31 +77,31 @@ SYMMETRY_TILE = 256
 def harmonic_function(w, labels: LabelSet) -> np.ndarray:
     """Gaussian-fields harmonic labeling: the grounded-Laplacian solution.
 
-    Labeled rows are their one-hot labels; every unlabeled row solves
-    (D_uu - W_uu) f_u = W_ul Y_l, i.e. equals the weighted average of its
-    neighbors' rows. The system is solved only on the unlabeled vertices
-    with a path to a labeled one; the rows of the others
-    (``core.unreached``) are uniform. On a symmetric graph, dense or CSR,
-    the system is symmetric positive definite and conjugate gradients
-    solve it on the graph as given (``_conjugate_gradient``). An
-    asymmetric graph, or a solve that misses ``CG_TOLERANCE`` within
+    Labeled rows are their one-hot labels, and the rows of the vertices
+    with no out-edge path to a labeled one (``core.unreached``) are
+    uniform. Every other row f_i equals the weighted average of its
+    out-neighbors' rows: (D_uu - W_uu) f_u = b, where b is the pull of
+    the labeled and unreached rows, W_ul Y_l plus that of any edge out to
+    an unreached vertex. Each row of u has an out-edge path to a labeled
+    vertex, so the system is non-singular. On a symmetric graph, dense or
+    CSR, it is also symmetric positive definite and conjugate gradients
+    solve it on the graph as given (``_conjugate_gradient``).
+    An asymmetric graph, or a solve that misses ``CG_TOLERANCE`` within
     ``CG_MAX_STEPS`` steps, takes the direct solve (``_direct_solve``).
-    An asymmetric graph can leave a reached vertex without an out-edge
-    path to a labeled one, and an exactly singular system raises
-    NumericalError.
     """
     w = check_graph(w, label_set(labels).labels.size, "label vector")
     if labels.labeled_indices().size == 0:
         raise DataError("harmonic labeling needs at least one labeled sample")
-    labeled = labels.labeled_mask()
     out = inject_anchors(np.zeros((w.shape[0], labels.num_classes)), labels)
     orphans = unreached(w, labels)
     out[orphans] = 1.0 / labels.num_classes
-    u = np.setdiff1d(np.flatnonzero(~labeled), orphans)
+    u = np.setdiff1d(np.flatnonzero(~labels.labeled_mask()), orphans)
     if u.size:
         deg = row_sums(w)[u]
-        solved = _conjugate_gradient(w, u, deg, out) if _symmetric(w) else None
-        out[u] = _direct_solve(w, u, np.flatnonzero(labeled), deg, out) if solved is None else solved
+        # out is zero on u: b is the pull of the labeled and unreached rows
+        b = graph_product(w, out)[u]
+        solved = _conjugate_gradient(w, u, deg, b) if _symmetric(w) else None
+        out[u] = _direct_solve(w, u, deg, b) if solved is None else solved
     return out
 
 
@@ -116,26 +116,26 @@ def _symmetric(w) -> bool:
     )
 
 
-def _conjugate_gradient(w, u, deg, out):
-    """f_u of the grounded-Laplacian system of a symmetric graph by
-    Jacobi-preconditioned conjugate gradients, or None if some column
-    misses ``CG_TOLERANCE`` within ``CG_MAX_STEPS`` steps.
+def _conjugate_gradient(w, u, deg, b):
+    """f_u of the grounded-Laplacian system (D_uu - W_uu) f_u = b of a
+    symmetric graph by Jacobi-preconditioned conjugate gradients, or None
+    if some column misses ``CG_TOLERANCE`` within ``CG_MAX_STEPS`` steps.
 
     Each step is one product of the graph as given with an n x m
     direction that is zero off ``u``, so (W p)[u] = W_uu p_u and no u x u
-    block is sliced. The same product with ``out`` (zero off the labeled
-    and unreached rows) gives b = W_ul Y_l, since a reached row has no
-    edge to an unreached one. The m columns are m independent solves run
-    together, each with its own step sizes.
+    block is sliced. The m columns are m independent solves run together,
+    each with its own step sizes.
 
     The loop stops on the recurrence's residual; the answer is accepted on
     the residual recomputed from x. That one is D x - W x subtracted from
     b, and D x is about b over the anchor fraction, so its rounding error
     is relative to |b| + |D x|: the direct solve's own answer has a
     recomputed residual of up to 2.5e-13 |b| but under 1e-15 (|b| + |D x|).
+    A squared norm overflows once the weights pass about 1e154; such an
+    answer meets no finite bound and is not accepted.
     """
     deg = deg[:, None]
-    spread = np.zeros_like(out)
+    spread = np.zeros((w.shape[0], b.shape[1]))
 
     def graph_uu(v):
         # W_uu v, with v scattered into the rows u of spread
@@ -143,9 +143,9 @@ def _conjugate_gradient(w, u, deg, out):
         return graph_product(w, spread)[u]
 
     def norm(v):
-        return np.sqrt(np.sum(v * v, axis=0))
+        with np.errstate(over="ignore"):
+            return np.sqrt(np.sum(v * v, axis=0))
 
-    b = graph_product(w, out)[u]
     x = np.zeros_like(b)
     r = b.copy()
     z = r / deg
@@ -167,18 +167,19 @@ def _conjugate_gradient(w, u, deg, out):
         p = z + np.divide(rz_next, rz, out=np.zeros_like(rz), where=rz > 0) * p
         rz = rz_next
     dx = deg * x
-    return x if (norm(b - dx + graph_uu(x)) <= CG_TOLERANCE * (norm(b) + norm(dx))).all() else None
+    bound = CG_TOLERANCE * (norm(b) + norm(dx))
+    return x if (np.isfinite(bound) & (norm(b - dx + graph_uu(x)) <= bound)).all() else None
 
 
-def _direct_solve(w, u, l, deg, out):
-    """f_u of the grounded-Laplacian system by LU: dense on a u x u copy,
-    sparse (``spsolve``) on a CSR graph, through its scipy view. Raises
-    NumericalError for an exactly singular system."""
+def _direct_solve(w, u, deg, b):
+    """f_u of the grounded-Laplacian system (D_uu - W_uu) f_u = b by LU:
+    dense on a u x u copy, sparse (``spsolve``) on a CSR graph, through
+    its scipy view. Raises NumericalError for a singular system, or one
+    whose answer is not finite."""
     dense = isinstance(w, np.ndarray)
     if not dense:
         w = w.to_scipy()
     w_uu = w[np.ix_(u, u)]
-    w_ul = w[np.ix_(u, l)]
     singular = "harmonic labeling: the grounded Laplacian is singular"
     if not dense:
         from scipy import sparse
@@ -186,23 +187,29 @@ def _direct_solve(w, u, l, deg, out):
 
         laplacian_uu = (sparse.diags_array(deg) - w_uu).tocsc()
         with warnings.catch_warnings():
-            # spsolve warns and returns NaN rows for a singular system
+            # spsolve warns and returns NaN rows for a singular system, or
+            # raises a bare RuntimeError when SuperLU cannot factorize it
             warnings.simplefilter("error", MatrixRankWarning)
             try:
                 # the pipeline's graphs are symmetric: a minimum-degree
                 # ordering of A^T + A fills in far less than spsolve's
                 # default COLAMD (about 3x faster on a 10k-sample k=10 graph)
-                solved = spsolve(laplacian_uu, w_ul @ out[l], permc_spec="MMD_AT_PLUS_A")
-            except MatrixRankWarning:
+                solved = spsolve(laplacian_uu, b, permc_spec="MMD_AT_PLUS_A").reshape(u.size, -1)
+            except (MatrixRankWarning, RuntimeError):
                 raise NumericalError(singular) from None
-        return solved.reshape(u.size, -1)
-    # D_uu - W_uu in the one u x u copy; 0 - w keeps zeros at +0
-    laplacian_uu = np.subtract(0.0, w_uu, out=w_uu)
-    laplacian_uu.flat[:: u.size + 1] += deg
-    try:
-        return np.linalg.solve(laplacian_uu, w_ul @ out[l])
-    except np.linalg.LinAlgError:
-        raise NumericalError(singular) from None
+    else:
+        # D_uu - W_uu in the one u x u copy; 0 - w keeps zeros at +0
+        laplacian_uu = np.subtract(0.0, w_uu, out=w_uu)
+        laplacian_uu.flat[:: u.size + 1] += deg
+        try:
+            solved = np.linalg.solve(laplacian_uu, b)
+        except np.linalg.LinAlgError:
+            raise NumericalError(singular) from None
+    # a pivot that is nearly 0, such as a subnormal weight, can make the
+    # LU overflow without a warning
+    if not np.isfinite(solved).all():
+        raise NumericalError(singular)
+    return solved
 
 
 def label_propagation(

@@ -39,17 +39,17 @@ def integer(name: str, value, low=-math.inf, high=math.inf) -> int:
     return value
 
 
-def numeric_array(values, ndim: int, what: str, dtype=np.float64) -> np.ndarray:
-    """``values`` as an ``ndim``-d (ShapeMismatch) bool, int or float (DataError) array cast to
-    ``dtype`` unless None. One already of that dtype is not copied: a caller may work in place.
-    A ragged sequence, whose rows differ in length, is a DataError."""
+def numeric_array(values, ndim: int | None, what: str, dtype=np.float64) -> np.ndarray:
+    """``values`` as an ``ndim``-d (ShapeMismatch; any ndim if None) bool, int or float (DataError)
+    array cast to ``dtype`` unless None. One already of that dtype is not copied: a caller may
+    work in place. A ragged sequence, whose rows differ in length, is a DataError."""
     try:
         arr = np.asarray(values)
     except ValueError:
         raise DataError(f"{what} is ragged: its rows differ in length") from None
     if arr.dtype.kind not in "biuf":
         raise DataError(f"{what} must be numeric, got dtype {arr.dtype}")
-    if arr.ndim != ndim:
+    if ndim is not None and arr.ndim != ndim:
         raise ShapeMismatch(f"{what} must be {ndim}-d")
     return arr if dtype is None else arr.astype(dtype, copy=False)
 
@@ -249,14 +249,14 @@ class CsrGraph:
     on scipy's compiled kernel over the graph's zero-copy view, which
     loads ``scipy.sparse``. Both kernels give the same bits, so only the
     time a product takes depends on the products run before it.
-    ``v @ graph`` (``unreached``) always runs on numpy's and is not counted.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
 
-    # numpy hands ``v @ graph`` to __rmatmul__ instead of converting the graph
+    # ``ndarray @ graph`` stays Python's TypeError: numpy does not try to
+    # convert the graph into an array
     __array_ufunc__ = None
 
     def __post_init__(self):
@@ -298,7 +298,7 @@ class CsrGraph:
         C-ordered, for an n x m matrix. Each output entry is one
         ``np.bincount`` sum over the row's stored entries in stored order,
         from 0: the sequence of additions scipy's ``csr_matvec(s)`` makes."""
-        x = np.asarray(x, dtype=np.float64)
+        x = numeric_array(x, None, "graph operand")
         n = self.shape[0]
         if x.shape[:1] != (n,) or x.ndim > 2:
             raise ShapeMismatch(f"cannot multiply an {n} x {n} graph by shape {x.shape}")
@@ -313,15 +313,6 @@ class CsrGraph:
         for c, column in enumerate(columns):
             out[:, c] = np.bincount(self._rows, self.data * column[self.indices], minlength=n)
         return out.reshape(x.shape)
-
-    def __rmatmul__(self, v) -> np.ndarray:
-        """v W for a vector v of n entries: each output entry sums its
-        column's stored entries in stored order, as scipy's kernel does."""
-        v = np.asarray(v, dtype=np.float64)
-        n = self.shape[0]
-        if v.shape != (n,):
-            raise ShapeMismatch(f"cannot multiply shape {v.shape} by an {n} x {n} graph")
-        return np.bincount(self.indices, self.data * v[self._rows], minlength=n)
 
     def row_sums(self) -> np.ndarray:
         """Each row's sum, with the bits of scipy's ``sum(axis=1)``: one
@@ -368,8 +359,9 @@ def check_graph(w, rows: int, what: str):
     order, and a COO graph's repeated entries are summed. Raises
     ShapeMismatch unless the graph is square with one vertex per row of
     ``what``, whose length is ``rows``, NonFinite for a NaN or infinite
-    weight, and DataError for a negative weight: the replicator step's
-    ascent (Baum-Eagon) and both random-walk baselines need W >= 0.
+    weight or one so large that n^2 times it overflows, and DataError for
+    a negative weight: the replicator step's ascent (Baum-Eagon) and both
+    random-walk baselines need W >= 0.
     """
     sparse = hasattr(w, "tocsr")
     if not sparse and not isinstance(w, CsrGraph):
@@ -391,6 +383,10 @@ def check_graph(w, rows: int, what: str):
             raise NonFinite("similarity weights must be finite")
         if low < 0:
             raise DataError("similarity weights must be non-negative")
+        # a row sum, W x for x on the simplex, and x^T W x summed over n
+        # rows are at most n^2 times the largest weight
+        if not math.isfinite(float(high) * n * n):
+            raise NonFinite("similarity weights too large: row sums and products overflow float64")
     return w
 
 
@@ -430,16 +426,19 @@ def graph_product(w, x) -> np.ndarray:
 
 
 def unreached(w, labels: LabelSet) -> np.ndarray:
-    """Indices of the vertices with no path to a labeled vertex along edges
-    in either direction. Breadth-first: with ``v`` the 0/1 frontier, a
-    vertex is found where ``w @ v`` or ``v @ w`` is positive, which is
-    exact for a finite W >= 0 (``check_graph``): a sum of non-negative
-    terms is 0 only when every term is."""
+    """Indices of the vertices with no path to a labeled vertex along
+    out-edges, the direction labels flow: every propagator builds row i
+    from the rows j with w_ij > 0 (W X, S F, D^-1 W F, the harmonic row
+    equation), so only such a path can carry a label into i.
+    Breadth-first: with ``v`` the 0/1 frontier, a vertex is found where
+    ``w @ v`` is positive, which is exact for a finite W >= 0
+    (``check_graph``): a sum of non-negative terms is 0 only when every
+    term is."""
     reached = labels.labeled_mask()
     frontier = reached
     while frontier.any() and not reached.all():
         v = frontier.astype(np.float64)
-        frontier = ((w @ v > 0) | (v @ w > 0)) & ~reached
+        frontier = (w @ v > 0) & ~reached
         reached |= frontier
     return np.flatnonzero(~reached)
 

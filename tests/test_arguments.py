@@ -101,6 +101,16 @@ def test_malformed_arguments_raise_package_errors(name, data):
         pass
 
 
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(operand=ARRAYS)
+def test_a_malformed_graph_operand_raises_package_errors(operand):
+    """``graph @ x`` coerces its operand like every entry point."""
+    try:
+        td.CsrGraph([0, 1, 2], [1, 0], [1.0, 1.0]) @ operand
+    except TransductError:
+        pass
+
+
 W = [[0.0, 1.0], [1.0, 0.0]]
 X0 = [[0.5, 0.5], [0.5, 0.5]]
 

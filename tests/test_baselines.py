@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order
 
 from transduct import (
     LabelSet,
@@ -13,12 +13,13 @@ from transduct import (
     handle_negatives,
     harmonic_function,
     kmeans,
+    knn_graph,
     label_propagation,
     label_spreading,
     pearson_matrix,
 )
 from transduct.baselines import lloyd
-from transduct.core import DENSE_PRODUCT_FLIP, unreached
+from transduct.core import DENSE_PRODUCT_FLIP, check_graph, unreached
 from transduct.errors import ConfigError, DataError, NumericalError
 
 from oracles import harmonic_full_system, label_spreading_closed_form
@@ -145,14 +146,20 @@ class TestHarmonicFunction:
         np.testing.assert_array_equal(x, [[1, 0], [1, 0], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
 
     @pytest.mark.parametrize("form", [np.asarray, sparse.csr_array], ids=["dense", "csr"])
-    def test_singular_asymmetric_system_is_a_numerical_error(self, form):
-        """Vertex 1 is reached only by the edge 0 -> 1 and has no edge out,
-        so its row of the grounded Laplacian is zero: numpy's LinAlgError
-        (dense) or spsolve's NaN rows and warning (CSR) become one error."""
+    def test_no_out_edge_path_to_an_anchor_is_unreached(self, form):
+        """A label flows into a vertex only along its out-edges. Vertex 1
+        of the first graph has the in-edge 0 -> 1 and no edge out; vertices
+        2 and 3 of the second have in-edges from 0 and no edge out. Each is
+        unreached and uniform, and 0's row averages the anchor's with
+        their uniform rows."""
         w = np.zeros((3, 3))
         w[0, 1] = w[0, 2] = w[2, 0] = 1.0
-        with pytest.raises(NumericalError, match="^harmonic labeling: the grounded Laplacian is singular$"):
-            harmonic_function(form(w), LabelSet(2, [0, -1, -1]))
+        labels = LabelSet(2, [0, -1, -1])
+        assert unreached(form(w), labels).tolist() == [1]
+        np.testing.assert_array_equal(harmonic_function(form(w), labels), [[1, 0], [0.5, 0.5], [1, 0]])
+        w = np.array([[0, 1, 1, 1], [1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0.0]])
+        x = harmonic_function(form(w), LabelSet(2, [-1, 0, -1, -1]))
+        np.testing.assert_allclose(x, [[2 / 3, 1 / 3], [1, 0], [0.5, 0.5], [0.5, 0.5]], rtol=0, atol=1e-15)
 
     def test_unlabeled_rows_stay_on_simplex(self):
         rng = np.random.default_rng(7)
@@ -215,6 +222,42 @@ class TestHarmonicSolve:
         assert len(direct_calls) == 1
         walked = np.r_[0.0, np.cumsum(1.0 / weights)] / np.sum(1.0 / weights)
         np.testing.assert_allclose(x, np.column_stack([1.0 - walked, walked]), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("form", [np.asarray, sparse.csr_array], ids=["dense", "csr"])
+    def test_a_singular_system_is_a_numerical_error(self, form):
+        """Vertices 2 and 3 have no edge out, so their rows of the grounded
+        Laplacian are zero: numpy's LinAlgError (dense), or spsolve's NaN
+        rows and warning or its RuntimeError (CSR), become one error.
+        ``harmonic_function`` never solves such a system: it leaves those
+        vertices unreached."""
+        w = np.array([[0, 1, 1, 1], [1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0.0]])
+        u = np.array([0, 2, 3])
+        with pytest.raises(NumericalError, match="^harmonic labeling: the grounded Laplacian is singular$"):
+            baselines._direct_solve(check_graph(form(w), 4, "x"), u, w.sum(axis=1)[u], np.ones((3, 2)))
+
+    @pytest.mark.parametrize("form", [np.asarray, sparse.csr_array], ids=["dense", "csr"])
+    def test_a_direct_answer_that_is_not_finite_is_a_numerical_error(self, form):
+        """Rows 1 and 2 reach anchor 0 through the subnormal weight 9e-311.
+        LU on their system overflows at that pivot and returns inf and NaN
+        rows without a warning; they become the singular-system error."""
+        w = np.zeros((4, 4))
+        w[0, 3], w[1, 2], w[2, 0], w[3, 0] = 0.1, 0.8, 9e-311, 4e-311
+        with pytest.raises(NumericalError, match="^harmonic labeling: the grounded Laplacian is singular$"):
+            harmonic_function(form(w), LabelSet(2, [0, -1, -1, 1]))
+
+    @pytest.mark.parametrize("scale", [1e200, 2.0**600, 1e300], ids=["1e200", "2^600", "1e300"])
+    @pytest.mark.parametrize("form", [np.asarray, sparse.csr_array], ids=["dense", "csr"])
+    def test_weights_near_the_float64_limit_give_the_unscaled_answer(self, form, scale):
+        """The squares in the conjugate-gradient norms overflow at these
+        scales; the system then takes the direct solve, with no warning
+        and no row off the simplex."""
+        graph, _ = knn_graph(np.random.default_rng(305).normal(size=(50, 8)), 5)
+        knn_labels = np.full(50, -1)
+        knn_labels[::10] = [0, 1, 2, 0, 1]
+        for w, labels in ((CHAIN_W, CHAIN_LABELS), (graph.toarray(), LabelSet(3, knn_labels))):
+            np.testing.assert_allclose(
+                harmonic_function(form(w * scale), labels), harmonic_function(w, labels), rtol=0, atol=1e-12
+            )
 
     def test_asymmetric_csr_graph_takes_the_direct_solve(self, direct_calls):
         rng = np.random.default_rng(303)
@@ -317,13 +360,19 @@ class TestCsrGraph:
 
 
 class TestLabeledComponents:
-    """``core.unreached`` gives the same orphan list as scipy's connected
-    components, kept here as the oracle."""
+    """``core.unreached`` gives the same orphan list as scipy's
+    breadth-first search on W^T from each anchor, kept here as the
+    oracle: a label flows into vertex i along the edges i -> j with
+    w_ij > 0, so i is reached when W has a path from i to an anchor. On
+    a symmetric graph that is the anchors' connected components."""
 
     @staticmethod
     def check(w, labels):
-        _, comp = connected_components(sparse.csr_array(w != 0), directed=False)
-        orphans = np.flatnonzero((labels.labels < 0) & ~np.isin(comp, comp[labels.labeled_indices()]))
+        into = sparse.csr_array((w != 0).T)
+        reached = np.zeros(labels.labels.size, dtype=bool)
+        for anchor in labels.labeled_indices():
+            reached[breadth_first_order(into, anchor, return_predecessors=False)] = True
+        orphans = np.flatnonzero(~reached)
         np.testing.assert_array_equal(unreached(w, labels), orphans)
         return orphans.size > 0
 
@@ -338,7 +387,7 @@ class TestLabeledComponents:
     def test_random_graphs_match_connected_components(self, n_max):
         """Symmetric and asymmetric graphs of 1 to ``n_max`` vertices, with
         weights from subnormal to near the float64 maximum: a product with
-        the 0/1 frontier is positive exactly where an edge meets it."""
+        the 0/1 frontier is positive exactly where an edge leads into it."""
         rng = np.random.default_rng(301)
         verdicts = set()
         for _ in range(300):
@@ -357,8 +406,12 @@ class TestLabeledComponents:
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_frontier_wider_than_a_block(self, symmetric):
-        """A labeled hub whose frontier holds 306 vertices; each hub vertex
-        has a leaf, and a separate component has no label."""
+        """A labeled hub whose frontier holds 306 vertices (about half of
+        them once each edge has a random direction); each hub vertex has a
+        leaf, and a separate component has no label. With a label in that
+        component too, the symmetric graph has no orphan, while the
+        directed one keeps as orphans the hub vertices whose only edge
+        with the hub points into them, and their leaves."""
         rng = np.random.default_rng(302)
         hub = 306
         n = 2 * hub + 1 + 20
@@ -377,7 +430,7 @@ class TestLabeledComponents:
             assert self.check(form, LabelSet(2, labels))
         labels[n - 1] = 1
         for form in self.forms(rng, w):
-            assert not self.check(form, LabelSet(2, labels))
+            assert self.check(form, LabelSet(2, labels)) == (not symmetric)
 
 
 @pytest.fixture(scope="module")

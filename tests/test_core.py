@@ -206,8 +206,8 @@ class TestCsrGraph:
             np.testing.assert_array_equal(out, reference @ x)
             if x.ndim == 2:
                 np.testing.assert_array_equal(graph_product(graph, x), reference @ x)
-            else:
-                np.testing.assert_allclose(x @ graph, x @ reference.toarray(), rtol=1e-12, atol=1e-300)
+        with pytest.raises(TypeError):
+            np.ones(n) @ graph
         np.testing.assert_array_equal(graph.row_sums(), reference.sum(axis=1))
         np.testing.assert_array_equal(graph.toarray(), reference.toarray())
         assert graph.nnz == reference.nnz and graph.shape == reference.shape
@@ -256,9 +256,7 @@ class TestCsrGraph:
     def test_products_move_to_scipy_once_they_pass_the_budget(self):
         """Products of 2 columns with a budget of 3 such products: the
         fourth, a 2-column one, passes it and makes the scipy view, which
-        every later ``graph @ x`` runs on. ``v @ graph`` runs on numpy's
-        kernel and is not counted: seven of them first, more multiply-adds
-        than the budget, make no view."""
+        every later ``graph @ x`` runs on."""
         rng = np.random.default_rng(3)
         arrays = random_csr(rng, 40)
         graph, reference = CsrGraph(*arrays), sparse.csr_array(arrays[::-1], shape=(40, 40))
@@ -266,13 +264,25 @@ class TestCsrGraph:
         to_scipy = mock.patch.object(CsrGraph, "to_scipy", autospec=True, side_effect=CsrGraph.to_scipy)
         with mock.patch.object(core, "CSR_NUMPY_BUDGET", 3 * graph.nnz * 2), to_scipy as views:
             made = []
-            for product in ([lambda: x[:, 0] @ graph] * 7 + [lambda: graph @ x] * 3
-                            + [lambda: graph @ x, lambda: x[:, 0] @ graph, lambda: graph @ x[:, 1]]):
+            for product in [lambda: graph @ x] * 4 + [lambda: graph @ x[:, 1]]:
                 product()
                 made.append(views.call_count)
-            assert made == [0] * 10 + [1, 1, 1]
+            assert made == [0] * 3 + [1, 1]
             np.testing.assert_array_equal(graph @ x, reference @ x)
-            np.testing.assert_allclose(x[:, 0] @ graph, x[:, 0] @ reference.toarray(), rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("arrays, error", [
+        (([], [], []), DataError),
+        (([1, 2], [0], [1.0]), DataError),
+        (([0, 2, 1, 2], [0, 1], [1.0, 1.0]), DataError),
+        (([0, 1, 1], [0, 1], [1.0, 1.0]), DataError),
+        (([0, 1, 2], [0, 1], [1.0]), ShapeMismatch),
+        (([0, 1, 2], [0, 2], [1.0, 1.0]), DataError),
+        (([0, 1, 2], [0, -1], [1.0, 1.0]), DataError),
+    ], ids=["no indptr", "indptr from 1", "indptr falling", "indptr short of nnz", "data short",
+            "index past n", "negative index"])
+    def test_malformed_arrays_are_rejected(self, arrays, error):
+        with pytest.raises(error):
+            CsrGraph(*arrays)
 
     def test_products_from_many_threads_keep_their_bits(self):
         """Threads sharing one graph race on its count of multiply-adds and
@@ -457,3 +467,40 @@ def test_every_propagator_rejects_a_non_finite_weight(name, form, bad):
     w = w if form == "dense" else sparse.csr_array(w)
     with pytest.raises(NonFinite, match="^similarity weights must be finite$"):
         PROPAGATORS[name](w)
+
+
+@pytest.mark.parametrize("form", ["dense", "csr"])
+@pytest.mark.parametrize("name", sorted(PROPAGATORS))
+def test_every_propagator_rejects_weights_whose_sums_could_overflow(name, form):
+    """n^2 times the largest weight of the chain at 1e308 overflows."""
+    w = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) * 1e308
+    w = w if form == "dense" else sparse.csr_array(w)
+    with pytest.raises(NonFinite, match="^similarity weights too large: row sums and products overflow float64$"):
+        PROPAGATORS[name](w)
+
+
+@pytest.mark.filterwarnings("error")
+def test_weights_near_the_float64_limit_warn_nowhere():
+    """Random symmetric graphs scaled by 10^150 to 10^307 run every
+    propagator with warnings as errors: each either meets the bound of
+    ``check_graph`` (NonFinite) or returns rows on the simplex."""
+    rng = np.random.default_rng(8)
+    rejected = 0
+    for _ in range(200):
+        n, m = int(rng.integers(2, 30)), int(rng.integers(2, 4))
+        w = np.where(rng.random((n, n)) < rng.uniform(0.1, 0.9), rng.uniform(0.01, 1.0, (n, n)), 0.0)
+        w = np.maximum(w, w.T) * 10.0 ** rng.uniform(150, 307)
+        vector = np.full(n, -1)
+        picked = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        vector[picked] = rng.integers(0, m, picked.size)
+        labels = LabelSet(m, vector)
+        for run in (lambda: run_dynamics(w, inject_anchors(np.full((n, m), 1.0 / m), labels))[0],
+                    lambda: label_spreading(w, labels)[0], lambda: label_propagation(w, labels)[0],
+                    lambda: harmonic_function(w, labels)):
+            try:
+                x = run()
+            except NonFinite:
+                rejected += 1
+                continue
+            assert (x >= 0).all() and np.allclose(x.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+    assert 0 < rejected < 200 * 4

@@ -26,6 +26,7 @@ import pytest
 import transduct
 from transduct.core import CSR_NUMPY_BUDGET
 from transduct.io import read_features_csv
+from transduct.pipeline import METHODS
 from transduct.similarity import knn_graph
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,9 +71,6 @@ def synth(out, blobs, per_blob):
 @pytest.fixture(scope="module")
 def data(tmp_path_factory):
     return synth(tmp_path_factory.mktemp("data"), 3, 20)
-
-
-METHODS = ["gtg", "group_loss", "label_spreading", "label_propagation", "harmonic"]
 
 
 def run_args(data, out, *extra, method="gtg"):

@@ -18,8 +18,7 @@ import pytest
 
 from transduct import BlobSpec, RunConfig, make_synthetic, run_pipeline
 from transduct.io import write_features_csv, write_labels_csv
-
-METHODS = ("gtg", "group_loss", "label_spreading", "label_propagation", "harmonic")
+from transduct.pipeline import METHODS
 
 # (method, knn, negative handling) -> (label digest, iterations_used, converged)
 RECORDED = {
