@@ -5,7 +5,9 @@ report.json of one `eval` of recall@K and nmi, on synthetic sets of
 n=300, 1200 and 4000 samples. Beside the --knn 7 runs of each negative
 handling it writes graph.sha256: the SHA-256 of the data, indices and
 indptr arrays of the `knn_graph` those runs build, so the graph's bits
-are compared too.
+are compared too. One more dense `gtg` run per size reads a copy of the
+set in which one id holds a comma, so the files quote it and the reader
+splits them with the csv module from that row on.
 
 Every run is written under OUT by the `transduct` CLI of the checkout
 this script belongs to, and the graphs by its `knn_graph`. All paths a
@@ -52,6 +54,20 @@ def write_graph_digest(out: Path, features: str, mode: str, runs: str) -> None:
     (out / runs / "graph.sha256").write_text("".join(lines))
 
 
+def write_quoted_copy(out: Path, data: str, n: int) -> str:
+    """A copy of the set in ``data`` whose sample n/2 has a comma in its
+    id, quoted as the csv module quotes it; returns the copy's directory."""
+    copy = f"{data}-quoted"
+    (out / copy).mkdir(parents=True, exist_ok=True)
+    sample = f"s{n // 2:05d}"
+    row, quoted = f"\n{sample},".encode(), f'\n"{sample},q",'.encode()
+    for name in ("features.csv", "labels.csv"):
+        text = (out / data / name).read_bytes()
+        assert text.count(row) == 1, f"{data}/{name} has no single row of {sample}"
+        (out / copy / name).write_bytes(text.replace(row, quoted))
+    return copy
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="directory to write the data and the runs into")
@@ -70,6 +86,11 @@ def main() -> int:
                         "--negative-handling", mode, *graph_args, "--out-dir", run)
                 if graph_args:
                     write_graph_digest(out, f"{data}/features.csv", mode, f"runs/n{n}/{graph}/{mode}")
+        quoted = write_quoted_copy(out, data, n)
+        run = f"runs/n{n}/quoted-id/gtg"
+        print(run, flush=True)
+        cli(out, "run", "--features", f"{quoted}/features.csv", "--labels", f"{quoted}/labels.csv",
+            "--truth", f"{quoted}/labels.csv", "--method", "gtg", "--anchor-fraction", "0.05", "--out-dir", run)
         run = f"runs/n{n}/eval"
         print(run, flush=True)
         cli(out, "eval", "--features", f"{data}/features.csv", "--truth", f"{data}/labels.csv",

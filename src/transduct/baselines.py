@@ -132,7 +132,9 @@ def _conjugate_gradient(w, u, deg, b):
     is relative to |b| + |D x|: the direct solve's own answer has a
     recomputed residual of up to 2.5e-13 |b| but under 1e-15 (|b| + |D x|).
     A squared norm overflows once the weights pass about 1e154; such an
-    answer meets no finite bound and is not accepted.
+    answer meets no finite bound and is not accepted. Nor is one with a
+    row off the simplex (``_on_simplex``): subnormal weights count for
+    next to nothing in the residual's 2-norm, yet their rows can be wrong.
     """
     deg = deg[:, None]
     spread = np.zeros((w.shape[0], b.shape[1]))
@@ -168,14 +170,22 @@ def _conjugate_gradient(w, u, deg, b):
         rz = rz_next
     dx = deg * x
     bound = CG_TOLERANCE * (norm(b) + norm(dx))
-    return x if (np.isfinite(bound) & (norm(b - dx + graph_uu(x)) <= bound)).all() else None
+    converged = (np.isfinite(bound) & (norm(b - dx + graph_uu(x)) <= bound)).all()
+    return x if converged and _on_simplex(x) else None
+
+
+def _on_simplex(x) -> bool:
+    """Whether every row of ``x`` is >= -1e-9 and sums to 1 within 1e-9; a
+    NaN fails both. The floor is not 0: LU leaves entries such as -1e-17
+    where the answer is 0."""
+    return bool((x >= -1e-9).all() and (np.abs(x.sum(axis=1) - 1.0) <= 1e-9).all())
 
 
 def _direct_solve(w, u, deg, b):
     """f_u of the grounded-Laplacian system (D_uu - W_uu) f_u = b by LU:
     dense on a u x u copy, sparse (``spsolve``) on a CSR graph, through
     its scipy view. Raises NumericalError for a singular system, or one
-    whose answer is not finite."""
+    whose answer has a row off the simplex."""
     dense = isinstance(w, np.ndarray)
     if not dense:
         w = w.to_scipy()
@@ -206,8 +216,8 @@ def _direct_solve(w, u, deg, b):
         except np.linalg.LinAlgError:
             raise NumericalError(singular) from None
     # a pivot that is nearly 0, such as a subnormal weight, can make the
-    # LU overflow without a warning
-    if not np.isfinite(solved).all():
+    # LU overflow, or lose the answer's row sums, without a warning
+    if not _on_simplex(solved):
         raise NumericalError(singular)
     return solved
 

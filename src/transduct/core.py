@@ -302,14 +302,15 @@ class CsrGraph:
         n = self.shape[0]
         if x.shape[:1] != (n,) or x.ndim > 2:
             raise ShapeMismatch(f"cannot multiply an {n} x {n} graph by shape {x.shape}")
-        columns = np.ascontiguousarray((x[:, None] if x.ndim == 1 else x).T)
+        m = 1 if x.ndim == 1 else x.shape[1]
         if self._view is None:
-            object.__setattr__(self, "_work", self._work + self.nnz * columns.shape[0])
+            object.__setattr__(self, "_work", self._work + self.nnz * m)
             if self._work > CSR_NUMPY_BUDGET:
                 object.__setattr__(self, "_view", self.to_scipy())
         if self._view is not None:
             return self._view @ x
-        out = np.empty((n, columns.shape[0]))
+        columns = np.ascontiguousarray((x[:, None] if x.ndim == 1 else x).T)
+        out = np.empty((n, m))
         for c, column in enumerate(columns):
             out[:, c] = np.bincount(self._rows, self.data * column[self.indices], minlength=n)
         return out.reshape(x.shape)

@@ -65,9 +65,9 @@ def run_dynamics(
     degenerate: set[int] = set()
 
     def step(x):
-        pi = graph_product(w, x)
-        functional_values.append(float(np.sum(x * pi)))
-        x_next, degen = normalize_rows(x * pi)
+        reweighted = x * graph_product(w, x)
+        functional_values.append(float(np.sum(reweighted)))
+        x_next, degen = normalize_rows(reweighted)
         # a row with no reweighted mass (an isolated vertex, or no support on
         # its surviving classes) is frozen as-is and reported, not divided by 0
         if degen.size:

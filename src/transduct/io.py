@@ -9,6 +9,7 @@ are the data interface. Every writer replaces its target atomically.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import warnings
@@ -25,11 +26,12 @@ from .errors import DataError, DimensionMismatch, DuplicateId, NonFinite, ParseE
 #: call, few enough that a block's text and rows stay small next to the
 #: parsed matrix.
 PARSE_BLOCK_ROWS = 256
-#: A features file with any of these goes through the ``csv`` module: a
-#: quote changes how it splits fields, ``_split_lines`` strips only
-#: ``\n`` and ``\r\n`` line ends, and ``np.loadtxt`` strips the separators
-#: \x1c-\x1f around a number where ``float()`` rejects it.
-_CSV_ONLY = ('"', "\r", "\x1c", "\x1d", "\x1e", "\x1f")
+#: From the first line with any of these, a features file goes through the
+#: ``csv`` module: a quote changes how it splits fields, and ``np.loadtxt``
+#: strips the separators \x1c-\x1f around a number where ``float()``
+#: rejects it. A ``\r`` is not among them: read with ``newline=""``, it
+#: can only end a line, and ``_split_lines`` strips it as the module does.
+_CSV_ONLY = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
 
 
 def _row_format(width: int) -> str:
@@ -70,19 +72,19 @@ def _atomic_write(path, newline=None):
         raise
 
 
-class _NeedsCsv(Exception):
-    """A features file that only the ``csv`` module splits correctly."""
-
-
-def _split_lines(fh):
-    """Each line of ``fh`` as ``(first field, number of fields, the text
-    after the first comma)``, or None for a blank line: the fields the
-    ``csv`` module reads from a line without quotes. Raises _NeedsCsv at
-    a line with a character of ``_CSV_ONLY``."""
-    for line in fh:
-        body = line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
+def _split_lines(path, fh):
+    """Each line of ``fh`` as ``(first field, number of fields, the fields
+    after the first)``, or None for a blank line: the records the ``csv``
+    module reads. A line is split here, its fields after the first left as
+    the text after the first comma, until one holds a character of
+    ``_CSV_ONLY``; the ``csv`` module reads that line and the rest of the
+    file, and gives those fields as a list."""
+    for before, line in enumerate(fh):
+        body = line.rstrip("\r\n")
         if any(map(body.__contains__, _CSV_ONLY)):
-            raise _NeedsCsv
+            for row in _csv_rows(path, itertools.chain([line], fh), before):
+                yield (row[0], len(row), row[1:]) if row else None
+            return
         if not body:
             yield None
             continue
@@ -90,21 +92,15 @@ def _split_lines(fh):
         yield first, rest.count(",") + 2 if comma else 1, rest
 
 
-def _csv_rows(path, fh):
-    """The rows of ``csv.reader(fh)``; a row it rejects, such as one with a
-    field over the process-global ``csv.field_size_limit()``, is a ParseError."""
+def _csv_rows(path, fh, before=0):
+    """The rows of ``csv.reader(fh)``, whose first line is line ``before`` + 1
+    of ``path``; a row it rejects, such as one with a field over the
+    process-global ``csv.field_size_limit()``, is a ParseError naming its line."""
     reader = csv.reader(fh)
     try:
         yield from reader
     except csv.Error as exc:
-        raise ParseError(path, reader.line_num, str(exc)) from None
-
-
-def _csv_records(path, fh):
-    """``_split_lines``'s records from the ``csv`` module; the values
-    are the list of fields after the first."""
-    for row in _csv_rows(path, fh):
-        yield (row[0], len(row), row[1:]) if row else None
+        raise ParseError(path, before + reader.line_num, str(exc)) from None
 
 
 def _parse_block(path, values, lines) -> np.ndarray:
@@ -112,14 +108,15 @@ def _parse_block(path, values, lines) -> np.ndarray:
     as ``float()`` parses it; a value it rejects is a ParseError naming
     its line.
 
-    An entry is either a row's text after the id (``_split_lines``),
-    which ``np.loadtxt`` parses in one C call that rounds as ``float()``
-    does, or its list of fields (``_csv_records``). ``loadtxt`` rejects
-    some text ``float()`` reads, such as ``1_0`` or non-ASCII digits, and
-    skips a row whose text is blank; such a block is parsed again one
-    value at a time.
+    An entry is a row's text after the id, or its list of fields once
+    ``_split_lines`` has handed the file to the ``csv`` module. That switch
+    is one-way, so a block whose last entry is text is all text, and
+    ``np.loadtxt`` parses it in one C call that rounds as ``float()``
+    does. ``loadtxt`` rejects some text ``float()`` reads, such as ``1_0``
+    or non-ASCII digits, and skips a row whose text is blank; such a
+    block, and one that holds field lists, is parsed one value at a time.
     """
-    if isinstance(values[0], str):
+    if isinstance(values[-1], str):
         try:
             with warnings.catch_warnings():
                 # a block of blank rows warns "input contained no data"
@@ -130,7 +127,7 @@ def _parse_block(path, values, lines) -> np.ndarray:
         else:
             if block.shape[0] == len(values):
                 return block
-        values = [text.split(",") for text in values]
+    values = [v.split(",") if isinstance(v, str) else v for v in values]
     rows = []
     for fields, lineno in zip(values, lines):
         try:
@@ -206,16 +203,13 @@ def read_features_csv(path) -> FeatureSet:
     Each value parses exactly as ``float()`` parses it, and ids may be
     quoted as the ``csv`` module quotes them. A value ``float()`` rejects,
     or a NaN or infinite one, is a ParseError naming its line. The file
-    is read one line at a time; a file with a quote, or another character
-    of ``_CSV_ONLY``, goes through the ``csv`` module instead.
+    is read once, one line at a time; from the first line with a quote,
+    or another character of ``_CSV_ONLY``, the ``csv`` module splits the
+    rest.
     """
     path = Path(path)
     with _open_utf8(path) as fh:
-        try:
-            return _read_records(path, _split_lines(fh))
-        except _NeedsCsv:
-            fh.seek(0)
-            return _read_records(path, _csv_records(path, fh))
+        return _read_records(path, _split_lines(path, fh))
 
 
 def read_label_pairs(path) -> list[tuple[str, str | None]]:

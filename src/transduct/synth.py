@@ -48,16 +48,20 @@ def make_synthetic(spec: BlobSpec, seed: int) -> tuple[FeatureSet, LabelSet]:
     Centroids are mutually at least ``spec.separation`` apart; each blob
     contributes ``spec.per_blob`` points drawn isotropically with
     ``spec.stddev``. With stddev 0 every point sits exactly on its
-    centroid. ``seed`` is an integer >= 0.
+    centroid. ``seed`` is an integer >= 0. A stddev so large that a drawn
+    point overflows float64 is an InvalidSpec.
     """
     rng = np.random.default_rng(integer("seed", seed, low=0))
     centroids = _place_centroids(spec, rng)
-    points = np.vstack(
-        [
-            centroids[b] + spec.stddev * rng.standard_normal((spec.per_blob, spec.dim))
-            for b in range(spec.blobs)
-        ]
-    )
+    with np.errstate(over="ignore"):
+        points = np.vstack(
+            [
+                centroids[b] + spec.stddev * rng.standard_normal((spec.per_blob, spec.dim))
+                for b in range(spec.blobs)
+            ]
+        )
+    if not np.isfinite(points).all():
+        raise InvalidSpec("stddev too large: a drawn point overflows float64")
     labels = np.repeat(np.arange(spec.blobs), spec.per_blob)
     n = spec.blobs * spec.per_blob
     ids = tuple(f"s{i:05d}" for i in range(n))

@@ -245,6 +245,39 @@ class TestHarmonicSolve:
         with pytest.raises(NumericalError, match="^harmonic labeling: the grounded Laplacian is singular$"):
             harmonic_function(form(w), LabelSet(2, [0, -1, -1, 1]))
 
+    @pytest.mark.parametrize("form", [np.asarray, sparse.csr_array], ids=["dense", "csr"])
+    def test_a_row_off_the_simplex_is_a_numerical_error(self, form):
+        """Vertex 3's weights, 2e-311 to 5e-311, barely count in the
+        residual's 2-norm: conjugate gradients meet their tolerance with
+        row 3 at [0.18, 0]. The direct solve is no better here."""
+        w = np.zeros((5, 5))
+        for (i, j), weight in {(0, 1): 0.7, (0, 2): 0.8, (0, 3): 2e-311, (0, 4): 7e-311, (1, 3): 5e-311,
+                               (1, 4): 1e-310, (2, 3): 4e-311}.items():
+            w[i, j] = w[j, i] = weight
+        with pytest.raises(NumericalError, match="^harmonic labeling: the grounded Laplacian is singular$"):
+            harmonic_function(form(w), LabelSet(2, [0, -1, -1, -1, 1]))
+
+    def test_subnormal_weights_give_rows_on_the_simplex_or_an_error(self):
+        """Random graphs, half of them symmetric and a third CSR, with
+        each weight scaled by 1e-310 with probability 1/2: about one in
+        eight gave a row off the simplex before the answers were checked."""
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            n = int(rng.integers(2, 30))
+            w = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < 0.4)
+            w *= np.where(rng.random((n, n)) < 0.5, 1e-310, 1.0)
+            if rng.random() < 0.5:
+                w = np.triu(w, 1) + np.triu(w, 1).T
+            np.fill_diagonal(w, 0.0)
+            labels = np.where(rng.random(n) < 0.3, rng.integers(0, 2, n), -1)
+            labels[rng.integers(n)] = rng.integers(0, 2)
+            form = sparse.csr_array if rng.random() < 1 / 3 else np.asarray
+            try:
+                x = harmonic_function(form(w), LabelSet(2, labels))
+            except NumericalError:
+                continue
+            assert x.min() >= -1e-9 and np.abs(x.sum(axis=1) - 1.0).max() <= 1e-9
+
     @pytest.mark.parametrize("scale", [1e200, 2.0**600, 1e300], ids=["1e200", "2^600", "1e300"])
     @pytest.mark.parametrize("form", [np.asarray, sparse.csr_array], ids=["dense", "csr"])
     def test_weights_near_the_float64_limit_give_the_unscaled_answer(self, form, scale):

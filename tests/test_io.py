@@ -84,7 +84,12 @@ READER_CASES = {
     "duplicate-id": "id,f0\na,1\na,2\n",
     "quote-after-bad-float": 'id,f0\na,x\n"b",1\n',
     "many-rows": "id,f0,f1\n" + FILLER,
+    "many-rows-cr": "id,f0,f1\r" + FILLER.replace("\n", "\r"),
     "bad-float-late": "id,f0,f1\n" + FILLER + "z,1,1e\n",
+    # past 7 blocks of 256 rows: the reader hands the file to the csv module
+    # inside the 8th block, which then holds text and field lists
+    "quoted-id-late": "id,f0,f1\n" + FILLER + '"q,r",1,2\nt,3,4\n',
+    "bad-float-before-late-quote": "id,f0,f1\n" + FILLER + 'z,1,1e\n"q",1,2\nt,3,4\n',
     "not-utf8": b"id,f0,f1\na,1,2\nb,3,\xff\n",
     "not-utf8-header": b"id,f\xc3\n",
     # the bad float sits in an earlier decoder chunk than the bad byte,
@@ -168,16 +173,33 @@ OVER_CSV_LIMIT = "9" * 200_000
 @pytest.mark.parametrize("text, line, message", [
     (f'id,f0\n"a",1\nb,2\nc,{OVER_CSV_LIMIT}\n', 4, "field larger than field limit (131072)"),
     (f'id,f0\n"a",1\nb,x\nc,{OVER_CSV_LIMIT}\n', 3, "bad float: could not convert string to float: 'x'"),
-], ids=["alone", "after-bad-float"])
+    (f'id,f0\na,1\nb,2\n"c",3\nd,{OVER_CSV_LIMIT}\n', 5, "field larger than field limit (131072)"),
+], ids=["alone", "after-bad-float", "after-plain-rows"])
 def test_field_over_the_csv_limit(tmp_path, block_rows, text, line, message):
     """A field the ``csv`` module will not read (the oracle's reader
     raises its ``csv.Error``) is a ParseError naming its line, raised
-    after any error in the rows before it."""
+    after any error in the rows before it. The line counts the rows read
+    before the reader handed the file to the ``csv`` module."""
     path = tmp_path / "f.csv"
     path.write_text(text)
     with mock.patch.object(io, "PARSE_BLOCK_ROWS", block_rows), pytest.raises(ParseError) as info:
         io.read_features_csv(path)
     assert (info.value.line, str(info.value)) == (line, f"{path}:{line}: {message}")
+
+
+def test_each_row_is_parsed_once(tmp_path):
+    """A quoted id hands the rest of the file to the ``csv`` module and
+    keeps every block parsed before it, so each row reaches
+    ``_parse_block`` once; ``\r`` line ends keep a file on ``np.loadtxt``."""
+    path = tmp_path / "f.csv"
+    path.write_text("id,f0,f1\n" + FILLER + '"q",1,2\n')
+    with mock.patch.object(io, "_parse_block", wraps=io._parse_block) as parse:
+        assert io.read_features_csv(path).data.shape == (2001, 2)
+    assert sum(len(call.args[1]) for call in parse.call_args_list) == 2001
+    path.write_bytes(("id,f0,f1\r" + FILLER.replace("\n", "\r")).encode())
+    with mock.patch.object(io.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        assert io.read_features_csv(path).data.shape == (2000, 2)
+    assert loadtxt.call_count == -(-2000 // io.PARSE_BLOCK_ROWS)
 
 
 def test_reader_peak_memory(tmp_path):

@@ -171,6 +171,13 @@ class TestMakeSynthetic:
         with pytest.raises(InvalidSpec):
             BlobSpec(stddev=-1.0)
 
+    def test_a_draw_that_overflows_is_an_invalid_spec(self):
+        """A finite stddev can still scale a standard normal draw past
+        float64; that is rejected as a separation too large to place the
+        centroids is, with no RuntimeWarning."""
+        with pytest.raises(InvalidSpec, match="^stddev too large: a drawn point overflows float64$"):
+            make_synthetic(BlobSpec(stddev=1e308), 0)
+
 
 class TestRunPipeline:
     def test_blobs_fully_recovered_at_high_dim(self, blob_dataset, tmp_path):
@@ -565,9 +572,9 @@ class TestCli:
         ["eval", "--features", "f.csv", "--truth", "t.csv", "--seed", "-1"],
         ["synth", "--seed", "-1"],
         *(["synth", "--separation", value] for value in ("inf", "nan", "1e308")),
-        *(["synth", "--stddev", value] for value in ("inf", "nan")),
+        *(["synth", "--stddev", value] for value in ("inf", "nan", "1e308")),
     ], ids=["run-seed", "eval-seed", "synth-seed", "separation-inf", "separation-nan", "separation-1e308",
-            "stddev-inf", "stddev-nan"])
+            "stddev-inf", "stddev-nan", "stddev-1e308"])
     def test_negative_seed_and_undrawable_spec_are_config_errors(self, tmp_path, capsys, argv):
         """Rejected before any file is read or written: the inputs do not exist."""
         assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
