@@ -28,7 +28,7 @@ from .dynamics import DynamicsTrace, group_loss_value, run_dynamics
 from .metrics import accuracy, macro_f1, nmi, recall_at_k
 from .pipeline import RunConfig, run_eval, run_pipeline
 from .priors import inject_anchors, softmax_with_temperature, uniform_prior
-from .similarity import handle_negatives, knn_graph, pearson_matrix, sparsify_knn
+from .similarity import handle_negatives, knn_graph, pearson_matrix
 from .synth import BlobSpec, make_synthetic, true_centroids
 
 __version__ = "0.1.0"
@@ -61,7 +61,6 @@ __all__ = [
     "run_eval",
     "run_pipeline",
     "softmax_with_temperature",
-    "sparsify_knn",
     "true_centroids",
     "uniform_prior",
 ]

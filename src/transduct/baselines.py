@@ -33,8 +33,8 @@ def label_spreading(
     to a labeled one (``core.unreached``) keeps a zero score row and ends
     up uniform.
 
-    Returns (assignment, meta); meta carries the raw fixed-point scores
-    (before renormalization), iteration count and convergence flag.
+    Returns (assignment, meta); meta carries the iteration count and
+    convergence flag.
     """
     check_settings(max_iterations=max_iterations, tolerance=tolerance, alpha=alpha)
     w = check_graph(w, label_set(labels).labels.size, "label vector")
@@ -49,8 +49,7 @@ def label_spreading(
         return alpha * (inv_sqrt * graph_product(w, inv_sqrt * f)) + (1 - alpha) * y
 
     f, iterations, converged = iterate(step, y, max_iterations, tolerance)
-    x = _to_simplex(f)
-    return x, {"raw_scores": f, "iterations": iterations, "converged": converged}
+    return _to_simplex(f), {"iterations": iterations, "converged": converged}
 
 
 def _to_simplex(scores) -> np.ndarray:
@@ -66,9 +65,11 @@ def _to_simplex(scores) -> np.ndarray:
 #: recomputed one (2-norms).
 CG_TOLERANCE = 1e-14
 #: Conjugate-gradient steps before the harmonic solve falls back to the
-#: direct one. Blob graphs, dense or k-NN, took 11-41 steps; elongated
-#: graphs (a weighted path, samples along a noisy curve) took 179-2131,
-#: and on those the direct solve was 2 to 400 times faster.
+#: direct one. Three-blob graphs (n 240-10,002, 1-20% anchors) took 7-15
+#: steps dense, and 22-53 as k-NN graphs (k 7 or 10) at d=16 and 64, but
+#: 31-94 at d=8, rising with n; elongated graphs (a weighted path, samples
+#: along a noisy curve) took 179-2131, and on those the direct solve was
+#: 2 to 400 times faster.
 CG_MAX_STEPS = 100
 #: Side of the square tiles the dense symmetry check compares.
 SYMMETRY_TILE = 256
@@ -182,20 +183,25 @@ def _on_simplex(x) -> bool:
 
 
 def _direct_solve(w, u, deg, b):
-    """f_u of the grounded-Laplacian system (D_uu - W_uu) f_u = b by LU:
-    dense on a u x u copy, sparse (``spsolve``) on a CSR graph, through
-    its scipy view. Raises NumericalError for a singular system, or one
-    whose answer has a row off the simplex."""
+    """f_u of the grounded-Laplacian system (D_uu - W_uu) f_u = b by LU
+    on its degree-scaled form (I - D_uu^-1 W_uu) f_u = D_uu^-1 b: each
+    row, and its entry of b, divided by its degree, which is positive on
+    u because each vertex of u has an out-edge path to an anchor. Dense
+    on a u x u copy, sparse (``spsolve``) on a CSR graph, through its
+    scipy view. Raises NumericalError for a singular system, or one whose
+    answer has a row off the simplex."""
     dense = isinstance(w, np.ndarray)
     if not dense:
         w = w.to_scipy()
     w_uu = w[np.ix_(u, u)]
+    b = b / deg[:, None]
     singular = "harmonic labeling: the grounded Laplacian is singular"
     if not dense:
         from scipy import sparse
         from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
-        laplacian_uu = (sparse.diags_array(deg) - w_uu).tocsc()
+        w_uu.data = w_uu.data / np.repeat(deg, np.diff(w_uu.indptr))
+        laplacian_uu = (sparse.diags_array(np.ones(u.size)) - w_uu).tocsc()
         with warnings.catch_warnings():
             # spsolve warns and returns NaN rows for a singular system, or
             # raises a bare RuntimeError when SuperLU cannot factorize it
@@ -208,9 +214,9 @@ def _direct_solve(w, u, deg, b):
             except (MatrixRankWarning, RuntimeError):
                 raise NumericalError(singular) from None
     else:
-        # D_uu - W_uu in the one u x u copy; 0 - w keeps zeros at +0
-        laplacian_uu = np.subtract(0.0, w_uu, out=w_uu)
-        laplacian_uu.flat[:: u.size + 1] += deg
+        # I - D_uu^-1 W_uu in the one u x u copy; 0 - w keeps zeros at +0
+        laplacian_uu = np.subtract(0.0, np.divide(w_uu, deg[:, None], out=w_uu), out=w_uu)
+        laplacian_uu.flat[:: u.size + 1] += 1.0
         try:
             solved = np.linalg.solve(laplacian_uu, b)
         except np.linalg.LinAlgError:
@@ -250,8 +256,7 @@ def label_propagation(
         return f_next
 
     f, iterations, converged = iterate(step, f0, max_iterations, tolerance)
-    meta = {"iterations": iterations, "converged": converged}
-    return _to_simplex(f), meta
+    return _to_simplex(f), {"iterations": iterations, "converged": converged}
 
 
 # --- K-means -----------------------------------------------------------

@@ -337,12 +337,6 @@ class CsrGraph:
         keep = (rows < cols) & (self.data != 0)
         return merge_entries(rows[keep], cols[keep], self.data[keep], self.shape[0], np.add)
 
-    def toarray(self) -> np.ndarray:
-        """The dense n x n matrix, repeated entries added in stored order."""
-        dense = np.zeros(self.shape)
-        np.add.at(dense, (self._rows, self.indices), self.data)
-        return dense
-
     def to_scipy(self):
         """A ``scipy.sparse.csr_array`` over the same (read-only) arrays,
         made without a copy. Loads ``scipy.sparse``."""

@@ -226,8 +226,13 @@ def _build_similarity(features: FeatureSet, cfg: RunConfig):
     if cfg.knn is not None:
         w, zero_variance = knn_graph(features, min(cfg.knn, features.n - 1), cfg.negative_handling)
     else:
-        w, zero_variance = pearson_matrix(features)
-        w = handle_negatives(w, cfg.negative_handling)
+        try:
+            w, zero_variance = pearson_matrix(features)
+            w = handle_negatives(w, cfg.negative_handling)
+        except MemoryError:
+            raise ConfigError(f"the dense graph of {features.n} samples needs 8*n^2 bytes = "
+                              f"{8 * features.n ** 2 / 2**30:.3g} GiB, more than could be allocated; "
+                              "use --knn for a sparse graph") from None
     return w, [int(i) for i in zero_variance]
 
 

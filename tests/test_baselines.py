@@ -72,7 +72,8 @@ class TestLabelSpreading:
         np.testing.assert_allclose(raw, [[2 / 3, 0], [1 / 3, 0]], atol=1e-12)
         x, meta = label_spreading(w, labels, alpha=0.5, tolerance=1e-13, max_iterations=10_000)
         assert meta["converged"]
-        np.testing.assert_allclose(meta["raw_scores"], raw, atol=1e-10)
+        # the raw scores are the assignment times the oracle's row sums
+        np.testing.assert_allclose(x * raw.sum(axis=1, keepdims=True), raw, atol=1e-10)
         assert x.argmax(axis=1).tolist() == [0, 0]
 
     def test_alpha_to_zero_recovers_labels(self):
@@ -98,16 +99,17 @@ class TestLabelSpreading:
             labels = np.full(n, -1)
             labels[rng.choice(n, size=2, replace=False)] = [0, 1]
             ls = LabelSet(2, labels)
-            _, meta = label_spreading(w, ls, **cfg)
+            x, _ = label_spreading(w, ls, **cfg)
             oracle = label_spreading_closed_form(w, ls, alpha=0.9)
-            np.testing.assert_allclose(meta["raw_scores"], oracle, atol=1e-8)
+            np.testing.assert_allclose(x * oracle.sum(axis=1, keepdims=True), oracle, atol=1e-8)
 
     def test_iterative_matches_closed_form_above_the_product_rule(self):
         labels = large_labels()
         w = large_symmetric_graph(np.random.default_rng(102), LARGE_N)
-        _, meta = label_spreading(w, labels, alpha=0.9, tolerance=1e-13, max_iterations=50_000)
+        x, meta = label_spreading(w, labels, alpha=0.9, tolerance=1e-13, max_iterations=50_000)
         assert meta["converged"]
-        np.testing.assert_allclose(meta["raw_scores"], label_spreading_closed_form(w, labels, alpha=0.9), atol=1e-8)
+        oracle = label_spreading_closed_form(w, labels, alpha=0.9)
+        np.testing.assert_allclose(x * oracle.sum(axis=1, keepdims=True), oracle, atol=1e-8)
 
     def test_needs_labels(self):
         with pytest.raises(DataError):
@@ -225,37 +227,39 @@ class TestHarmonicSolve:
 
     @pytest.mark.parametrize("form", [np.asarray, sparse.csr_array], ids=["dense", "csr"])
     def test_a_singular_system_is_a_numerical_error(self, form):
-        """Vertices 2 and 3 have no edge out, so their rows of the grounded
-        Laplacian are zero: numpy's LinAlgError (dense), or spsolve's NaN
-        rows and warning or its RuntimeError (CSR), become one error.
-        ``harmonic_function`` never solves such a system: it leaves those
-        vertices unreached."""
-        w = np.array([[0, 1, 1, 1], [1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0.0]])
-        u = np.array([0, 2, 3])
+        """Vertices 2 and 3 are joined only to each other, so their two
+        rows of the scaled system, [1, -1] and [-1, 1], are dependent:
+        numpy's LinAlgError (dense), or spsolve's NaN rows and warning or
+        its RuntimeError (CSR), become one error. ``harmonic_function``
+        never solves such a system: it leaves those vertices unreached."""
+        w = np.array([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0.0]])
+        u = np.array([1, 2, 3])
         with pytest.raises(NumericalError, match="^harmonic labeling: the grounded Laplacian is singular$"):
             baselines._direct_solve(check_graph(form(w), 4, "x"), u, w.sum(axis=1)[u], np.ones((3, 2)))
 
     @pytest.mark.parametrize("form", [np.asarray, sparse.csr_array], ids=["dense", "csr"])
-    def test_a_direct_answer_that_is_not_finite_is_a_numerical_error(self, form):
+    def test_a_subnormal_pivot_gives_the_exact_answer(self, form):
         """Rows 1 and 2 reach anchor 0 through the subnormal weight 9e-311.
-        LU on their system overflows at that pivot and returns inf and NaN
-        rows without a warning; they become the singular-system error."""
+        Unscaled, LU on their system overflows at that pivot and returns
+        inf and NaN rows; divided by its degree, that row is [-1, 1] and
+        the answer is the exact rational one."""
         w = np.zeros((4, 4))
         w[0, 3], w[1, 2], w[2, 0], w[3, 0] = 0.1, 0.8, 9e-311, 4e-311
-        with pytest.raises(NumericalError, match="^harmonic labeling: the grounded Laplacian is singular$"):
-            harmonic_function(form(w), LabelSet(2, [0, -1, -1, 1]))
+        x = harmonic_function(form(w), LabelSet(2, [0, -1, -1, 1]))
+        np.testing.assert_array_equal(x, [[1, 0], [1, 0], [1, 0], [0, 1]])
 
     @pytest.mark.parametrize("form", [np.asarray, sparse.csr_array], ids=["dense", "csr"])
-    def test_a_row_off_the_simplex_is_a_numerical_error(self, form):
+    def test_subnormal_row_weights_give_the_exact_answer(self, form):
         """Vertex 3's weights, 2e-311 to 5e-311, barely count in the
         residual's 2-norm: conjugate gradients meet their tolerance with
-        row 3 at [0.18, 0]. The direct solve is no better here."""
+        row 3 at [0.18, 0], which is not accepted. The degree-scaled
+        direct solve returns the exact rational answer."""
         w = np.zeros((5, 5))
         for (i, j), weight in {(0, 1): 0.7, (0, 2): 0.8, (0, 3): 2e-311, (0, 4): 7e-311, (1, 3): 5e-311,
                                (1, 4): 1e-310, (2, 3): 4e-311}.items():
             w[i, j] = w[j, i] = weight
-        with pytest.raises(NumericalError, match="^harmonic labeling: the grounded Laplacian is singular$"):
-            harmonic_function(form(w), LabelSet(2, [0, -1, -1, -1, 1]))
+        x = harmonic_function(form(w), LabelSet(2, [0, -1, -1, -1, 1]))
+        np.testing.assert_array_equal(x, [[1, 0], [1, 1.4285714285714e-310], [1, 0], [1, 6.4935064935067e-311], [0, 1]])
 
     def test_subnormal_weights_give_rows_on_the_simplex_or_an_error(self):
         """Random graphs, half of them symmetric and a third CSR, with
@@ -287,7 +291,7 @@ class TestHarmonicSolve:
         graph, _ = knn_graph(np.random.default_rng(305).normal(size=(50, 8)), 5)
         knn_labels = np.full(50, -1)
         knn_labels[::10] = [0, 1, 2, 0, 1]
-        for w, labels in ((CHAIN_W, CHAIN_LABELS), (graph.toarray(), LabelSet(3, knn_labels))):
+        for w, labels in ((CHAIN_W, CHAIN_LABELS), (graph.to_scipy().toarray(), LabelSet(3, knn_labels))):
             np.testing.assert_allclose(
                 harmonic_function(form(w * scale), labels), harmonic_function(w, labels), rtol=0, atol=1e-12
             )
@@ -358,10 +362,10 @@ class TestCsrGraph:
             dense, dense_meta = label_spreading(w, labels, alpha=0.9)
             csr, csr_meta = label_spreading(sparse.csr_array(w), labels, alpha=0.9)
             np.testing.assert_allclose(csr, dense, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(csr_meta["raw_scores"], dense_meta["raw_scores"], rtol=0, atol=1e-12)
             assert csr_meta["iterations"] == dense_meta["iterations"]
-            _, tight = label_spreading(sparse.csr_array(w), labels, alpha=0.9, tolerance=1e-13, max_iterations=50_000)
-            np.testing.assert_allclose(tight["raw_scores"], label_spreading_closed_form(w, labels, alpha=0.9), atol=1e-8)
+            tight, _ = label_spreading(sparse.csr_array(w), labels, alpha=0.9, tolerance=1e-13, max_iterations=50_000)
+            oracle = label_spreading_closed_form(w, labels, alpha=0.9)
+            np.testing.assert_allclose(tight * oracle.sum(axis=1, keepdims=True), oracle, atol=1e-8)
 
     def test_label_propagation(self):
         cfg = dict(max_iterations=300)

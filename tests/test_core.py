@@ -209,7 +209,6 @@ class TestCsrGraph:
         with pytest.raises(TypeError):
             np.ones(n) @ graph
         np.testing.assert_array_equal(graph.row_sums(), reference.sum(axis=1))
-        np.testing.assert_array_equal(graph.toarray(), reference.toarray())
         assert graph.nnz == reference.nnz and graph.shape == reference.shape
 
     @pytest.mark.parametrize("n", [1, 2, 7, 60, 300])

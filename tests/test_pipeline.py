@@ -3,7 +3,9 @@ import csv
 import dataclasses
 import inspect
 import json
+import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +28,6 @@ from transduct import (
     run_eval,
     run_pipeline,
     softmax_with_temperature,
-    sparsify_knn,
     true_centroids,
 )
 from transduct.errors import (
@@ -47,6 +48,7 @@ from transduct.io import (
     write_report_json,
 )
 from transduct.pipeline import PEARSON_2D_NOTE
+from transduct.similarity import sparsify_knn
 
 
 @pytest.fixture
@@ -566,6 +568,27 @@ class TestCli:
         )
         assert r.returncode == 1
         assert r.stderr.splitlines() == ["config error: tolerance must be finite and >= 0, got nan"]
+
+    def test_a_dense_graph_past_the_memory_limit_is_a_config_error(self, tmp_path):
+        """A child process whose address space is capped at 2.5 GiB cannot
+        allocate the 3.0 GiB dense graph of 20,000 samples: one line,
+        exit 1. Only the child's own limit is lowered."""
+        data = tmp_path / "data"
+        r = self.run_cli("synth", "--blobs", "2", "--per-blob", "10000", "--dim", "3", "--out-dir", str(data))
+        assert r.returncode == 0, r.stderr
+        limit = 2500 * 2**20
+        r = subprocess.run(
+            [sys.executable, "-m", "transduct.cli", "run", "--features", str(data / "features.csv"),
+             "--labels", str(data / "labels.csv"), "--method", "gtg", "--anchor-fraction", "0.01",
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env={**os.environ, "TRANSDUCT_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert r.returncode == 1
+        assert r.stderr.splitlines() == [
+            "config error: the dense graph of 20000 samples needs 8*n^2 bytes = 2.98 GiB, more than could be"
+            " allocated; use --knn for a sparse graph"
+        ]
 
     @pytest.mark.parametrize("argv", [
         ["run", "--features", "f.csv", "--method", "gtg", "--anchor-fraction", "0.1", "--seed", "-1"],

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from transduct import (BlobSpec, CsrGraph, handle_negatives, knn_graph, make_synthetic, pearson_matrix, similarity,
-                       sparsify_knn)
+from transduct import BlobSpec, CsrGraph, handle_negatives, knn_graph, make_synthetic, pearson_matrix, similarity
 from transduct.errors import ConfigError, OutOfRange, ShapeMismatch
-from transduct.similarity import top_k
+from transduct.similarity import sparsify_knn, top_k
 
 
 def naive_pearson(data):
@@ -118,7 +117,7 @@ class TestPearson:
         data = np.array([[0.1, 0.1, 0.1], [0.1, 0.1, 0.1], [1.0, 2, 3], [3.0, 1, 2]])
         w, flagged = pearson_matrix(data)
         graph, knn_flagged = knn_graph(data, 2)
-        for matrix, flags in ((w, flagged), (graph.toarray(), knn_flagged)):
+        for matrix, flags in ((w, flagged), (graph.to_scipy().toarray(), knn_flagged)):
             assert list(flags) == [0, 1]
             for band in (matrix[:2], matrix[:, :2]):
                 assert np.all(band == 0.0) and not np.signbit(band).any()
@@ -308,7 +307,7 @@ class TestKnnGraph:
                     mock.patch.object(similarity, "TOP_K_SAMPLE", sample):
                 graph, flagged = knn_graph(data, k, mode)
             expected = dense_knn(data, k, mode)
-            np.testing.assert_array_equal(graph.toarray(), expected)
+            np.testing.assert_array_equal(graph.to_scipy().toarray(), expected)
             np.testing.assert_array_equal(flagged, pearson_matrix(data)[1])
 
     @given(st.integers(3, 30), st.integers(3, 10), st.sampled_from([1, 3, 7, 64, 256]),
@@ -322,7 +321,7 @@ class TestKnnGraph:
         for k in range(1, n):
             with mock.patch.object(similarity, "BLOCK_ROWS", block), \
                     mock.patch.object(similarity, "TOP_K_SAMPLE", sample):
-                graph = knn_graph(data, k, mode)[0].toarray()
+                graph = knn_graph(data, k, mode)[0].to_scipy().toarray()
             expected = dense_knn(data, k, mode)
             np.testing.assert_array_equal(graph != 0, expected != 0)
             np.testing.assert_allclose(graph, expected, rtol=0, atol=1e-12)
@@ -336,8 +335,8 @@ class TestKnnGraph:
         data[[3, n - 2]] = 7.0
         graph = knn_graph(data, 6, mode)[0]
         expected = dense_knn(data, 6, mode)
-        np.testing.assert_array_equal(graph.toarray() != 0, expected != 0)
-        np.testing.assert_allclose(graph.toarray(), expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(graph.to_scipy().toarray() != 0, expected != 0)
+        np.testing.assert_allclose(graph.to_scipy().toarray(), expected, rtol=0, atol=1e-12)
 
     def test_symmetric_csr_without_stored_zeros(self):
         """Canonical CSR (each row's columns sorted, once each), no stored
@@ -349,7 +348,7 @@ class TestKnnGraph:
         for columns in np.split(graph.indices, graph.indptr[1:-1]):
             assert (np.diff(columns) > 0).all()
         assert np.all(graph.data > 0)
-        dense = graph.toarray()
+        dense = graph.to_scipy().toarray()
         np.testing.assert_array_equal(dense, dense.T)
         assert graph.is_symmetric()
         canonical = sparse.csr_array(dense)
