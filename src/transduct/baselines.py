@@ -6,8 +6,8 @@ similarity S = D^{-1/2} W D^{-1/2} to its fixed point
 (1 - alpha) (I - alpha S)^{-1} Y.
 The harmonic function solution of Zhu et al. (2003) solves the grounded
 Laplacian system by preconditioned conjugate gradients (Hestenes and
-Stiefel, 1952), directly where that does not apply or does not converge,
-and label propagation (Zhu, 2002) iterates the row-normalized walk matrix
+Stiefel, 1952) on every graph, and directly where their answer is not
+accepted, and label propagation (Zhu, 2002) iterates the row-normalized walk matrix
 with labeled rows re-clamped; on connected graphs both converge to the
 same harmonic labeling.
 """
@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .core import CsrGraph, LabelSet, check_graph, check_settings, feature_data, graph_product, integer, iterate, label_set, normalize_rows, row_sums, squared_norms, unreached
+from .core import LabelSet, check_graph, check_settings, feature_data, graph_product, integer, iterate, label_set, normalize_rows, row_sums, squared_norms, unreached
 from .errors import DataError, NumericalError
 from .priors import inject_anchors
 
@@ -71,8 +71,6 @@ CG_TOLERANCE = 1e-14
 #: along a noisy curve) took 179-2131, and on those the direct solve was
 #: 2 to 400 times faster.
 CG_MAX_STEPS = 100
-#: Side of the square tiles the dense symmetry check compares.
-SYMMETRY_TILE = 256
 
 
 def harmonic_function(w, labels: LabelSet) -> np.ndarray:
@@ -84,11 +82,10 @@ def harmonic_function(w, labels: LabelSet) -> np.ndarray:
     out-neighbors' rows: (D_uu - W_uu) f_u = b, where b is the pull of
     the labeled and unreached rows, W_ul Y_l plus that of any edge out to
     an unreached vertex. Each row of u has an out-edge path to a labeled
-    vertex, so the system is non-singular. On a symmetric graph, dense or
-    CSR, it is also symmetric positive definite and conjugate gradients
-    solve it on the graph as given (``_conjugate_gradient``).
-    An asymmetric graph, or a solve that misses ``CG_TOLERANCE`` within
-    ``CG_MAX_STEPS`` steps, takes the direct solve (``_direct_solve``).
+    vertex, so the system is non-singular. Conjugate gradients solve it on
+    every graph, dense or CSR, as given (``_conjugate_gradient``); their
+    answer is accepted on its recomputed residual and ``_on_simplex``,
+    else the degree-scaled direct solve (``_direct_solve``) gives it.
     """
     w = check_graph(w, label_set(labels).labels.size, "label vector")
     if labels.labeled_indices().size == 0:
@@ -101,26 +98,19 @@ def harmonic_function(w, labels: LabelSet) -> np.ndarray:
         deg = row_sums(w)[u]
         # out is zero on u: b is the pull of the labeled and unreached rows
         b = graph_product(w, out)[u]
-        solved = _conjugate_gradient(w, u, deg, b) if _symmetric(w) else None
+        solved = _conjugate_gradient(w, u, deg, b)
         out[u] = _direct_solve(w, u, deg, b) if solved is None else solved
     return out
 
 
-def _symmetric(w) -> bool:
-    """Whether ``w`` equals its transpose. A dense graph is compared tile
-    by tile with its mirror image, so no ``n x n`` temporary is made."""
-    if isinstance(w, CsrGraph):
-        return w.is_symmetric()
-    n, t = w.shape[0], SYMMETRY_TILE
-    return all(
-        np.array_equal(w[i:i + t, j:j + t], w[j:j + t, i:i + t].T) for i in range(0, n, t) for j in range(i, n, t)
-    )
-
-
 def _conjugate_gradient(w, u, deg, b):
-    """f_u of the grounded-Laplacian system (D_uu - W_uu) f_u = b of a
-    symmetric graph by Jacobi-preconditioned conjugate gradients, or None
-    if some column misses ``CG_TOLERANCE`` within ``CG_MAX_STEPS`` steps.
+    """f_u of the grounded-Laplacian system (D_uu - W_uu) f_u = b by
+    Jacobi-preconditioned conjugate gradients, or None if some column
+    misses ``CG_TOLERANCE`` within ``CG_MAX_STEPS`` steps or the answer
+    is not accepted. On a symmetric graph the system is symmetric
+    positive definite. On an asymmetric one the steps may stall or
+    overflow, silently: a NaN residual ends the loop and meets no bound,
+    so the answer stands or falls by the same checks as on any graph.
 
     Each step is one product of the graph as given with an n x m
     direction that is zero off ``u``, so (W p)[u] = W_uu p_u and no u x u
@@ -146,32 +136,32 @@ def _conjugate_gradient(w, u, deg, b):
         return graph_product(w, spread)[u]
 
     def norm(v):
-        with np.errstate(over="ignore"):
-            return np.sqrt(np.sum(v * v, axis=0))
+        return np.sqrt(np.sum(v * v, axis=0))
 
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = r / deg
-    p = z
-    rz = np.sum(r * z, axis=0)
-    steps = 0
-    while (norm(r) > CG_TOLERANCE * norm(b)).any():
-        if steps == CG_MAX_STEPS:
-            return None
-        steps += 1
-        q = deg * p - graph_uu(p)
-        # a column already solved exactly has p = 0: its step is 0, not 0/0
-        pq = np.sum(p * q, axis=0)
-        alpha = np.divide(rz, pq, out=np.zeros_like(rz), where=pq > 0)
-        x += alpha * p
-        r -= alpha * q
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = np.zeros_like(b)
+        r = b.copy()
         z = r / deg
-        rz_next = np.sum(r * z, axis=0)
-        p = z + np.divide(rz_next, rz, out=np.zeros_like(rz), where=rz > 0) * p
-        rz = rz_next
-    dx = deg * x
-    bound = CG_TOLERANCE * (norm(b) + norm(dx))
-    converged = (np.isfinite(bound) & (norm(b - dx + graph_uu(x)) <= bound)).all()
+        p = z
+        rz = np.sum(r * z, axis=0)
+        steps = 0
+        while (norm(r) > CG_TOLERANCE * norm(b)).any():
+            if steps == CG_MAX_STEPS:
+                return None
+            steps += 1
+            q = deg * p - graph_uu(p)
+            # a column already solved exactly has p = 0: its step is 0, not 0/0
+            pq = np.sum(p * q, axis=0)
+            alpha = np.divide(rz, pq, out=np.zeros_like(rz), where=pq > 0)
+            x += alpha * p
+            r -= alpha * q
+            z = r / deg
+            rz_next = np.sum(r * z, axis=0)
+            p = z + np.divide(rz_next, rz, out=np.zeros_like(rz), where=rz > 0) * p
+            rz = rz_next
+        dx = deg * x
+        bound = CG_TOLERANCE * (norm(b) + norm(dx))
+        converged = (np.isfinite(bound) & (norm(b - dx + graph_uu(x)) <= bound)).all()
     return x if converged and _on_simplex(x) else None
 
 
@@ -326,8 +316,9 @@ def kmeans(features, k: int, seed: int = 0) -> np.ndarray:
     """Best-of-``KMEANS_RESTARTS`` Lloyd's algorithm with k-means++ seeding.
 
     Deterministic given ``seed``: restart r uses its own generator seeded
-    from (seed, r) and the winner is the lowest (WCSS, restart index)
-    pair. Values so large that a distance could overflow raise NonFinite
+    from (seed, r), and a restart replaces the best one so far only if
+    its WCSS is lower by more than an absolute 1e-12, so the earlier of
+    two restarts that close wins. Values so large that a distance could overflow raise NonFinite
     (``core.squared_norms``).
     """
     points = feature_data(features)

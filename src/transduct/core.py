@@ -203,24 +203,6 @@ def _frozen(values, dtype, what: str) -> np.ndarray:
     return arr
 
 
-def merge_entries(rows, cols, values, n: int, ufunc) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries ``values`` at (rows, cols) of an n x n matrix as
-    (rows, cols, values) in row, then column order, each position once:
-    ``ufunc`` (``np.add``, ``np.minimum``) reduces a repeated position's
-    values, in no fixed order. ``knn_graph`` peaks here, so each step
-    frees the array it replaces before the next one is made."""
-    key = rows * n + cols
-    order = np.argsort(key)
-    key = key[order]
-    values = values[order]
-    del order
-    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]]) if key.size else key
-    values = ufunc.reduceat(values, first)
-    key = key[first]
-    rows = key // n
-    return rows, np.remainder(key, n, out=key), values
-
-
 #: Multiply-adds (nnz x columns, summed over a graph's products) up to
 #: which a CsrGraph multiplies with numpy's kernel; past it, it loads
 #: scipy's. numpy's kernel costs 2.5-5.5 ns more per multiply-add than
@@ -323,19 +305,6 @@ class CsrGraph:
         if nonempty.size:
             sums[nonempty] = np.add.reduceat(self.data, self.indptr[nonempty])
         return sums
-
-    def is_symmetric(self) -> bool:
-        """Whether the graph equals its transpose as a matrix: stored
-        zeros drop out and repeated entries add up."""
-        return all(np.array_equal(a, b) for a, b in zip(self._triangle(self._rows, self.indices),
-                                                        self._triangle(self.indices, self._rows)))
-
-    def _triangle(self, rows, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The nonzero entries at (rows, cols) with row < col, repeats
-        summed (two add up alike in either order): the upper triangle, or
-        with rows and columns swapped the lower one mirrored."""
-        keep = (rows < cols) & (self.data != 0)
-        return merge_entries(rows[keep], cols[keep], self.data[keep], self.shape[0], np.add)
 
     def to_scipy(self):
         """A ``scipy.sparse.csr_array`` over the same (read-only) arrays,

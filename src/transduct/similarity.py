@@ -16,7 +16,7 @@ from collections.abc import Callable, Iterator
 
 import numpy as np
 
-from .core import CsrGraph, feature_data, integer, merge_entries, numeric_array
+from .core import CsrGraph, feature_data, integer, numeric_array
 from .errors import ConfigError, NonFinite, ShapeMismatch
 
 #: How ``handle_negatives`` and ``knn_graph`` may map negative similarities.
@@ -279,7 +279,7 @@ def knn_graph(features, k: int, mode: str = "clamp") -> tuple[CsrGraph, np.ndarr
     # result. The merged entries come in row, then column order, as the
     # CSR arrays hold them; a position's minimum is the same in any order.
     rows, cols, vals = np.concatenate([rows, cols]), np.concatenate([cols, rows]), np.concatenate([vals, vals])
-    rows, cols, vals = merge_entries(rows, cols, vals, n, np.minimum)
+    rows, cols, vals = _merge_entries(rows, cols, vals, n)
     stored = vals > 0
     rows, indices, data = rows[stored], cols[stored], vals[stored]
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -287,6 +287,23 @@ def knn_graph(features, k: int, mode: str = "clamp") -> tuple[CsrGraph, np.ndarr
     for array in (indptr, indices, data):
         array.setflags(write=False)  # the graph keeps them without a copy
     return CsrGraph(indptr, indices, data), zero_variance
+
+
+def _merge_entries(rows, cols, values, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries ``values`` at (rows, cols) of an n x n matrix as
+    (rows, cols, values) in row, then column order, each position once
+    with the smallest of its values. ``knn_graph`` peaks here, so each
+    step frees the array it replaces before the next one is made."""
+    key = rows * n + cols
+    order = np.argsort(key)
+    key = key[order]
+    values = values[order]
+    del order
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    values = np.minimum.reduceat(values, first)
+    key = key[first]
+    rows = key // n
+    return rows, np.remainder(key, n, out=key), values
 
 
 def _knn_picks(features, k: int, mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -296,16 +296,30 @@ class TestHarmonicSolve:
                 harmonic_function(form(w * scale), labels), harmonic_function(w, labels), rtol=0, atol=1e-12
             )
 
-    def test_asymmetric_csr_graph_takes_the_direct_solve(self, direct_calls):
+    @pytest.mark.parametrize("form", [np.asarray, sparse.csr_array], ids=["dense", "csr"])
+    def test_asymmetric_graph_matches_the_full_system(self, form):
         rng = np.random.default_rng(303)
         w = random_connected_graph(rng, 30)
         w[0, 1] += 0.5
         labels = np.full(30, -1)
         labels[[2, 3]] = [0, 1]
         labels = LabelSet(2, labels)
-        x = harmonic_function(sparse.csr_array(w), labels)
-        assert len(direct_calls) == 1
+        x = harmonic_function(form(w), labels)
         np.testing.assert_allclose(x, harmonic_full_system(w, labels), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("form", [np.asarray, sparse.csr_array], ids=["dense", "csr"])
+    def test_asymmetric_graph_takes_an_accepted_conjugate_gradient_answer(self, form, direct_calls):
+        """Vertices 2..11 point only at anchors 0 and 1, so W_uu = 0 and
+        one step solves the diagonal system; anchor 0 points back at
+        vertices 2..6 alone, so the graph is asymmetric."""
+        n = 12
+        w = np.zeros((n, n))
+        w[2:, :2] = np.random.default_rng(306).uniform(0.1, 1.0, (n - 2, 2))
+        w[0, 2:7] = 0.5
+        x = harmonic_function(form(w), LabelSet(2, [0, 1] + [-1] * (n - 2)))
+        assert direct_calls == []
+        np.testing.assert_array_equal(x[:2], np.eye(2))
+        np.testing.assert_array_equal(x[2:], w[2:, :2] / w[2:, :2].sum(axis=1, keepdims=True))
 
 
 class TestLabelPropagation:

@@ -19,7 +19,6 @@ from transduct import (
     run_dynamics,
 )
 from transduct import core
-from transduct.baselines import _symmetric
 from transduct.core import DENSE_PRODUCT_FLIP, CsrGraph, check_graph, graph_product, iterate, normalize_rows
 from transduct.errors import DataError, DuplicateId, NonFinite, OutOfRange, ShapeMismatch
 from transduct.pipeline import _report
@@ -210,19 +209,6 @@ class TestCsrGraph:
             np.ones(n) @ graph
         np.testing.assert_array_equal(graph.row_sums(), reference.sum(axis=1))
         assert graph.nnz == reference.nnz and graph.shape == reference.shape
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 60, 300])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_symmetry_matches_scipy(self, n, seed):
-        rng = np.random.default_rng([n, seed, 1])
-        arrays = random_csr(rng, n, symmetric=seed % 3 != 0)
-        if seed % 3 == 2 and arrays[2].size:
-            # one weight moved off its mirror's value
-            arrays[2][rng.integers(arrays[2].size)] += 1.0
-        reference = sparse.csr_array(arrays[::-1], shape=(n, n))
-        assert _symmetric(CsrGraph(*arrays)) == ((reference != reference.T).nnz == 0)
-        if seed % 3 == 1:
-            assert _symmetric(CsrGraph(*arrays))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_propagators_give_the_same_bits_on_either_kernel(self, seed):
