@@ -7,9 +7,9 @@ similarity S = D^{-1/2} W D^{-1/2} to its fixed point
 The harmonic function solution of Zhu et al. (2003) solves the grounded
 Laplacian system by preconditioned conjugate gradients (Hestenes and
 Stiefel, 1952) on every graph, and directly where their answer is not
-accepted, and label propagation (Zhu, 2002) iterates the row-normalized walk matrix
-with labeled rows re-clamped; on connected graphs both converge to the
-same harmonic labeling.
+accepted, and label propagation (Zhu, 2002) iterates the row-normalized
+walk matrix with labeled rows re-clamped; on connected graphs both
+converge to the same harmonic labeling.
 """
 from __future__ import annotations
 
@@ -318,8 +318,8 @@ def kmeans(features, k: int, seed: int = 0) -> np.ndarray:
     Deterministic given ``seed``: restart r uses its own generator seeded
     from (seed, r), and a restart replaces the best one so far only if
     its WCSS is lower by more than an absolute 1e-12, so the earlier of
-    two restarts that close wins. Values so large that a distance could overflow raise NonFinite
-    (``core.squared_norms``).
+    two restarts that close wins. Values so large that a distance could
+    overflow raise NonFinite (``core.squared_norms``).
     """
     points = feature_data(features)
     k = integer("k", k, 1, points.shape[0])
