@@ -11,7 +11,10 @@ last bits of the probabilities).
 from __future__ import annotations
 
 import math
+import numbers
+import os
 import re
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -78,6 +81,8 @@ class RunConfig:
     holds what the run uses, None for the settings it does not read.
     ``max_iterations`` and ``knn`` must be integers >= 1 and ``seed`` one
     >= 0; the other numbers are stored as ``float``, as the CLI parses them.
+    The path fields take a ``str`` or an ``os.PathLike`` and are stored as
+    ``str``; ``metrics`` takes a sequence of names and is stored as a tuple.
     """
 
     method: str
@@ -121,20 +126,38 @@ class RunConfig:
         has_file = self.anchors_path is not None
         if has_fraction == has_file:
             raise ConfigError("exactly one anchor source required: --anchor-fraction or --anchors-file")
+        if has_fraction and not isinstance(self.anchor_fraction, numbers.Real):
+            raise ConfigError(f"anchor_fraction must be a number, got {self.anchor_fraction!r}")
         if has_fraction and not 0 < self.anchor_fraction <= 1:
             raise ConfigError("anchor_fraction must lie in (0, 1]")
         if self.negative_handling not in NEGATIVE_MODES:
             raise ConfigError(f"negative_handling must be {' or '.join(map(repr, NEGATIVE_MODES))}")
         _parse_metrics(self.metrics, RUN_METRICS)
+        object.__setattr__(self, "metrics", tuple(self.metrics))
         for name in ("tolerance", "alpha", "temperature", "anchor_fraction"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("features_path", "labels_path", "truth_path", "anchors_path", "logits_path", "out_dir"):
+            if getattr(self, name) is not None or name in ("features_path", "out_dir"):
+                object.__setattr__(self, name, _path(name, getattr(self, name)))
+
+
+def _path(name: str, value) -> str:
+    """``value`` as a ``str``: ConfigError unless it is a ``str`` or an
+    ``os.PathLike`` naming one."""
+    path = os.fspath(value) if isinstance(value, (str, os.PathLike)) else None
+    if not isinstance(path, str):
+        raise ConfigError(f"{name} must be a str or os.PathLike path, got {value!r}")
+    return path
 
 
 def _parse_metrics(names, allowed) -> list[tuple[str, str, int | None]]:
     """(name, kind, K) per name: (name, "recall", K) for recall@K, K in plain
     digits with no leading zero, so each K has one name; (name, name, None)
-    otherwise. A name given twice is a ConfigError."""
+    otherwise. ``names`` other than a sequence of strings, or a name given
+    twice, is a ConfigError."""
+    if isinstance(names, str) or not isinstance(names, Sequence) or not all(isinstance(n, str) for n in names):
+        raise ConfigError(f"metrics must be a sequence of metric names, got {names!r}")
     parsed = []
     for i, name in enumerate(names):
         if name in names[:i]:
@@ -236,27 +259,14 @@ def _build_similarity(features: FeatureSet, cfg: RunConfig):
     return w, [int(i) for i in zero_variance]
 
 
-def _no_propagation() -> dict:
-    """The propagation facts of a run that iterates nothing."""
-    return {
-        "iterations_used": 0,
-        "converged": True,
-        "functional_trace": [],
-        "degenerate_rows": [],
-        "notes": [],
-    }
-
-
 def _propagate(w, anchors: LabelSet, logits, cfg: RunConfig):
-    """Dispatch on method; returns (assignment, info dict with the keys of
-    ``_no_propagation``).
-
-    ``info["notes"]`` holds a line when an iterative method stopped at its
-    step cap without converging; a tolerance-0 run stops there by design
-    and gets none."""
-    info = _no_propagation()
+    """Dispatch on method; returns (assignment, facts). ``facts`` holds the
+    ``_report`` keywords the method ran: ``iterations_used`` and
+    ``converged`` for the iterative methods, and ``functional_trace`` and
+    ``degenerate_rows`` too for the dynamics. ``harmonic`` iterates
+    nothing and has none."""
     if cfg.method == "harmonic":
-        return harmonic_function(w, anchors), info
+        return harmonic_function(w, anchors), {}
     loop = {"max_iterations": cfg.max_iterations, "tolerance": cfg.tolerance}
     if cfg.method in DYNAMICS_METHODS:
         n, m = anchors.labels.size, anchors.num_classes
@@ -264,18 +274,13 @@ def _propagate(w, anchors: LabelSet, logits, cfg: RunConfig):
         # rebinding frees the raw prior
         x0 = inject_anchors(x0, anchors)
         x, trace = run_dynamics(w, x0, **loop)
-        meta = {"iterations": trace.iterations_used, "converged": trace.converged}
-        info["functional_trace"] = trace.functional_values
-        info["degenerate_rows"] = list(trace.degenerate_rows)
-    elif cfg.method == "label_spreading":
+        return x, {"iterations_used": trace.iterations_used, "converged": trace.converged,
+                   "functional_trace": trace.functional_values, "degenerate_rows": trace.degenerate_rows}
+    if cfg.method == "label_spreading":
         x, meta = label_spreading(w, anchors, alpha=cfg.alpha, **loop)
     else:
         x, meta = label_propagation(w, anchors, **loop)
-    info.update(iterations_used=meta["iterations"], converged=meta["converged"])
-    if not meta["converged"] and cfg.tolerance > 0:
-        cap = f"{cfg.max_iterations}-step iteration cap"
-        info["notes"].append(f"{cfg.method} stopped at its {cap} without converging (tolerance {cfg.tolerance!r})")
-    return x, info
+    return x, {"iterations_used": meta["iterations"], "converged": meta["converged"]}
 
 
 def _score(names, allowed, data, truth, pred, num_classes, skipped, seed=0, assignment=None) -> tuple[dict, list[str]]:
@@ -315,27 +320,28 @@ def _score(names, allowed, data, truth, pred, num_classes, skipped, seed=0, assi
 
 
 def _report(
-    metrics, config, classes, num_samples, notes, num_anchors=0, zero_variance=(), orphans=(), info=None
+    metrics, config, classes, num_samples, notes, num_anchors=0, zero_variance=(), orphans=(), *,
+    iterations_used=0, converged=True, functional_trace=(), degenerate_rows=(),
 ) -> dict:
-    """The report.json payload of a run or an eval; ``info`` is what
-    ``_propagate`` returned. Raises NonFinite for a non-finite metric."""
+    """The report.json payload of a run or an eval; the keywords are the
+    facts ``_propagate`` returns, and their defaults those of a run that
+    iterates nothing. Raises NonFinite for a non-finite metric."""
     for name, value in metrics.items():
         if not math.isfinite(value):
             raise NonFinite(f"metric {name!r} is not finite: {value!r}")
-    info = info or _no_propagation()
     return {
         "metrics": metrics,
         "config": config,
-        "iterations_used": info["iterations_used"],
-        "converged": info["converged"],
+        "iterations_used": iterations_used,
+        "converged": converged,
         "num_samples": num_samples,
         "num_classes": len(classes),
         "classes": list(classes),
         "num_anchors": num_anchors,
-        "functional_trace": info["functional_trace"],
+        "functional_trace": list(functional_trace),
         "warnings": {
             "zero_variance_samples": list(zero_variance),
-            "degenerate_rows": info["degenerate_rows"],
+            "degenerate_rows": list(degenerate_rows),
             "unreached_rows": [int(i) for i in orphans],
             "notes": notes,
         },
@@ -359,7 +365,7 @@ def run_pipeline(cfg: RunConfig) -> tuple[Path, dict]:
 
     w, zero_variance = _build_similarity(features, cfg)
     orphans = unreached(w, anchors)
-    assignment, info = _propagate(w, anchors, logits, cfg)
+    assignment, facts = _propagate(w, anchors, logits, cfg)
     assignment[orphans] = 1.0 / m
 
     pred = argmax_decode(assignment)
@@ -367,7 +373,7 @@ def run_pipeline(cfg: RunConfig) -> tuple[Path, dict]:
     if truth is None:
         metric_values, notes = {}, ["metrics skipped: no truth file supplied"] if cfg.metrics else []
     else:
-        names = tuple(cfg.metrics)
+        names = cfg.metrics
         if cfg.method == "group_loss" and "cross_entropy" not in names:
             names += ("cross_entropy",)
         held_out = np.where(anchors.labeled_mask(), UNLABELED, pred)
@@ -377,7 +383,10 @@ def run_pipeline(cfg: RunConfig) -> tuple[Path, dict]:
         metric_values, notes = _score(
             names, RUN_METRICS, features.data, truth, held_out, len(classes), skipped, assignment=assignment
         )
-    notes += info["notes"]
+    # harmonic reads no tolerance, and a tolerance-0 run stops at its cap by design
+    if cfg.tolerance and not facts["converged"]:
+        cap = f"{cfg.max_iterations}-step iteration cap"
+        notes.append(f"{cfg.method} stopped at its {cap} without converging (tolerance {cfg.tolerance!r})")
     if orphans.size:
         notes.append(f"samples with no graph path to an anchor: {orphans.size} (uniform rows, no predicted label)")
     if len(classes) > m:
@@ -392,7 +401,7 @@ def run_pipeline(cfg: RunConfig) -> tuple[Path, dict]:
     write_predictions_csv(predictions_path, features.ids, predicted, assignment)
 
     config = asdict(cfg) | {"metrics": list(cfg.metrics)}
-    report = _report(metric_values, config, classes[:m], features.n, notes, num_anchors, zero_variance, orphans, info)
+    report = _report(metric_values, config, classes[:m], features.n, notes, num_anchors, zero_variance, orphans, **facts)
     write_report_json(out_dir / "report.json", report)
     return predictions_path, report
 
@@ -415,6 +424,9 @@ def run_eval(
     """
     seed = integer("seed", seed, low=0)
     _parse_metrics(metric_names, EVAL_METRICS)
+    features_path, truth_path = _path("features_path", features_path), _path("truth_path", truth_path)
+    labels_path = None if labels_path is None else _path("labels_path", labels_path)
+    out_dir = Path(_path("out_dir", out_dir))
     features, pred, _, truth, classes, *_ = _load_inputs(features_path, labels_path, truth_path=truth_path)
     rows = np.flatnonzero(truth != UNLABELED)
     if rows.size == 0:
@@ -424,13 +436,12 @@ def run_eval(
         skipped = "no row is labeled in both --labels and --truth"
     values, notes = _score(metric_names, EVAL_METRICS, features.data, truth, pred, len(classes), skipped, seed)
 
-    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = {
         "method": "eval",
-        "features_path": str(features_path),
-        "truth_path": str(truth_path),
-        "labels_path": None if labels_path is None else str(labels_path),
+        "features_path": features_path,
+        "truth_path": truth_path,
+        "labels_path": labels_path,
         "metrics": list(metric_names),
         "seed": seed,
         "out_dir": str(out_dir),

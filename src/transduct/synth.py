@@ -1,12 +1,13 @@
 """Seeded synthetic datasets: isotropic Gaussian blobs with separated centroids."""
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import FeatureSet, LabelSet, integer
-from .errors import InvalidSpec
+from .errors import ConfigError, InvalidSpec
 
 
 @dataclass(frozen=True)
@@ -18,6 +19,11 @@ class BlobSpec:
     stddev: float = 1.0
 
     def __post_init__(self):
+        for name in ("blobs", "per_blob", "dim"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
+        for name in ("separation", "stddev"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.blobs < 1 or self.per_blob < 1 or self.dim < 1:
             raise InvalidSpec("blobs, per_blob and dim must all be >= 1")
         # _place_centroids may double its box 63 times; squared distances in it must stay below 1.8e308

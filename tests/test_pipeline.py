@@ -173,6 +173,17 @@ class TestMakeSynthetic:
         with pytest.raises(InvalidSpec):
             BlobSpec(stddev=-1.0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("blobs", "3", "blobs must be an integer, got '3'"),
+        ("blobs", 2.5, "blobs must be an integer, got 2.5"),
+        ("per_blob", None, "per_blob must be an integer, got None"),
+        ("separation", "6", "separation must be a number, got '6'"),
+        ("stddev", None, "stddev must be a number, got None"),
+    ])
+    def test_a_field_of_the_wrong_type_is_a_config_error(self, field, value, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            BlobSpec(**{field: value})
+
     def test_a_draw_that_overflows_is_an_invalid_spec(self):
         """A finite stddev can still scale a standard normal draw past
         float64; that is rejected as a separation too large to place the
@@ -259,6 +270,13 @@ class TestRunPipeline:
             _, report = run_pipeline(cfg)
             schemas.append((sorted(report), sorted(report["warnings"])))
         assert all(s == schemas[0] for s in schemas)
+        _, report = run_eval(fpath, lpath, out_dir=str(tmp_path / "eval"))
+        assert (sorted(report), sorted(report["warnings"])) == schemas[0]
+        # harmonic and eval iterate nothing
+        for name in ("harmonic", "eval"):
+            saved = json.loads((tmp_path / name / "report.json").read_text())
+            facts = (saved["iterations_used"], saved["converged"], saved["functional_trace"])
+            assert facts == (0, True, []) and saved["warnings"]["degenerate_rows"] == [], name
 
     def test_group_loss_reports_cross_entropy(self, blob_dataset, tmp_path):
         fpath, lpath, *_ = blob_dataset
@@ -449,6 +467,60 @@ class TestRunPipeline:
             reports.append((tmp_path / "report.json").read_bytes())
         assert reports[0] == reports[1]
 
+    def test_skip_notes_come_before_the_cap_note(self, blob_dataset, tmp_path):
+        """Every truth row is an anchor, so both metrics are skipped, and the
+        run stops at its cap: the skip notes are listed first."""
+        fpath, lpath, features, labels = blob_dataset
+        apath = tmp_path / "anchors.csv"
+        picks = [0, 40, 80]
+        write_labels_csv(apath, [features.ids[i] for i in picks], [f"c{labels.labels[i]}" for i in picks])
+        assert main(["run", "--features", str(fpath), "--labels", str(lpath), "--anchors-file", str(apath),
+                     "--truth", str(apath), "--method", "label_propagation", "--max-iters", "2",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["metrics"] == {}
+        assert report["warnings"]["notes"] == [
+            "metric accuracy skipped: no held-out labeled rows",
+            "metric macro_f1 skipped: no held-out labeled rows",
+            "label_propagation stopped at its 2-step iteration cap without converging (tolerance 1e-08)",
+        ]
+
+    def test_path_fields_write_the_same_report_as_strings(self, blob_dataset, tmp_path):
+        """A run given pathlib.Path fields writes both files, byte for byte
+        those of the same run given strings."""
+        fpath, lpath, *_ = blob_dataset
+        out = tmp_path / "out"
+        written = []
+        for as_path in (str, Path):
+            cfg = RunConfig(method="gtg", features_path=as_path(fpath), labels_path=as_path(lpath),
+                            truth_path=as_path(lpath), anchor_fraction=0.1, seed=3, out_dir=as_path(out))
+            assert isinstance(cfg.features_path, str) and isinstance(cfg.out_dir, str)
+            run_pipeline(cfg)
+            written.append([(out / name).read_bytes() for name in ("predictions.csv", "report.json")])
+            for name in ("predictions.csv", "report.json"):
+                (out / name).unlink()
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("features_path", 3, "features_path must be a str or os.PathLike path, got 3"),
+        ("features_path", None, "features_path must be a str or os.PathLike path, got None"),
+        ("truth_path", b"t.csv", "truth_path must be a str or os.PathLike path, got b't.csv'"),
+        ("out_dir", None, "out_dir must be a str or os.PathLike path, got None"),
+        ("anchor_fraction", "0.5", "anchor_fraction must be a number, got '0.5'"),
+        ("metrics", "accuracy", "metrics must be a sequence of metric names, got 'accuracy'"),
+        ("metrics", ("accuracy", 3), "metrics must be a sequence of metric names, got ('accuracy', 3)"),
+        ("metrics", None, "metrics must be a sequence of metric names, got None"),
+    ])
+    def test_a_field_of_the_wrong_type_is_a_config_error(self, field, value, message):
+        fields = {"method": "gtg", "features_path": "f.csv", "anchor_fraction": 0.5, field: value}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RunConfig(**fields)
+
+    def test_metrics_are_stored_as_a_tuple(self):
+        cfg = RunConfig(method="gtg", features_path="f.csv", anchor_fraction=0.5, metrics=["accuracy", "nmi"])
+        assert cfg.metrics == ("accuracy", "nmi")
+        assert hash(cfg) == hash(dataclasses.replace(cfg, metrics=("accuracy", "nmi")))
+
     def test_fixed_steps_and_convergence_add_no_cap_note(self, blob_dataset, tmp_path):
         fpath, lpath, *_ = blob_dataset
         for method, loop in (("group_loss", {}), ("gtg", {"max_iterations": 2, "tolerance": 0.0}), ("gtg", {})):
@@ -509,6 +581,23 @@ class TestRunEval:
             return report["metrics"]["nmi"]
 
         assert nmi(str(ppath)) == nmi(str(tpath)) == nmi(None) == 1.0
+
+    @pytest.mark.parametrize("argument, value, message", [
+        ("features_path", None, "features_path must be a str or os.PathLike path, got None"),
+        ("truth_path", 3, "truth_path must be a str or os.PathLike path, got 3"),
+        ("labels_path", 3, "labels_path must be a str or os.PathLike path, got 3"),
+        ("out_dir", None, "out_dir must be a str or os.PathLike path, got None"),
+        ("metric_names", "nmi", "metrics must be a sequence of metric names, got 'nmi'"),
+        ("metric_names", ("nmi", 3), "metrics must be a sequence of metric names, got ('nmi', 3)"),
+        ("metric_names", None, "metrics must be a sequence of metric names, got None"),
+    ])
+    def test_an_argument_of_the_wrong_type_is_a_config_error(self, tmp_path, argument, value, message):
+        """Raised before any file is read: the input files do not exist."""
+        missing = str(tmp_path / "missing.csv")
+        arguments = {"features_path": missing, "truth_path": missing, "out_dir": str(tmp_path / "out"), argument: value}
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_eval(**arguments)
+        assert not (tmp_path / "out").exists()
 
     def test_eval_with_predictions(self, blob_dataset, tmp_path):
         fpath, lpath, *_ = blob_dataset
