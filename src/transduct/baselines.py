@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .core import LabelSet, check_graph, check_settings, feature_data, graph_product, integer, iterate, label_set, normalize_rows, row_sums, squared_norms, unreached
+from .core import LabelSet, check_graph, check_settings, feature_data, graph_product, integer, iterate, label_set, normalize_rows, on_simplex, row_sums, squared_norms, unreached
 from .errors import DataError, NumericalError
 from .priors import inject_anchors
 
@@ -84,8 +84,10 @@ def harmonic_function(w, labels: LabelSet) -> np.ndarray:
     an unreached vertex. Each row of u has an out-edge path to a labeled
     vertex, so the system is non-singular. Conjugate gradients solve it on
     every graph, dense or CSR, as given (``_conjugate_gradient``); their
-    answer is accepted on its recomputed residual and ``_on_simplex``,
-    else the degree-scaled direct solve (``_direct_solve``) gives it.
+    answer is accepted on its recomputed residual and ``on_simplex``,
+    else the degree-scaled direct solve (``_direct_solve``) gives it. Both
+    test ``on_simplex`` with a floor of -1e-9, not 0: LU leaves entries
+    such as -1e-17 where the answer is 0.
     """
     w = check_graph(w, label_set(labels).labels.size, "label vector")
     if labels.labeled_indices().size == 0:
@@ -124,7 +126,7 @@ def _conjugate_gradient(w, u, deg, b):
     recomputed residual of up to 2.5e-13 |b| but under 1e-15 (|b| + |D x|).
     A squared norm overflows once the weights pass about 1e154; such an
     answer meets no finite bound and is not accepted. Nor is one with a
-    row off the simplex (``_on_simplex``): subnormal weights count for
+    row off the simplex (``on_simplex``): subnormal weights count for
     next to nothing in the residual's 2-norm, yet their rows can be wrong.
     """
     deg = deg[:, None]
@@ -162,14 +164,7 @@ def _conjugate_gradient(w, u, deg, b):
         dx = deg * x
         bound = CG_TOLERANCE * (norm(b) + norm(dx))
         converged = (np.isfinite(bound) & (norm(b - dx + graph_uu(x)) <= bound)).all()
-    return x if converged and _on_simplex(x) else None
-
-
-def _on_simplex(x) -> bool:
-    """Whether every row of ``x`` is >= -1e-9 and sums to 1 within 1e-9; a
-    NaN fails both. The floor is not 0: LU leaves entries such as -1e-17
-    where the answer is 0."""
-    return bool((x >= -1e-9).all() and (np.abs(x.sum(axis=1) - 1.0) <= 1e-9).all())
+    return x if converged and on_simplex(x, -1e-9) else None
 
 
 def _direct_solve(w, u, deg, b):
@@ -180,16 +175,22 @@ def _direct_solve(w, u, deg, b):
     on a u x u copy, sparse (``spsolve``) on a CSR graph, through its
     scipy view. Raises NumericalError for a singular system, or one whose
     answer has a row off the simplex."""
-    dense = isinstance(w, np.ndarray)
-    if not dense:
-        w = w.to_scipy()
-    w_uu = w[np.ix_(u, u)]
     b = b / deg[:, None]
     singular = "harmonic labeling: the grounded Laplacian is singular"
-    if not dense:
+    if isinstance(w, np.ndarray):
+        # I - D_uu^-1 W_uu in the one u x u copy; 0 - w keeps zeros at +0
+        w_uu = w[np.ix_(u, u)]
+        laplacian_uu = np.subtract(0.0, np.divide(w_uu, deg[:, None], out=w_uu), out=w_uu)
+        laplacian_uu.flat[:: u.size + 1] += 1.0
+        try:
+            solved = np.linalg.solve(laplacian_uu, b)
+        except np.linalg.LinAlgError:
+            raise NumericalError(singular) from None
+    else:
         from scipy import sparse
         from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
+        w_uu = w.to_scipy()[np.ix_(u, u)]
         w_uu.data = w_uu.data / np.repeat(deg, np.diff(w_uu.indptr))
         laplacian_uu = (sparse.diags_array(np.ones(u.size)) - w_uu).tocsc()
         with warnings.catch_warnings():
@@ -203,17 +204,9 @@ def _direct_solve(w, u, deg, b):
                 solved = spsolve(laplacian_uu, b, permc_spec="MMD_AT_PLUS_A").reshape(u.size, -1)
             except (MatrixRankWarning, RuntimeError):
                 raise NumericalError(singular) from None
-    else:
-        # I - D_uu^-1 W_uu in the one u x u copy; 0 - w keeps zeros at +0
-        laplacian_uu = np.subtract(0.0, np.divide(w_uu, deg[:, None], out=w_uu), out=w_uu)
-        laplacian_uu.flat[:: u.size + 1] += 1.0
-        try:
-            solved = np.linalg.solve(laplacian_uu, b)
-        except np.linalg.LinAlgError:
-            raise NumericalError(singular) from None
     # a pivot that is nearly 0, such as a subnormal weight, can make the
     # LU overflow, or lose the answer's row sums, without a warning
-    if not _on_simplex(solved):
+    if not on_simplex(solved, -1e-9):
         raise NumericalError(singular)
     return solved
 

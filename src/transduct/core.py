@@ -64,10 +64,10 @@ def finite_matrix(values, what: str = "assignment matrix") -> np.ndarray:
     return x
 
 
-def check_simplex(x, what: str) -> None:
-    """Raises DataError unless every row of ``x`` is >= 0 and sums to 1 within 1e-9."""
-    if (x < 0).any() or (np.abs(x.sum(axis=1) - 1.0) > 1e-9).any():
-        raise DataError(f"{what} rows must lie on the simplex: entries >= 0 summing to 1 within 1e-9")
+def on_simplex(x, floor: float = 0.0) -> bool:
+    """Whether every entry of ``x`` is >= ``floor`` and every row sums to 1
+    within 1e-9; a NaN fails both."""
+    return bool((x >= floor).all() and (np.abs(x.sum(axis=1) - 1.0) <= 1e-9).all())
 
 
 def label_vector(values, what: str = "label vector", rows: int | None = None) -> np.ndarray:

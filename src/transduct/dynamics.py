@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabelSet, check_graph, check_settings, check_simplex, finite_matrix, graph_product, iterate, label_set, normalize_rows
-from .errors import EmptyInput
+from .core import LabelSet, check_graph, check_settings, finite_matrix, graph_product, iterate, label_set, normalize_rows, on_simplex
+from .errors import DataError, EmptyInput
 
 #: Probability floor used before taking logs in the cross-entropy readout.
 PROB_FLOOR = 1e-12
@@ -60,7 +60,8 @@ def run_dynamics(
     check_settings(max_iterations=max_iterations, tolerance=tolerance)
     x = finite_matrix(x0)
     w = check_graph(w, x.shape[0], "assignment matrix")
-    check_simplex(x, "prior")
+    if not on_simplex(x):
+        raise DataError("prior rows must lie on the simplex: entries >= 0 summing to 1 within 1e-9")
     functional_values: list[float] = []
     degenerate: set[int] = set()
 

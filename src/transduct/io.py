@@ -171,10 +171,8 @@ def _read_records(path, records) -> FeatureSet:
                 continue
             sample_id, fields, values = record
             if fields - 1 != width:
-                parse_pending()
                 raise DimensionMismatch(f"{path}:{lineno}: row has {fields - 1} features, header declares {width}")
             if sample_id in seen:
-                parse_pending()
                 raise DuplicateId(f"{path}:{lineno}: duplicate id {sample_id!r}")
             seen.add(sample_id)
             ids.append(sample_id)
@@ -182,7 +180,7 @@ def _read_records(path, records) -> FeatureSet:
             pending.append(values)
             if len(pending) == PARSE_BLOCK_ROWS:
                 parse_pending()
-    except (UnicodeDecodeError, ParseError):
+    except (UnicodeDecodeError, DataError):
         parse_pending()
         raise
     parse_pending()

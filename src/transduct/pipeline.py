@@ -30,7 +30,7 @@ from .priors import inject_anchors, softmax_with_temperature, uniform_prior
 # sparsify_knn is not called here (knn_graph replaced it on the run path);
 # it stays importable from this module because perfbench/tracer.py wraps it
 # under this name.
-from .similarity import NEGATIVE_MODES, handle_negatives, knn_graph, pearson_matrix, sparsify_knn  # noqa: F401
+from .similarity import check_mode, handle_negatives, knn_graph, pearson_matrix, sparsify_knn  # noqa: F401
 
 #: The methods that run replicator dynamics; the others are baselines.
 DYNAMICS_METHODS = ("gtg", "group_loss")
@@ -130,8 +130,7 @@ class RunConfig:
             raise ConfigError(f"anchor_fraction must be a number, got {self.anchor_fraction!r}")
         if has_fraction and not 0 < self.anchor_fraction <= 1:
             raise ConfigError("anchor_fraction must lie in (0, 1]")
-        if self.negative_handling not in NEGATIVE_MODES:
-            raise ConfigError(f"negative_handling must be {' or '.join(map(repr, NEGATIVE_MODES))}")
+        check_mode(self.negative_handling)
         _parse_metrics(self.metrics, RUN_METRICS)
         object.__setattr__(self, "metrics", tuple(self.metrics))
         for name in ("tolerance", "alpha", "temperature", "anchor_fraction"):
@@ -426,7 +425,7 @@ def run_eval(
     _parse_metrics(metric_names, EVAL_METRICS)
     features_path, truth_path = _path("features_path", features_path), _path("truth_path", truth_path)
     labels_path = None if labels_path is None else _path("labels_path", labels_path)
-    out_dir = Path(_path("out_dir", out_dir))
+    out_dir = _path("out_dir", out_dir)
     features, pred, _, truth, classes, *_ = _load_inputs(features_path, labels_path, truth_path=truth_path)
     rows = np.flatnonzero(truth != UNLABELED)
     if rows.size == 0:
@@ -436,7 +435,7 @@ def run_eval(
         skipped = "no row is labeled in both --labels and --truth"
     values, notes = _score(metric_names, EVAL_METRICS, features.data, truth, pred, len(classes), skipped, seed)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     config = {
         "method": "eval",
         "features_path": features_path,
@@ -444,9 +443,9 @@ def run_eval(
         "labels_path": labels_path,
         "metrics": list(metric_names),
         "seed": seed,
-        "out_dir": str(out_dir),
+        "out_dir": out_dir,
     }
     report = _report(values, config, classes, int(rows.size), notes)
-    report_path = out_dir / "report.json"
+    report_path = Path(out_dir) / "report.json"
     write_report_json(report_path, report)
     return report_path, report

@@ -27,9 +27,6 @@ NEGATIVE_MODES = ("clamp", "shift")
 #: metrics).
 BLOCK_ROWS = 64
 
-#: Feature rows ``_standardize`` squares at once for the variance.
-VARIANCE_ROWS = 256
-
 #: Columns of each row, evenly spaced across it, whose k-th largest value
 #: bounds the candidates ``top_k`` ranks (at most this many, at least half).
 TOP_K_SAMPLE = 1024
@@ -46,16 +43,15 @@ def _standardize(features) -> tuple[np.ndarray, np.ndarray]:
     if n < 2 or d < 2:
         raise ShapeMismatch(f"need n >= 2 and d >= 2, got {n} x {d}")
 
-    # z is the one n x d array: centred, then scaled in place
-    var = np.empty(n)
+    # z is the one n x d array: centred, squared in place for the variance,
+    # centred again, then scaled in place
     with np.errstate(over="ignore", invalid="ignore"):
-        z = data - data.mean(axis=1, keepdims=True)
+        mean = data.mean(axis=1, keepdims=True)
+        z = data - mean
         # population normalization (divide by d); the ratio is normalization
-        # invariant but fixing it keeps tests bit-stable. Squaring a chunk of
-        # rows at a time needs no second n x d array, and each row's mean is
-        # the same reduction over a chunk as over all rows.
-        for start in range(0, n, VARIANCE_ROWS):
-            var[start:start + VARIANCE_ROWS] = np.mean(z[start:start + VARIANCE_ROWS] ** 2, axis=1)
+        # invariant but fixing it keeps tests bit-stable
+        var = np.square(z, out=z).mean(axis=1)
+        np.subtract(data, mean, out=z)
     # an overflow anywhere in a row leaves its variance inf or NaN
     overflowed = np.flatnonzero(~np.isfinite(var))
     if overflowed.size:
@@ -204,7 +200,7 @@ def handle_negatives(w, mode: str = "clamp") -> np.ndarray:
     converted to a new float64 array first.
     """
     w = numeric_array(w, 2, "similarity matrix")
-    _check_mode(mode)
+    check_mode(mode)
     if not w.flags.writeable:
         w = w.copy()
     if mode == "clamp":
@@ -216,7 +212,7 @@ def handle_negatives(w, mode: str = "clamp") -> np.ndarray:
     return w
 
 
-def _check_mode(mode) -> None:
+def check_mode(mode) -> None:
     """ConfigError unless ``mode`` is one of ``NEGATIVE_MODES``."""
     if mode not in NEGATIVE_MODES:
         raise ConfigError(f"unknown negative-handling mode {mode!r} (use {' or '.join(NEGATIVE_MODES)})")
@@ -265,7 +261,7 @@ def knn_graph(features, k: int, mode: str = "clamp") -> tuple[CsrGraph, np.ndarr
     Returns (graph, zero_variance) like ``pearson_matrix``: symmetric by
     construction, flagging the samples whose coordinates are all equal.
     """
-    _check_mode(mode)
+    check_mode(mode)
     cols, vals, zero_variance = _knn_picks(features, k, mode)
     n, k = cols.shape
     rows, cols, vals = np.repeat(np.arange(n), k), cols.ravel(), vals.ravel()

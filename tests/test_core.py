@@ -20,7 +20,7 @@ from transduct import (
 )
 from transduct import core
 from transduct.core import DENSE_PRODUCT_FLIP, CsrGraph, check_graph, graph_product, iterate, normalize_rows
-from transduct.errors import DataError, DuplicateId, NonFinite, OutOfRange, ShapeMismatch
+from transduct.errors import DataError, DuplicateId, EmptyInput, NonFinite, OutOfRange, ShapeMismatch
 from transduct.pipeline import _report
 
 
@@ -84,6 +84,10 @@ class TestContainers:
     def test_feature_set_rejects_a_flat_matrix(self):
         with pytest.raises(ShapeMismatch):
             FeatureSet([1.0, 2.0], ("a", "b"))
+
+    def test_feature_set_rejects_a_matrix_without_rows(self):
+        with pytest.raises(EmptyInput, match=r"^feature matrix must be at least 1 x 1$"):
+            FeatureSet(np.empty((0, 2)), ())
 
     def test_label_set_needs_a_class(self):
         with pytest.raises(OutOfRange):

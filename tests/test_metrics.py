@@ -50,6 +50,11 @@ class TestMacroF1:
         # class 0: P=1/2, R=1 -> F=2/3; class 1: absent from pred -> F=0
         assert macro_f1([0, 0], [0, 1], 2) == pytest.approx(1 / 3, abs=1e-12)
 
+    def test_no_class_present(self):
+        # every entry unlabeled: no class of the two occurs
+        with pytest.raises(EmptyInput, match="^no classes present in either vector$"):
+            macro_f1([-1, -1], [-1, -1], 2)
+
     def test_absent_class_skipped(self):
         # class 2 never occurs, so it must not drag the mean down
         assert macro_f1([0, 1], [0, 1], 3) == 1.0

@@ -32,6 +32,7 @@ from transduct import (
 )
 from transduct.errors import (
     ConfigError,
+    DataError,
     DimensionMismatch,
     DuplicateId,
     InvalidSpec,
@@ -42,6 +43,7 @@ from transduct import cli, pipeline
 from transduct.cli import main
 from transduct.io import (
     read_features_csv,
+    read_label_pairs,
     write_features_csv,
     write_labels_csv,
     write_predictions_csv,
@@ -115,6 +117,49 @@ class TestIngest:
         with pytest.raises(ParseError) as exc:
             read_features_csv(fpath)
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("", 1, "expected header 'id,label'"),
+        ("id\na,x\n", 1, "expected header 'id,label'"),
+        ("name,label\na,x\n", 1, "expected header 'id,label'"),
+        ("id,class\na,x\n", 1, "expected a 'label' column, got 'class'"),
+        ("id,label\n\na,x\n\nb\n", 5, "expected 'id,label'"),
+    ], ids=["empty", "one-column-header", "other-first-column", "other-label-column", "one-field-row"])
+    def test_malformed_label_file_is_a_data_error(self, tmp_path, capsys, text, line, message):
+        """A ParseError naming the line, which counts blank rows; eval
+        exits 2 with it as its one line."""
+        fpath = tmp_path / "f.csv"
+        fpath.write_text("id,f0,f1,f2\na,1,2,3\nb,3,2,1\n")
+        lpath = tmp_path / "l.csv"
+        lpath.write_text(text)
+        expected = f"{lpath}:{line}: {message}"
+        with pytest.raises(ParseError, match=f"^{re.escape(expected)}$"):
+            read_label_pairs(lpath)
+        assert main(["eval", "--features", str(fpath), "--truth", str(lpath), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"data error: {expected}\n"
+
+    def test_label_file_blank_rows_are_skipped(self, tmp_path):
+        lpath = tmp_path / "l.csv"
+        lpath.write_text("id,predicted_label\n\na,x\n\r\nb,\n\n")
+        assert read_label_pairs(lpath) == [("a", "x"), ("b", None)]
+
+    @pytest.mark.parametrize("logits, message", [
+        ("id,l0,l1,l2\na,1,0,0\nb,0,1,0\nc,0,0,1\n", "logits have 3 columns for 2 classes"),
+        ("id,l0,l1\na,1,0\nc,0,1\n", "logits file must cover every sample"),
+    ], ids=["columns", "missing-sample"])
+    def test_logits_that_do_not_fit_are_a_data_error(self, tmp_path, capsys, logits, message):
+        fpath, lpath, gpath = tmp_path / "f.csv", tmp_path / "l.csv", tmp_path / "g.csv"
+        fpath.write_text("id,f0,f1,f2\na,1,2,3\nb,3,2,1\nc,1,3,2\n")
+        lpath.write_text("id,label\na,x\nb,y\n")
+        gpath.write_text(logits)
+        fields = {"method": "gtg", "features_path": str(fpath), "labels_path": str(lpath), "logits_path": str(gpath),
+                  "anchor_fraction": 1.0, "out_dir": str(tmp_path / "out")}
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            run_pipeline(RunConfig(**fields))
+        assert main(["run", "--features", str(fpath), "--labels", str(lpath), "--logits", str(gpath),
+                     "--method", "gtg", "--anchor-fraction", "1", "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestAtomicWrite:
@@ -516,6 +561,43 @@ class TestRunPipeline:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             RunConfig(**fields)
 
+    @pytest.mark.parametrize("field, value, flags, message", [
+        *(pytest.param("anchor_fraction", value, ["--anchor-fraction", str(value)], "anchor_fraction must lie in (0, 1]",
+                       id=f"anchor-fraction-{value}") for value in (0.0, 1.5, float("nan"))),
+        pytest.param("metrics", ("bogus",), ["--metrics", "bogus"], "unknown metric 'bogus'", id="metric"),
+        # the CLI offers the modes as choices, so only the library reaches this one
+        pytest.param("negative_handling", "x", None, "unknown negative-handling mode 'x' (use clamp or shift)",
+                     id="negative-handling"),
+    ])
+    def test_a_field_out_of_range_is_a_config_error(self, tmp_path, capsys, field, value, flags, message):
+        """Raised before any file is read: the features file does not exist."""
+        missing = str(tmp_path / "missing.csv")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RunConfig(**{"method": "gtg", "features_path": missing, "anchor_fraction": 0.5, field: value})
+        if flags is not None:
+            flags = flags if field == "anchor_fraction" else ["--anchor-fraction", "0.5", *flags]
+            assert main(["run", "--features", missing, "--method", "gtg", *flags,
+                         "--out-dir", str(tmp_path / "out")]) == 1
+            assert capsys.readouterr().err == f"config error: {message}\n"
+            assert not (tmp_path / "out").exists()
+
+    def test_anchor_fraction_needs_a_labeled_row_to_pick(self, tmp_path, capsys):
+        """0.4 of 2 labeled rows picks none. A run always has a labeled row
+        to sample from (it needs two classes), so only the direct call
+        reaches the empty case."""
+        fpath, lpath = tmp_path / "f.csv", tmp_path / "l.csv"
+        fpath.write_text("id,f0,f1,f2\na,1,2,3\nb,3,2,1\nc,1,3,2\n")
+        lpath.write_text("id,label\na,x\nb,y\n")
+        message = "anchor_fraction times the labeled count must be at least 1"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            run_pipeline(RunConfig(method="gtg", features_path=str(fpath), labels_path=str(lpath),
+                                   anchor_fraction=0.4, out_dir=str(tmp_path / "out")))
+        assert main(["run", "--features", str(fpath), "--labels", str(lpath), "--method", "gtg",
+                     "--anchor-fraction", "0.4", "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        with pytest.raises(ConfigError, match="^anchor fraction mode needs labeled rows to sample from$"):
+            pipeline._stratified_anchors(np.full(3, UNLABELED), 2, 1.0, 0)
+
     def test_metrics_are_stored_as_a_tuple(self):
         cfg = RunConfig(method="gtg", features_path="f.csv", anchor_fraction=0.5, metrics=["accuracy", "nmi"])
         assert cfg.metrics == ("accuracy", "nmi")
@@ -581,6 +663,29 @@ class TestRunEval:
             return report["metrics"]["nmi"]
 
         assert nmi(str(ppath)) == nmi(str(tpath)) == nmi(None) == 1.0
+
+    def test_truth_that_labels_nothing_is_a_data_error(self, tmp_path, capsys):
+        fpath, tpath = tmp_path / "f.csv", tmp_path / "t.csv"
+        fpath.write_text("id,f0,f1,f2\na,1,2,3\nb,3,2,1\n")
+        tpath.write_text("id,label\na,\nb,\n")
+        message = f"{tpath}: no labeled rows to evaluate"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            run_eval(fpath, tpath, out_dir=str(tmp_path / "out"))
+        assert main(["eval", "--features", str(fpath), "--truth", str(tpath), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_out_dir_is_echoed_as_given(self, blob_dataset, tmp_path, monkeypatch):
+        """eval records ``out_dir`` as it was given, as run does."""
+        fpath, lpath = str(blob_dataset[0]), str(blob_dataset[1])
+        monkeypatch.chdir(tmp_path)
+        assert main(["eval", "--features", fpath, "--truth", lpath, "--metrics", "recall@1", "--out-dir", "./ev/"]) == 0
+        assert json.loads((tmp_path / "ev" / "report.json").read_text())["config"]["out_dir"] == "./ev/"
+        _, report = run_eval(fpath, lpath, metric_names=("recall@1",), out_dir="./lib/")
+        assert report["config"]["out_dir"] == "./lib/"
+        assert main(["run", "--features", fpath, "--labels", lpath, "--method", "harmonic", "--anchor-fraction", "0.1",
+                     "--out-dir", "./run/"]) == 0
+        assert json.loads((tmp_path / "run" / "report.json").read_text())["config"]["out_dir"] == "./run/"
 
     @pytest.mark.parametrize("argument, value, message", [
         ("features_path", None, "features_path must be a str or os.PathLike path, got None"),
