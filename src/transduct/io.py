@@ -78,7 +78,9 @@ def _split_lines(path, fh):
     module reads. A line is split here, its fields after the first left as
     the text after the first comma, until one holds a character of
     ``_CSV_ONLY``; the ``csv`` module reads that line and the rest of the
-    file, and gives those fields as a list."""
+    file, and gives those fields as a list. A field the module would reject
+    as longer than ``csv.field_size_limit()`` is a ParseError either way."""
+    limit = csv.field_size_limit()  # process-global, so read per file
     for before, line in enumerate(fh):
         body = line.rstrip("\r\n")
         if any(map(body.__contains__, _CSV_ONLY)):
@@ -88,6 +90,8 @@ def _split_lines(path, fh):
         if not body:
             yield None
             continue
+        if len(body) > limit and max(map(len, body.split(","))) > limit:
+            raise ParseError(path, before + 1, f"field larger than field limit ({limit})")
         first, comma, rest = body.partition(",")
         yield first, rest.count(",") + 2 if comma else 1, rest
 

@@ -227,8 +227,6 @@ def _stratified_anchors(labels: np.ndarray, num_classes: int, fraction: float, s
     """Seeded per-class sampling of labeled rows, at least one per class
     where available; returns the anchor vector (UNLABELED off the picks)."""
     labeled = np.flatnonzero(labels != UNLABELED)
-    if labeled.size == 0:
-        raise ConfigError("anchor fraction mode needs labeled rows to sample from")
     if fraction * labeled.size < 1:
         raise ConfigError("anchor_fraction times the labeled count must be at least 1")
     rng = np.random.default_rng(seed)

@@ -17,7 +17,7 @@ from collections.abc import Callable, Iterator
 import numpy as np
 
 from .core import CsrGraph, feature_data, integer, numeric_array
-from .errors import ConfigError, NonFinite, ShapeMismatch
+from .errors import ConfigError, ShapeMismatch
 
 #: How ``handle_negatives`` and ``knn_graph`` may map negative similarities.
 NEGATIVE_MODES = ("clamp", "shift")
@@ -33,33 +33,33 @@ TOP_K_SAMPLE = 1024
 
 
 def _standardize(features) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample z-scores over the d coordinates, plus the indices of
-    the zero-variance samples: those whose coordinates are all equal (or
-    whose deviations square to a variance of 0). Their z rows are exactly
-    +0.0, so both graph builders read 0 for every correlation with them.
-    A row whose centring or variance overflows float64 raises NonFinite."""
+    """Per-sample z-scores over the d coordinates, plus the indices of the
+    zero-variance samples, whose coordinates are all equal: their z rows are
+    exactly +0.0, so both graph builders read 0 for their correlations. Each
+    row is scaled by 2^-e, 2^e bounding its largest |x|: exactly, so z keeps
+    the unscaled formula's bits wherever it neither overflows nor underflows."""
     data = feature_data(features)
     n, d = data.shape
     if n < 2 or d < 2:
         raise ShapeMismatch(f"need n >= 2 and d >= 2, got {n} x {d}")
 
-    # z is the one n x d array: centred, squared in place for the variance,
-    # centred again, then scaled in place
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = data.mean(axis=1, keepdims=True)
-        z = data - mean
-        # population normalization (divide by d); the ratio is normalization
-        # invariant but fixing it keeps tests bit-stable
-        var = np.square(z, out=z).mean(axis=1)
-        np.subtract(data, mean, out=z)
-    # an overflow anywhere in a row leaves its variance inf or NaN
-    overflowed = np.flatnonzero(~np.isfinite(var))
-    if overflowed.size:
-        raise NonFinite(f"feature row {overflowed[0]} overflows float64 when centred")
-    # a constant row's rounded mean can centre it to a nonzero constant
-    flat = (np.ptp(data, axis=1) == 0) | (var == 0)
+    high, low = data.max(axis=1), data.min(axis=1)
+    flat = high == low
+    np.maximum(high, np.negative(low, out=low), out=high)
+    exponent = np.negative(np.frexp(high, out=(high, None))[1])[:, None]
+    del high, low  # the per-row buffers go before z, the one n x d array
+    # z is scaled, centred, squared in place for the variance (over d, fixed
+    # to keep tests bit-stable), scaled and centred again, then divided. Every
+    # finite row has a z: scaled rows lie in (-1, 1), so nothing overflows, and
+    # one that is not constant deviates from its mean by 2^-55 or more, var > 0.
+    z = np.ldexp(data, exponent)
+    mean = z.mean(axis=1, keepdims=True)
+    z -= mean
+    var = np.square(z, out=z).mean(axis=1)
+    np.ldexp(data, exponent, out=z)
+    z -= mean
     z /= np.sqrt(np.where(flat, 1.0, var))[:, None]
-    z[flat] = 0.0
+    z[flat] = 0.0  # a constant row's rounded mean can centre it to a nonzero constant
     return z, np.flatnonzero(flat)
 
 

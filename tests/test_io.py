@@ -96,6 +96,9 @@ READER_CASES = {
     # within one block of it
     "bad-float-before-late-bad-byte": b"id,f0,f1\na,x,1\n" + WIDE_FILLER.encode() + b"b,\xff,1\n",
     "ragged-before-late-bad-byte": b"id,f0,f1\na,1\n" + WIDE_FILLER.encode() + b"b,\xff,1\n",
+    # every line longer than csv.field_size_limit() (131,072), every field short
+    "wide-rows": "id," + ",".join(f"f{j}" for j in range(20_000)) + "\n"
+                 + "".join(f"r{i}," + ",".join(["0.1234567"] * 20_000) + "\n" for i in range(2)),
 }
 
 
@@ -174,12 +177,16 @@ OVER_CSV_LIMIT = "9" * 200_000
     (f'id,f0\n"a",1\nb,2\nc,{OVER_CSV_LIMIT}\n', 4, "field larger than field limit (131072)"),
     (f'id,f0\n"a",1\nb,x\nc,{OVER_CSV_LIMIT}\n', 3, "bad float: could not convert string to float: 'x'"),
     (f'id,f0\na,1\nb,2\n"c",3\nd,{OVER_CSV_LIMIT}\n', 5, "field larger than field limit (131072)"),
-], ids=["alone", "after-bad-float", "after-plain-rows"])
+    (f"id,f0\n{'a' * 200_000},1\n", 2, "field larger than field limit (131072)"),
+    (f"id,f0\na,{OVER_CSV_LIMIT}\n", 2, "field larger than field limit (131072)"),
+    (f"id,f0\na,x\nb,{OVER_CSV_LIMIT}\n", 2, "bad float: could not convert string to float: 'x'"),
+], ids=["alone", "after-bad-float", "after-plain-rows", "unquoted-id", "unquoted-value", "unquoted-after-bad-float"])
 def test_field_over_the_csv_limit(tmp_path, block_rows, text, line, message):
     """A field the ``csv`` module will not read (the oracle's reader
-    raises its ``csv.Error``) is a ParseError naming its line, raised
-    after any error in the rows before it. The line counts the rows read
-    before the reader handed the file to the ``csv`` module."""
+    raises its ``csv.Error``), quoted file or not, is a ParseError naming
+    its line, raised after any error in the rows before it. The line
+    counts the rows read before the reader handed the file to the ``csv``
+    module."""
     path = tmp_path / "f.csv"
     path.write_text(text)
     with mock.patch.object(io, "PARSE_BLOCK_ROWS", block_rows), pytest.raises(ParseError) as info:

@@ -583,8 +583,8 @@ class TestRunPipeline:
 
     def test_anchor_fraction_needs_a_labeled_row_to_pick(self, tmp_path, capsys):
         """0.4 of 2 labeled rows picks none. A run always has a labeled row
-        to sample from (it needs two classes), so only the direct call
-        reaches the empty case."""
+        to sample from (it needs two classes); a direct call with none
+        picks none either."""
         fpath, lpath = tmp_path / "f.csv", tmp_path / "l.csv"
         fpath.write_text("id,f0,f1,f2\na,1,2,3\nb,3,2,1\nc,1,3,2\n")
         lpath.write_text("id,label\na,x\nb,y\n")
@@ -595,7 +595,7 @@ class TestRunPipeline:
         assert main(["run", "--features", str(fpath), "--labels", str(lpath), "--method", "gtg",
                      "--anchor-fraction", "0.4", "--out-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
-        with pytest.raises(ConfigError, match="^anchor fraction mode needs labeled rows to sample from$"):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
             pipeline._stratified_anchors(np.full(3, UNLABELED), 2, 1.0, 0)
 
     def test_metrics_are_stored_as_a_tuple(self):
@@ -1047,23 +1047,28 @@ class TestCli:
             else:
                 run_eval(tmp_path / "missing.csv", tmp_path / "missing.csv", seed=value, out_dir=str(tmp_path / "out"))
 
-    @pytest.mark.parametrize("row", ["1.7e308,-1.7e308,-1.7e308", "1e200,-1e200,0"], ids=["centring", "variance"])
+    @pytest.mark.parametrize("row, exponent", [([1.7e308, -1.7e308, -1.7e308], 1024), ([1e200, -1e200, 0.0], 665)],
+                             ids=["centring", "variance"])
     @pytest.mark.parametrize("graph", [[], ["--knn", "2"]], ids=["dense", "knn"])
-    def test_exit_code_numerical_error(self, tmp_path, graph, row):
-        """A sample near the float64 range overflows its centring (the first
-        row) or its variance (the second); both graph builders reject it
-        with one line and no numpy warning."""
-        fpath = tmp_path / "f.csv"
-        fpath.write_text(f"id,f0,f1,f2\na,3,2,1\nb,{row}\nc,1,2,3.5\nd,3,2,1.2\n")
+    def test_a_row_near_the_float64_range_runs_as_its_scaled_row(self, tmp_path, graph, row, exponent):
+        """Unscaled, this sample's centring (the first row) or variance (the
+        second) would overflow. Both graph builders scale it by 2^-exponent
+        first, exactly, so the run writes the predictions of the scaled
+        file, with no numpy warning."""
         lpath = tmp_path / "l.csv"
         lpath.write_text("id,label\na,x\nb,y\nc,\nd,\n")
-        r = self.run_cli(
-            "run", "--features", str(fpath), "--labels", str(lpath),
-            "--method", "harmonic", "--anchor-fraction", "1.0", *graph,
-            "--seed", "0", "--out-dir", str(tmp_path / "out"),
-        )
-        assert r.returncode == 3, r.stderr
-        assert r.stderr.splitlines() == ["numerical error: feature row 1 overflows float64 when centred"]
+        predictions = []
+        for name, values in (("given", row), ("scaled", [v * 2.0**-exponent for v in row])):
+            fpath = tmp_path / f"{name}.csv"
+            fpath.write_text(f"id,f0,f1,f2\na,3,2,1\nb,{','.join(map(repr, values))}\nc,1,2,3.5\nd,3,2,1.2\n")
+            r = self.run_cli(
+                "run", "--features", str(fpath), "--labels", str(lpath),
+                "--method", "harmonic", "--anchor-fraction", "1.0", *graph,
+                "--seed", "0", "--out-dir", str(tmp_path / name),
+            )
+            assert (r.returncode, r.stderr) == (0, "")
+            predictions.append((tmp_path / name / "predictions.csv").read_bytes())
+        assert predictions[0] == predictions[1]
 
     @pytest.mark.parametrize("metric", ["recall@1", "nmi"])
     def test_eval_on_overflowing_features_is_a_numerical_error(self, tmp_path, metric):

@@ -31,6 +31,12 @@ def naive_pearson(data):
     return w
 
 
+#: Both graph builders, as dense arrays; with k = 5 the k-NN graph of 6
+#: samples keeps every correlation, shifted.
+BOTH_GRAPHS = [lambda data: pearson_matrix(data)[0],
+               lambda data: knn_graph(data, 5, "shift")[0].to_scipy().toarray()]
+
+
 class TestPearson:
     def test_perfect_positive(self):
         w, _ = pearson_matrix(np.array([[1.0, 2, 3], [2, 4, 6]]))
@@ -72,6 +78,31 @@ class TestPearson:
         w2, _ = pearson_matrix(a * data + b)
         np.testing.assert_allclose(w1, w2, atol=1e-9)
 
+    @pytest.mark.parametrize("scale, atol", [(2.0**-600, 0.0), (2.0**600, 0.0), (2.0**1020, 0.0),
+                                             (1e-200, 1e-15), (1e200, 1e-15)],
+                             ids=["2^-600", "2^600", "2^1020", "1e-200", "1e200"])
+    @pytest.mark.parametrize("build", BOTH_GRAPHS, ids=["dense", "knn"])
+    def test_one_sample_scaled_to_the_float64_edges(self, build, scale, atol):
+        """Pearson does not change when a sample is multiplied by a positive
+        number. A power of two keeps every bit; 1e-200 and 1e200 round the
+        products s·x themselves. Unscaled, the sample's variance would
+        underflow to 0 at 2^-600 and 1e-200, and overflow at the others."""
+        data = np.random.default_rng(6).normal(size=(6, 8))
+        scaled = data.copy()
+        scaled[0] *= scale
+        np.testing.assert_allclose(build(scaled), build(data), rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("build", BOTH_GRAPHS, ids=["dense", "knn"])
+    def test_an_all_subnormal_sample(self, build):
+        """A sample of multiples of 5e-324 = 2^-1074 correlates exactly as
+        the same sample times 2^1074 does."""
+        data = np.random.default_rng(6).normal(size=(6, 8))
+        data[0] *= 5e-324
+        assert np.all(np.abs(data[0]) < np.finfo(float).smallest_normal) and np.ptp(data[0]) > 0
+        given = build(data)
+        data[0] = np.ldexp(data[0], 1074)
+        np.testing.assert_array_equal(given, build(data))
+
     def test_rejects_thin_input(self):
         with pytest.raises(ShapeMismatch):
             pearson_matrix(np.array([[1.0, 2.0]]))
@@ -108,6 +139,22 @@ class TestPearson:
         expected[flat] = 0.0
         np.testing.assert_array_equal(z, expected)
         assert list(flagged) == [0, 150]
+
+    def test_standardize_peaks_near_one_feature_matrix(self):
+        """z is the one n x d array; the per-row buffers of the scaling
+        stay within 64 bytes a row. One row at 1.7e308 and one at 1e-200
+        make the scaling matter."""
+        n, d = 4000, 512
+        data = np.random.default_rng(12).normal(size=(n, d))
+        data[1] *= 1.7e308 / np.abs(data[1]).max()
+        data[2] *= 1e-200
+        tracemalloc.start()
+        try:
+            similarity._standardize(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8 + 64 * n
 
     def test_constant_row_with_an_inexact_mean_is_flagged(self):
         """The mean of (.1, .1, .1) rounds away from .1, so centring leaves
