@@ -3,7 +3,7 @@
 Subcommands: ``run`` executes the full propagation pipeline over CSV
 files, ``synth`` writes a seeded synthetic blob dataset, ``eval`` scores
 an embedding file. Exit codes: 0 success, 1 configuration error, 2 data
-error, 3 numerical failure.
+error, 3 numerical failure, 4 out of memory.
 
 Set TRANSDUCT_THREADS to cap the BLAS thread pools used internally (it
 must be set before the Python process imports numpy; the package applies
@@ -114,6 +114,10 @@ def main(argv=None) -> int:
     except (NumericalError, TransductError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # numpy's names the bytes it asked for, from the array's shape and dtype
+        print(f"memory error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -6,10 +6,9 @@ below, so malformed input raises a TransductError subclass, never a numpy
 exception. The dataclasses are validating containers used at module
 boundaries (file loading, pipeline plumbing), frozen with read-only
 arrays, so instances can be shared freely across threads. ``CsrGraph``
-is the sparse graph type: a k-NN graph is built and multiplied with
-numpy alone, and moves to scipy's kernel over a view of the same
-arrays, with the same bits, only once the products it has run pass
-``CSR_NUMPY_BUDGET``.
+is the sparse graph type: a k-NN graph is built with numpy alone and
+multiplied by scipy's compiled CSR kernel, loaded from its own extension
+file without the ``scipy.sparse`` package.
 """
 from __future__ import annotations
 
@@ -17,7 +16,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache
 
 import numpy as np
 
@@ -203,34 +202,44 @@ def _frozen(values, dtype, what: str) -> np.ndarray:
     return arr
 
 
-#: Multiply-adds (nnz x columns, summed over a graph's products) up to
-#: which a CsrGraph multiplies with numpy's kernel; past it, it loads
-#: scipy's. numpy's kernel costs 2.5-5.5 ns more per multiply-add than
-#: scipy's (n=3000 and 30k, k=10); at this budget that reaches the ~0.2 s
-#: of loading scipy.sparse. So what a graph's products pay beyond scipy's
-#: kernel, numpy's extra time plus the load, is at most about twice what
-#: the better fixed choice of kernel would pay for them.
-CSR_NUMPY_BUDGET = 40_000_000
+@cache
+def _csr_matvecs():
+    """scipy's compiled CSR product, loaded from the one extension file
+    ``scipy/sparse/_sparsetools*.so``: 0.3 ms and 0.1 MiB, not the 0.13 s
+    and 22 MiB of ``scipy.sparse``'s package init. Its name leaves
+    ``sys.modules``, so a later ``import scipy.sparse`` binds its own
+    copy, with the same functions."""
+    import importlib.util
+    import os
+    import sys
+    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+
+    name = "scipy.sparse._sparsetools"
+    module = sys.modules.get(name)  # once scipy.sparse has loaded it
+    if module is None:
+        scipy = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        spec = FileFinder(os.path.join(scipy, "sparse"), (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+        if spec is None:
+            from scipy.sparse import _sparsetools as module
+        else:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules.pop(name, None)
+    return module.csr_matvecs
 
 
 @dataclass(frozen=True, eq=False)
 class CsrGraph:
-    """An n x n graph in compressed sparse row form, built and multiplied
-    with numpy alone, so a ``--knn`` run need not load scipy.
+    """An n x n graph in compressed sparse row form, built with numpy
+    alone and multiplied by scipy's compiled kernel, so a ``--knn`` run
+    loads no scipy package.
 
     Row i stores the columns ``indices[indptr[i]:indptr[i + 1]]`` with the
     weights ``data[indptr[i]:indptr[i + 1]]``, in the order given: a
-    product sums each row in that order, exactly as scipy's CSR kernel
-    does, so ``graph @ x`` has the bits of ``graph.to_scipy() @ x``. The
-    arrays are read-only, int64 indices and float64 weights; a column
-    may repeat within a row (the repeats add up). ``check_graph`` checks
-    the weights.
-
-    ``graph @ x`` runs on numpy's kernel until the multiply-adds of these
-    products pass ``CSR_NUMPY_BUDGET``; from the one that passes it on,
-    on scipy's compiled kernel over the graph's zero-copy view, which
-    loads ``scipy.sparse``. Both kernels give the same bits, so only the
-    time a product takes depends on the products run before it.
+    product sums each row in that order, so ``graph @ x`` has the bits of
+    ``graph.to_scipy() @ x``. The arrays are read-only, int64 indices and
+    float64 weights; a column may repeat within a row (the repeats add
+    up). ``check_graph`` checks the weights.
     """
 
     indptr: np.ndarray
@@ -255,16 +264,6 @@ class CsrGraph:
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "data", data)
-        # the multiply-adds run so far, and the scipy view once they pass
-        # the budget; a race between threads only moves the switch
-        object.__setattr__(self, "_work", 0)
-        object.__setattr__(self, "_view", None)
-
-    @cached_property
-    def _rows(self) -> np.ndarray:
-        """Each stored entry's row: the bins of the products' bincount,
-        built on the first numpy product (8 bytes per stored entry)."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -277,24 +276,16 @@ class CsrGraph:
 
     def __matmul__(self, x) -> np.ndarray:
         """W x for a vector of n entries, run as one column, or W X,
-        C-ordered, for an n x m matrix. Each output entry is one
-        ``np.bincount`` sum over the row's stored entries in stored order,
-        from 0: the sequence of additions scipy's ``csr_matvec(s)`` makes."""
+        C-ordered, for an n x m matrix: the call to ``csr_matvecs`` that
+        scipy's ``csr_array @ x`` makes, which sums each row's stored
+        entries in stored order, from 0."""
         x = numeric_array(x, None, "graph operand")
         n = self.shape[0]
         if x.shape[:1] != (n,) or x.ndim > 2:
             raise ShapeMismatch(f"cannot multiply an {n} x {n} graph by shape {x.shape}")
         m = 1 if x.ndim == 1 else x.shape[1]
-        if self._view is None:
-            object.__setattr__(self, "_work", self._work + self.nnz * m)
-            if self._work > CSR_NUMPY_BUDGET:
-                object.__setattr__(self, "_view", self.to_scipy())
-        if self._view is not None:
-            return self._view @ x
-        columns = np.ascontiguousarray((x[:, None] if x.ndim == 1 else x).T)
-        out = np.empty((n, m))
-        for c, column in enumerate(columns):
-            out[:, c] = np.bincount(self._rows, self.data * column[self.indices], minlength=n)
+        out = np.zeros((n, m))
+        _csr_matvecs()(n, n, m, self.indptr, self.indices, self.data, np.ascontiguousarray(x).ravel(), out.ravel())
         return out.reshape(x.shape)
 
     def row_sums(self) -> np.ndarray:
@@ -382,7 +373,7 @@ def graph_product(w, x) -> np.ndarray:
     the last bits. From n=600 (above the rule) they give the same bits,
     and it took 0.58-0.78x the time at m=3 and 0.70-1.07x at m=4 (n=4000,
     m=4, 2 threads: 12.9 ms against 9.7 ms). So a product up to the rule
-    and a CSR graph, numpy's kernel or scipy's, keep ``w @ x``.
+    and a CSR graph keep ``w @ x``.
     """
     if isinstance(w, np.ndarray) and w.size * x.shape[1] > DENSE_PRODUCT_FLIP:
         return np.ascontiguousarray((x.T @ w.T).T)

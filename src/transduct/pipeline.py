@@ -293,14 +293,15 @@ def _score(names, allowed, data, truth, pred, num_classes, skipped, seed=0, assi
     rows = np.flatnonzero(truth != UNLABELED)
     scored = rows[pred[rows] != UNLABELED]
     ks = sorted({k for _, kind, k in parsed if kind == "recall"})
-    recall = metrics_mod.recall_at_k(data[rows], truth[rows], ks) if ks else {}
+    subset = data if rows.size == len(data) else data[rows]  # no n x d copy when every row is a truth row
+    recall = metrics_mod.recall_at_k(subset, truth[rows], ks) if ks else {}
     notes: list[str] = []
     values: dict[str, float] = {}
     for name, kind, k in parsed:
         if kind == "recall":
             values[name] = recall[k]
         elif kind == "nmi" and assignment is None:
-            clusters = kmeans(data[rows], np.unique(truth[rows]).size, seed)
+            clusters = kmeans(subset, np.unique(truth[rows]).size, seed)
             values[name] = metrics_mod.nmi(clusters, truth[rows])
         elif scored.size == 0:
             notes.append(f"metric {name} skipped: {skipped}")

@@ -72,6 +72,23 @@ def harmonic_full_system(w, labels) -> np.ndarray:
     return np.linalg.solve(system, rhs)
 
 
+def csr_product(indptr, indices, data, x) -> np.ndarray:
+    """W x from the three CSR arrays: for each row and column of ``x``,
+    one Python float sum of ``data[jj] * x[indices[jj]]`` over the row's
+    stored entries, in stored order, from 0.0. Oracle for
+    ``CsrGraph.__matmul__``; a 1-d ``x`` gives a 1-d result."""
+    x = np.asarray(x, dtype=np.float64)
+    columns = x[:, None] if x.ndim == 1 else x
+    out = np.empty((len(indptr) - 1, columns.shape[1]))
+    for i in range(len(indptr) - 1):
+        for c in range(columns.shape[1]):
+            total = 0.0
+            for jj in range(indptr[i], indptr[i + 1]):
+                total += float(data[jj]) * float(columns[indices[jj], c])
+            out[i, c] = total
+    return out.reshape((len(indptr) - 1, *x.shape[1:]))
+
+
 def read_features_csv(path) -> FeatureSet:
     """``csv.reader`` plus one ``float()`` per value; oracle for
     ``io.read_features_csv``, down to which error a bad file raises."""

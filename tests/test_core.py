@@ -1,5 +1,7 @@
+import contextlib
 import sys
 import threading
+from importlib.machinery import FileFinder
 from unittest import mock
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+import oracles
 from transduct import (
     FeatureSet,
     LabelSet,
@@ -163,38 +166,27 @@ class TestGraphProduct:
         np.testing.assert_array_equal(x, x_before)
 
 
-def random_csr(rng, n, symmetric=False):
+def random_csr(rng, n):
     """The three CSR arrays of a random n x n graph with weights >= 0:
-    empty rows, stored zeros, and, unless ``symmetric``, asymmetric
-    entries and each row's columns shuffled, some repeated. A symmetric
-    one stores each row in column order, and some stored zeros without
-    their mirror."""
+    empty rows, stored zeros, asymmetric entries, and each row's columns
+    shuffled, some repeated."""
     w = rng.uniform(0, 1, size=(n, n)) * 10.0 ** rng.uniform(-3, 3, size=(n, n))
     stored = rng.uniform(size=(n, n)) < rng.uniform(0.02, 0.3)
-    zero = rng.uniform(size=(n, n)) < 0.1
-    if symmetric:
-        w, stored, zero = np.triu(w) + np.triu(w, 1).T, stored | stored.T, zero | zero.T
-    w[zero] = 0.0
-    empty = rng.uniform(size=n) < 0.2
-    stored[empty] = False
-    if symmetric:
-        stored[:, empty] = False
-        # a stored zero's mirror may be left out: the matrix stays symmetric
-        stored &= ~(zero & (rng.uniform(size=(n, n)) < 0.5))
+    w[rng.uniform(size=(n, n)) < 0.1] = 0.0
+    stored[rng.uniform(size=n) < 0.2] = False
     rows, cols = np.nonzero(stored)
-    if not symmetric:
-        order = np.lexsort((rng.uniform(size=rows.size), rows))
-        repeat = rng.uniform(size=rows.size) < 0.1
-        rows, cols = np.r_[rows[order], rows[repeat]], np.r_[cols[order], cols[repeat]]
-        order = np.argsort(rows, kind="stable")
-        rows, cols = rows[order], cols[order]
+    order = np.lexsort((rng.uniform(size=rows.size), rows))
+    repeat = rng.uniform(size=rows.size) < 0.1
+    rows, cols = np.r_[rows[order], rows[repeat]], np.r_[cols[order], cols[repeat]]
+    order = np.argsort(rows, kind="stable")
+    rows, cols = rows[order], cols[order]
     indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))]
     return indptr, cols, w[rows, cols]
 
 
 class TestCsrGraph:
-    """The numpy kernels of ``core.CsrGraph`` against scipy's on the same
-    arrays, bit for bit."""
+    """``core.CsrGraph``'s products and row sums against scipy's on the
+    same arrays and against a stored-order oracle, bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 60, 300])
     @pytest.mark.parametrize("seed", range(4))
@@ -214,50 +206,41 @@ class TestCsrGraph:
         np.testing.assert_array_equal(graph.row_sums(), reference.sum(axis=1))
         assert graph.nnz == reference.nnz and graph.shape == reference.shape
 
+    @pytest.mark.parametrize("n", [1, 7, 60])
     @pytest.mark.parametrize("seed", range(4))
-    def test_propagators_give_the_same_bits_on_either_kernel(self, seed):
-        """A budget of 0 runs every product on scipy's kernel, a huge one
-        on numpy's, and one of a few products moves each propagator's
-        fresh graph to scipy's part way through its loop; a graph makes
-        its scipy view at most once."""
-        rng = np.random.default_rng([seed, 2])
-        n, m = 80, 3
-        arrays = random_csr(rng, n, symmetric=True)
-        labels = LabelSet(m, np.where(rng.uniform(size=n) < 0.2, rng.integers(0, m, size=n), -1))
-        x0 = inject_anchors(np.full((n, m), 1.0 / m), labels)
-        runs = {
-            "run_dynamics": lambda: run_dynamics(CsrGraph(*arrays), x0, max_iterations=50, tolerance=0.0),
-            "label_spreading": lambda: label_spreading(CsrGraph(*arrays), labels, max_iterations=200),
-            "label_propagation": lambda: label_propagation(CsrGraph(*arrays), labels, max_iterations=200),
-            "harmonic_function": lambda: harmonic_function(CsrGraph(*arrays), labels),
-        }
-        few = 5 * arrays[2].size * m
-        outputs = {}
-        for budget, views_made in ((0, len(runs)), (few, len(runs)), (10**18, 0)):
-            to_scipy = mock.patch.object(CsrGraph, "to_scipy", autospec=True, side_effect=CsrGraph.to_scipy)
-            with mock.patch.object(core, "CSR_NUMPY_BUDGET", budget), to_scipy as views:
-                outputs[budget] = {name: run() for name, run in runs.items()}
-            assert views.call_count == views_made, budget
-        for budget in (0, few):
-            for name in runs:
-                np.testing.assert_equal(outputs[10**18][name], outputs[budget][name], err_msg=(name, budget))
+    def test_products_match_the_stored_order_oracle(self, n, seed):
+        """Bit for bit, on operands of every layout and on magnitudes
+        near both ends of float64's range."""
+        rng = np.random.default_rng([n, seed, 5])
+        arrays = random_csr(rng, n)
+        graph = CsrGraph(*arrays)
+        wide = rng.normal(size=(n, 6))
+        operands = [rng.normal(size=n), *(rng.normal(size=(n, m)) for m in range(1, 6)),
+                    np.asfortranarray(wide), wide[:, 1], wide[:, ::2],
+                    wide * 10.0 ** rng.choice([-300, 300], size=(n, 6))]
+        for x in operands:
+            out = graph @ x
+            assert out.flags.c_contiguous and out.shape == x.shape
+            np.testing.assert_array_equal(out, oracles.csr_product(*arrays, x))
 
-    def test_products_move_to_scipy_once_they_pass_the_budget(self):
-        """Products of 2 columns with a budget of 3 such products: the
-        fourth, a 2-column one, passes it and makes the scipy view, which
-        every later ``graph @ x`` runs on."""
-        rng = np.random.default_rng(3)
-        arrays = random_csr(rng, 40)
-        graph, reference = CsrGraph(*arrays), sparse.csr_array(arrays[::-1], shape=(40, 40))
-        x = rng.normal(size=(40, 2))
-        to_scipy = mock.patch.object(CsrGraph, "to_scipy", autospec=True, side_effect=CsrGraph.to_scipy)
-        with mock.patch.object(core, "CSR_NUMPY_BUDGET", 3 * graph.nnz * 2), to_scipy as views:
-            made = []
-            for product in [lambda: graph @ x] * 4 + [lambda: graph @ x[:, 1]]:
-                product()
-                made.append(views.call_count)
-            assert made == [0] * 3 + [1, 1]
-            np.testing.assert_array_equal(graph @ x, reference @ x)
+    @pytest.mark.parametrize("found", [True, False], ids=["own file", "scipy.sparse"])
+    def test_either_load_gives_the_same_bits(self, found):
+        """The kernel loaded from its own file, and the one ``scipy.sparse``
+        imports where that file is not found, are one function."""
+        rng = np.random.default_rng(6)
+        arrays = random_csr(rng, 50)
+        graph, x = CsrGraph(*arrays), rng.normal(size=(50, 3))
+        name = "scipy.sparse._sparsetools"
+        finder = contextlib.nullcontext() if found else mock.patch.object(FileFinder, "find_spec", return_value=None)
+        try:
+            with mock.patch.dict(sys.modules), finder:
+                sys.modules.pop(name)
+                core._csr_matvecs.cache_clear()
+                np.testing.assert_array_equal(graph @ x, oracles.csr_product(*arrays, x))
+                assert core._csr_matvecs() is sparse._sparsetools.csr_matvecs
+                assert name not in sys.modules
+        finally:
+            core._csr_matvecs.cache_clear()
 
     @pytest.mark.parametrize("arrays, error", [
         (([], [], []), DataError),
@@ -274,8 +257,8 @@ class TestCsrGraph:
             CsrGraph(*arrays)
 
     def test_products_from_many_threads_keep_their_bits(self):
-        """Threads sharing one graph race on its count of multiply-adds and
-        may each make the scipy view; every product keeps the bits."""
+        """Threads sharing one graph race on the first load of the kernel;
+        every product keeps the bits."""
         rng = np.random.default_rng(4)
         arrays = random_csr(rng, 120)
         graph, reference = CsrGraph(*arrays), sparse.csr_array(arrays[::-1], shape=(120, 120))
@@ -290,7 +273,9 @@ class TestCsrGraph:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with mock.patch.object(core, "CSR_NUMPY_BUDGET", 50 * graph.nnz * 3):
+            with mock.patch.dict(sys.modules):
+                sys.modules.pop("scipy.sparse._sparsetools")
+                core._csr_matvecs.cache_clear()
                 threads = [threading.Thread(target=work, args=(x,)) for x in xs]
                 for thread in threads:
                     thread.start()
@@ -300,7 +285,6 @@ class TestCsrGraph:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
-        assert graph._view is not None
 
 
 def counting(move):

@@ -1,15 +1,15 @@
 """What the package imports, and what it exports.
 
-scipy loads only for a long loop over a k-NN graph or a sparse solve.
-Importing scipy.sparse costs 0.20-0.23 s and 20 MiB (scipy 1.17.1 on a
-2-core x86-64 host, after importing ``transduct.cli``), more than the
-rest of the package's import. A dense run of any method and ``eval`` never touch a sparse
-graph, and a ``--knn`` run builds and multiplies its ``core.CsrGraph``
-with numpy until the products run on it pass ``core.CSR_NUMPY_BUDGET``,
-so none of them may load it; a module level ``from scipy ...`` anywhere
-in the package fails these tests. Its linalg submodule adds 0.08-0.09 s
-and 10 MiB more; only the direct fallback of the harmonic solve loads
-it, so a ``--knn`` run does not, even on scipy's kernel.
+scipy's packages load only for a sparse solve. Importing scipy.sparse
+costs 0.13 s and 22 MiB (scipy 1.17.1 on a 2-core x86-64 host, after
+importing ``transduct.cli``), more than the rest of the package's
+import. A dense run of any method and ``eval`` never touch a sparse
+graph, and a ``--knn`` run multiplies its ``core.CsrGraph`` with scipy's
+compiled kernel, which ``core._csr_matvecs`` loads from its one extension
+file without running any scipy package's init; so none of them may load
+a scipy module, and a module level ``from scipy ...`` anywhere in the
+package fails these tests. Only the direct fallback of the harmonic
+solve loads ``scipy.sparse`` and its linalg submodule.
 
 Every name in ``transduct.__all__`` is used by the package or a script,
 so no public function exists only for the tests to call.
@@ -24,21 +24,15 @@ from pathlib import Path
 import pytest
 
 import transduct
-from transduct.core import CSR_NUMPY_BUDGET
-from transduct.io import read_features_csv
 from transduct.pipeline import METHODS
-from transduct.similarity import knn_graph
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+ENV = dict(os.environ, PYTHONPATH=str(SRC), TRANSDUCT_THREADS="1")
 
 PROBE = """
 import json, sys
-from transduct import core
 from transduct.cli import main
-budget = json.loads(sys.argv[2])
-if budget is not None:
-    core.CSR_NUMPY_BUDGET = budget
 for argv in json.loads(sys.argv[1]):
     if main(argv) != 0:
         sys.exit(f"transduct {' '.join(argv)} failed")
@@ -46,14 +40,12 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 """
 
 
-def scipy_modules_after(*commands, budget=None) -> list[str]:
+def scipy_modules_after(*commands) -> list[str]:
     """The scipy modules loaded in a fresh interpreter after importing
-    ``transduct.cli`` and running each CLI command in turn, with
-    ``core.CSR_NUMPY_BUDGET`` set to ``budget`` unless it is None."""
-    env = dict(os.environ, PYTHONPATH=str(SRC), TRANSDUCT_THREADS="1")
+    ``transduct.cli`` and running each CLI command in turn."""
     result = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(commands), json.dumps(budget)],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-c", PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=ENV, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.splitlines()[-1])
@@ -91,34 +83,43 @@ def test_dense_run_and_eval_load_no_scipy(data, tmp_path):
     assert scipy_modules_after(*runs, eval_args) == []
 
 
-def test_knn_runs_below_the_budget_load_no_scipy(data, tmp_path):
+def test_knn_runs_load_no_scipy(data, tmp_path):
+    """Every method with ``--knn``, and label_propagation's 1000 steps
+    (``--tol 0`` runs all of them) on a 1000-sample k=10 graph, run on
+    the compiled kernel without loading a scipy module."""
+    large = synth(tmp_path / "large", 4, 250)
     runs = [run_args(data, tmp_path / method, "--knn", "5", method=method) for method in METHODS]
-    assert scipy_modules_after(*runs) == []
+    long = run_args(large, tmp_path / "long", "--knn", "10", "--tol", "0", method="label_propagation")
+    assert scipy_modules_after(*runs, long) == []
+    assert json.loads((tmp_path / "long" / "report.json").read_text())["iterations_used"] == 1000
 
 
-def test_knn_run_over_the_budget_loads_scipy_sparse(tmp_path):
-    """label_propagation's 1000 steps (``--tol 0`` runs all of them) on a
-    1000-sample k=10 graph pass the budget: the rest of its loop runs on
-    scipy's kernel, which needs no linalg. gtg's and harmonic's loops on
-    the same graph stay under it."""
-    data = synth(tmp_path / "data", 4, 250)
-    graph = knn_graph(read_features_csv(data / "features.csv"), 10)[0]
-    loaded = scipy_modules_after(
-        run_args(data, tmp_path / "run", "--knn", "10", "--tol", "0", method="label_propagation"))
-    steps = json.loads((tmp_path / "run" / "report.json").read_text())["iterations_used"]
-    assert steps * graph.nnz * 4 > CSR_NUMPY_BUDGET
-    assert "scipy.sparse" in loaded
-    assert "scipy.sparse.linalg" not in loaded
-    short = [run_args(data, tmp_path / method, "--knn", "10", method=method) for method in ("gtg", "harmonic")]
-    assert scipy_modules_after(*short) == []
+KERNEL_PROBE = """
+import sys
+import numpy as np
+from transduct.core import CsrGraph, _csr_matvecs
+rng = np.random.default_rng(0)
+rows = np.sort(rng.integers(0, 40, size=300))
+graph = CsrGraph(np.r_[0, np.cumsum(np.bincount(rows, minlength=40))], rng.integers(0, 40, size=300),
+                 rng.uniform(size=300))
+x = rng.normal(size=(40, 3))
+first = graph @ x
+assert "scipy.sparse._sparsetools" not in sys.modules
+from scipy import sparse
+assert sys.modules["scipy.sparse._sparsetools"] is sparse._sparsetools
+assert sparse._sparsetools.csr_matvecs is _csr_matvecs()
+assert (graph.to_scipy() @ x).tobytes() == first.tobytes() == (graph @ x).tobytes()
+"""
 
 
-def test_knn_harmonic_run_loads_no_sparse_linalg(data, tmp_path):
-    """The conjugate-gradient solve needs only the CSR product, on
-    scipy's kernel too (a budget of 0 sends every loop there)."""
-    loaded = scipy_modules_after(run_args(data, tmp_path / "run", "--knn", "5", method="harmonic"), budget=0)
-    assert "scipy.sparse" in loaded
-    assert "scipy.sparse.linalg" not in loaded
+def test_scipy_sparse_loaded_after_a_product_binds_its_own_kernel_module():
+    """The kernel load leaves no trace in ``sys.modules``: a later
+    ``from scipy import sparse`` binds its own ``_sparsetools``, which
+    holds the same function, and ``to_scipy() @ x`` has the bits of
+    ``graph @ x``."""
+    result = subprocess.run([sys.executable, "-c", KERNEL_PROBE], capture_output=True, text=True, env=ENV,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def referenced_names() -> set[str]:

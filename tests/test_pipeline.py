@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -51,6 +52,11 @@ from transduct.io import (
 )
 from transduct.pipeline import PEARSON_2D_NOTE
 from transduct.similarity import sparsify_knn
+
+try:
+    from numpy._core._exceptions import _ArrayMemoryError
+except ImportError:  # numpy < 2
+    from numpy.core._exceptions import _ArrayMemoryError
 
 
 @pytest.fixture
@@ -647,6 +653,23 @@ class TestRunEval:
         assert report["metrics"]["recall@1"] >= 0.98
         assert report["metrics"]["nmi"] >= 0.9
 
+    def test_eval_scores_the_parsed_matrix_when_every_row_is_a_truth_row(self, blob_dataset, tmp_path):
+        """recall@K and k-means get the feature matrix itself, not a
+        fancy-index copy of all n rows."""
+        fpath, lpath, *_ = blob_dataset
+        parsed = []
+
+        def reader(path):
+            parsed.append(read_features_csv(path))
+            return parsed[-1]
+
+        with mock.patch.object(pipeline, "read_features_csv", reader), \
+                mock.patch.object(pipeline.metrics_mod, "recall_at_k", wraps=pipeline.metrics_mod.recall_at_k) as recall, \
+                mock.patch.object(pipeline, "kmeans", wraps=pipeline.kmeans) as kmeans:
+            run_eval(fpath, lpath, metric_names=("recall@1", "nmi"), out_dir=str(tmp_path / "ev"))
+        assert recall.call_args.args[0] is parsed[0].data
+        assert kmeans.call_args.args[0] is parsed[0].data
+
     def test_nmi_ignores_classes_only_in_labels(self, tmp_path):
         """nmi clusters into one group per truth class; a predictions file
         that adds a class must not change it."""
@@ -723,6 +746,23 @@ class TestCli:
             capture_output=True,
             text=True,
         )
+
+    @pytest.mark.parametrize("stage", ["read_features_csv", "knn_graph", "label_propagation", "kmeans",
+                                       "write_predictions_csv"])
+    @pytest.mark.parametrize("refused", [(20000, 256), None], ids=["numpy array", "bare"])
+    def test_running_out_of_memory_is_exit_4(self, blob_dataset, tmp_path, capsys, stage, refused):
+        """One stderr line that names the bytes numpy asked for, when its
+        error carries them; ``eval`` is the command that runs k-means."""
+        fpath, lpath, *_ = blob_dataset
+        error = MemoryError() if refused is None else _ArrayMemoryError(refused, np.dtype(np.float64))
+        argv = (["eval", "--features", str(fpath), "--truth", str(lpath), "--metrics", "nmi"] if stage == "kmeans" else
+                ["run", "--features", str(fpath), "--labels", str(lpath), "--method", "label_propagation",
+                 "--knn", "5", "--anchor-fraction", "0.2"])
+        with mock.patch.object(pipeline, stage, side_effect=error):
+            assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 4
+        asked = ("out of memory" if refused is None else
+                 "Unable to allocate 39.1 MiB for an array with shape (20000, 256) and data type float64")
+        assert capsys.readouterr().err == f"memory error: {asked}\n"
 
     def test_synth_run_eval_round_trip(self, tmp_path):
         data = tmp_path / "data"

@@ -8,13 +8,12 @@ target lists.
 """
 import sys
 from pathlib import Path
-from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from tracer import CLI_TARGETS, IN_PROCESS_TARGETS, Tracer  # noqa: E402
 
-from transduct import BlobSpec, CsrGraph, RunConfig, core, knn_graph, make_synthetic, pipeline  # noqa: E402
+from transduct import BlobSpec, CsrGraph, RunConfig, knn_graph, make_synthetic, pipeline  # noqa: E402
 from transduct.io import write_features_csv, write_labels_csv  # noqa: E402
 
 IO_SPANS = {"io.read_features_csv", "io.read_label_pairs", "io.write_predictions_csv", "io.write_report_json"}
@@ -120,8 +119,7 @@ def test_every_method_fires_its_counter_hooks(tmp_path):
 
 def test_knn_runs_count_the_csr_graph(tmp_path):
     """--knn label_propagation and harmonic runs hand their propagator a
-    ``core.CsrGraph``, on numpy's kernel and (budget 0) on scipy's; the
-    counter hooks read its nnz."""
+    ``core.CsrGraph``; the counter hooks read its nnz."""
     features, labels = make_synthetic(BlobSpec(blobs=2, per_blob=10, dim=8), seed=0)
     fpath, lpath = tmp_path / "f.csv", tmp_path / "l.csv"
     write_features_csv(fpath, features)
@@ -131,23 +129,21 @@ def test_knn_runs_count_the_csr_graph(tmp_path):
     tracer = Tracer(IN_PROCESS_TARGETS)
     try:
         tracer.install()
-        for budget in (core.CSR_NUMPY_BUDGET, 0):
-            for method, span in (("label_propagation", "baselines.label_propagation"),
-                                 ("harmonic", "baselines.harmonic_function")):
-                with mock.patch.object(core, "CSR_NUMPY_BUDGET", budget):
-                    pipeline.run_pipeline(
-                        RunConfig(
-                            method=method,
-                            features_path=str(fpath),
-                            labels_path=str(lpath),
-                            anchor_fraction=0.2,
-                            knn=5,
-                            out_dir=str(tmp_path / f"{method}-{budget}"),
-                        )
-                    )
-                spans, counts = tracer.take()
-                assert span in {s[0] for s in spans}, (method, budget)
-                assert counts["similarity.graph_nnz"] == graph.nnz, (method, budget)
-                assert counts["similarity.dense_bytes"] == 0, (method, budget)
+        for method, span in (("label_propagation", "baselines.label_propagation"),
+                             ("harmonic", "baselines.harmonic_function")):
+            pipeline.run_pipeline(
+                RunConfig(
+                    method=method,
+                    features_path=str(fpath),
+                    labels_path=str(lpath),
+                    anchor_fraction=0.2,
+                    knn=5,
+                    out_dir=str(tmp_path / method),
+                )
+            )
+            spans, counts = tracer.take()
+            assert span in {s[0] for s in spans}, method
+            assert counts["similarity.graph_nnz"] == graph.nnz, method
+            assert counts["similarity.dense_bytes"] == 0, method
     finally:
         tracer.uninstall()
