@@ -115,7 +115,7 @@ def main(argv=None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
-        # numpy's names the bytes it asked for, from the array's shape and dtype
+        # numpy's error names the bytes it asked for, from the array's shape and dtype
         print(f"memory error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
 
