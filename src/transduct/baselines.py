@@ -248,16 +248,32 @@ def label_propagation(
 KMEANS_RESTARTS = 10
 
 
-def _wcss(points, assign, centroids) -> float:
-    return float(np.sum((points - centroids[assign]) ** 2))
+def _distances(points, centre, buffer) -> np.ndarray:
+    """Each row's squared distance to ``centre``: the difference, squared
+    in ``buffer`` (of the points' shape), then summed row by row. These
+    are the exact distances; a row's value depends only on its own data,
+    so a subset of the rows gets the bits the whole set does."""
+    np.subtract(points, centre, out=buffer)
+    np.square(buffer, out=buffer)
+    return np.sum(buffer, axis=1)
 
 
-def _kmeans_pp_init(points, k, rng) -> np.ndarray:
+def _residuals(points, assign, centroids, buffer) -> np.ndarray:
+    """``buffer`` filled with each point's squared difference from its
+    centroid. ``np.take`` buffers its output in its default ``raise``
+    mode; the indices are in range, so ``wrap`` writes straight into
+    ``buffer``."""
+    np.take(centroids, assign, axis=0, mode="wrap", out=buffer)
+    np.subtract(points, buffer, out=buffer)
+    return np.square(buffer, out=buffer)
+
+
+def _kmeans_pp_init(points, k, rng, buffer) -> np.ndarray:
     """k-means++ seeding: new centers drawn proportional to squared
     distance from the chosen set."""
     n = points.shape[0]
     centers = [int(rng.integers(n))]
-    d2 = np.sum((points - points[centers[0]]) ** 2, axis=1)
+    d2 = _distances(points, points[centers[0]], buffer)
     for _ in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -266,43 +282,84 @@ def _kmeans_pp_init(points, k, rng) -> np.ndarray:
             centers.append(int(candidates[0]))
         else:
             centers.append(int(rng.choice(n, p=d2 / total)))
-        d2 = np.minimum(d2, np.sum((points - points[centers[-1]]) ** 2, axis=1))
+        d2 = np.minimum(d2, _distances(points, points[centers[-1]], buffer))
     return points[centers].copy()
 
 
-def lloyd(points, centroids, max_iterations: int = 300) -> tuple[np.ndarray, np.ndarray, float]:
+def _nearest(points, norms, centroids, d2, buffer) -> np.ndarray:
+    """Each point's nearest centroid by ``_distances``, the lowest index on
+    ties.
+
+    ``d2`` (k x n) is filled with |p|^2 - 2 p.c + |c|^2, one product per
+    centroid; ``norms`` are the |p|^2. With u = 2^-53, that form and
+    ``_distances`` each lie within (d + 2) u (|p| + |c|)^2 of the true
+    distance, plus d 2^-1075 for each of |p|^2, p.c, |c|^2 and the
+    squared differences where products are subnormal (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2002, ch. 3); the share of
+    |p|^2 is common to a point's k values. So two values further apart
+    than 4 (d + 8) (2u (|p| + max|c|)^2 + 2^-1074), which covers both
+    bounds for both values, rank as ``_distances`` ranks them. Only the
+    points whose best two values are closer, gathered into ``buffer``,
+    get their exact distances.
+    """
+    d = points.shape[1]
+    for c, centre in enumerate(centroids):
+        np.matmul(points, centre, out=d2[c])
+        d2[c] *= -2.0
+        d2[c] += norms
+        d2[c] += centre @ centre
+    assign = np.argmin(d2, axis=0)
+    reach = np.linalg.norm(centroids, axis=1).max()
+    float64 = np.finfo(np.float64)
+    slack = 4 * (d + 8) * (float64.eps * (np.sqrt(norms) + reach) ** 2 + float64.smallest_subnormal)
+    near = np.flatnonzero(np.count_nonzero(d2 <= d2.min(axis=0) + slack, axis=0) > 1)
+    if near.size:
+        rows = buffer[:near.size]
+        exact = np.empty((centroids.shape[0], near.size))
+        for c, centre in enumerate(centroids):
+            np.take(points, near, axis=0, mode="wrap", out=rows)
+            exact[c] = _distances(rows, centre, rows)
+        assign[near] = np.argmin(exact, axis=0)
+    return assign
+
+
+def lloyd(points, centroids, max_iterations: int = 300, *, buffer=None) -> tuple[np.ndarray, np.ndarray, float]:
     """Lloyd iterations from given centroids.
 
     Returns (assignment, centroids, WCSS of the two). Empty clusters are
     repaired by re-seeding at the point farthest from its current
-    centroid. Squared distances are filled into one n x k array a
-    centroid at a time, so the only n x d temporary is one difference.
+    centroid. Each point goes to its nearest centroid by the exact
+    subtract, square and row sum (``_distances``), found by one product
+    per centroid and rechecked exactly only where two centroids come
+    close (``_nearest``). The rechecked rows, the repair's residuals and
+    the WCSS's are written into ``buffer``, a float64 array of the
+    points' shape (allocated if None), so the only other n x d temporary
+    is the member rows of the cluster whose mean is being taken. Values
+    so large that a distance could overflow raise NonFinite
+    (``core.squared_norms``).
     """
     points = np.asarray(points, dtype=np.float64)
     centroids = np.array(centroids, dtype=np.float64)
-    k = centroids.shape[0]
-    diff = np.empty_like(points)
-    d2 = np.empty((points.shape[0], k))
+    norms = squared_norms(points)
+    if buffer is None:
+        buffer = np.empty_like(points)
+    d2 = np.empty((centroids.shape[0], points.shape[0]))
     assign = None
     for _ in range(max_iterations):
-        for c in range(k):
-            np.subtract(points, centroids[c], out=diff)
-            np.square(diff, out=diff)
-            np.sum(diff, axis=1, out=d2[:, c])
-        new_assign = np.argmin(d2, axis=1)
-        for c in range(k):
+        new_assign = _nearest(points, norms, centroids, d2, buffer)
+        for c in range(centroids.shape[0]):
             members = new_assign == c
             if members.any():
                 centroids[c] = points[members].mean(axis=0)
             else:
-                residual = np.sum((points - centroids[new_assign]) ** 2, axis=1)
+                residual = np.sum(_residuals(points, new_assign, centroids, buffer), axis=1)
                 far = int(np.argmax(residual))
                 centroids[c] = points[far]
                 new_assign[far] = c
         if assign is not None and np.array_equal(assign, new_assign):
             break
         assign = new_assign
-    return assign, centroids, _wcss(points, assign, centroids)
+    return assign, centroids, float(np.sum(_residuals(points, assign, centroids, buffer)))
 
 
 def kmeans(features, k: int, seed: int = 0) -> np.ndarray:
@@ -312,17 +369,19 @@ def kmeans(features, k: int, seed: int = 0) -> np.ndarray:
     from (seed, r), and a restart replaces the best one so far only if
     its WCSS is lower by more than an absolute 1e-12, so the earlier of
     two restarts that close wins. Values so large that a distance could
-    overflow raise NonFinite (``core.squared_norms``).
+    overflow raise NonFinite (``core.squared_norms``). The seeding and
+    every restart share one n x d scratch buffer.
     """
     points = feature_data(features)
     k = integer("k", k, 1, points.shape[0])
     seed = integer("seed", seed, low=0)
     squared_norms(points)
+    buffer = np.empty_like(points)
     best = None
     for restart in range(KMEANS_RESTARTS):
         rng = np.random.default_rng([seed, restart])
-        centroids = _kmeans_pp_init(points, k, rng)
-        assign, centroids, score = lloyd(points, centroids)
+        centroids = _kmeans_pp_init(points, k, rng, buffer)
+        assign, centroids, score = lloyd(points, centroids, buffer=buffer)
         if best is None or score < best[0] - 1e-12:
             best = (score, assign)
     return best[1]

@@ -124,17 +124,29 @@ def feature_data(features) -> np.ndarray:
     return data
 
 
+#: Rows whose squares ``squared_norms`` holds at once.
+NORM_ROWS = 1024
+
+
 def squared_norms(data) -> np.ndarray:
-    """Each row's squared Euclidean norm, for the Euclidean metrics.
+    """Each row's squared Euclidean norm, for the Euclidean metrics: the
+    bits of ``np.sum(data**2, axis=1)``, with the squares held
+    ``NORM_ROWS`` rows at a time in one block laid out as ``data**2``
+    would be, so no n x d temporary is made.
 
     Raises NonFinite unless 8 n times the largest one is finite: a squared
     distance between two rows, or to a mean of rows, is at most 4 times
     the larger squared norm, k-means sums n of them, and the factor 2
     leaves room for rounding. So no distance or sum of them overflows.
     """
+    n = data.shape[0]
+    sq = np.empty(n)
+    block = np.empty_like(data[:NORM_ROWS])
     with np.errstate(over="ignore"):
-        sq = np.sum(data**2, axis=1)
-        fits = 8.0 * data.shape[0] * sq < np.finfo(np.float64).max
+        for start in range(0, n, NORM_ROWS):
+            rows = data[start:start + NORM_ROWS]
+            np.sum(np.square(rows, out=block[:rows.shape[0]]), axis=1, out=sq[start:start + NORM_ROWS])
+        fits = 8.0 * n * sq < np.finfo(np.float64).max
     if not fits.all():
         raise NonFinite("feature values too large: squared distances overflow float64")
     return sq

@@ -99,11 +99,12 @@ def recall_at_k(features, truth, ks) -> dict[int, float]:
     excluded; distance ties break toward the lower sample index. A query
     scores 1 for a given K if any of its K nearest neighbors shares its
     class. Exact search: ``similarity.neighbour_scan`` computes squared
-    distances one block of queries at a time into its reused block, with
-    one more reused block for the norm sums, and keeps only each query's
-    max(ks) nearest, so every K is scored from one pass without an
-    ``n x n`` matrix. Values so large that a distance could overflow
-    raise NonFinite (``core.squared_norms``). No K gives an empty dict.
+    distances one block of queries at a time into its reused block,
+    subtracting each query's norm sums as one reused n-vector, and keeps
+    only each query's max(ks) nearest, so every K is scored from one pass
+    without an ``n x n`` matrix or an ``n x d`` temporary. Values so
+    large that a distance could overflow raise NonFinite
+    (``core.squared_norms``). No K gives an empty dict.
     """
     data = feature_data(features)
     n = data.shape[0]
@@ -114,19 +115,17 @@ def recall_at_k(features, truth, ks) -> dict[int, float]:
     if n < max(ks) + 1:
         raise InsufficientSamples(f"need at least {max(ks) + 1} samples for K={max(ks)}")
     sq = squared_norms(data)
-
-    # each block's norm sums, in one buffer reused like the scan's block
-    norm_sums = np.empty((min(similarity.BLOCK_ROWS, n), n))
+    sums = np.empty(n)
 
     def closeness(rows, block):
         # -(|a|^2 + |b|^2 - 2 a.b), rounded exactly as the full-matrix form:
         # 2 a.b - s rounds to exactly -(s - 2 a.b), so the negation needs no
         # pass of its own (an exact 0 reads +0.0, which ranks as -0.0)
-        sums = norm_sums[:block.shape[0]]
         np.matmul(data[rows], data.T, out=block)
         block *= 2.0
-        np.add(sq[rows, None], sq, out=sums)
-        np.subtract(block, sums, out=block)
+        for row, query in zip(block, sq[rows]):
+            np.add(query, sq, out=sums)
+            np.subtract(row, sums, out=row)
 
     hits = np.empty((n, max(ks)), dtype=bool)
     for rows, _, picked in similarity.neighbour_scan(n, max(ks), closeness):

@@ -150,3 +150,61 @@ def write_predictions_csv(path, ids, predicted_names, assignment) -> None:
             row = [sample_id, predicted_names[i], _fmt(assignment[i].max())]
             row += [_fmt(v) for v in assignment[i]]
             writer.writerow(row)
+
+
+def lloyd_per_centroid(points, centroids, max_iterations: int = 300):
+    """Lloyd iterations that fill each point's k squared distances by a
+    subtract, square and row sum per centroid over all n points, then
+    take the argmin; empty clusters are re-seeded at the point farthest
+    from its centroid. Oracle for ``baselines.lloyd``, which must return
+    the same (assignment, centroids, WCSS) bits."""
+    points = np.asarray(points, dtype=np.float64)
+    centroids = np.array(centroids, dtype=np.float64)
+    k = centroids.shape[0]
+    diff = np.empty_like(points)
+    d2 = np.empty((points.shape[0], k))
+    assign = None
+    for _ in range(max_iterations):
+        for c in range(k):
+            np.subtract(points, centroids[c], out=diff)
+            np.square(diff, out=diff)
+            np.sum(diff, axis=1, out=d2[:, c])
+        new_assign = np.argmin(d2, axis=1)
+        for c in range(k):
+            members = new_assign == c
+            if members.any():
+                centroids[c] = points[members].mean(axis=0)
+            else:
+                residual = np.sum((points - centroids[new_assign]) ** 2, axis=1)
+                far = int(np.argmax(residual))
+                centroids[c] = points[far]
+                new_assign[far] = c
+        if assign is not None and np.array_equal(assign, new_assign):
+            break
+        assign = new_assign
+    return assign, centroids, float(np.sum((points - centroids[assign]) ** 2))
+
+
+def kmeans_per_centroid(points, k: int, seed: int = 0, restarts: int = 10) -> np.ndarray:
+    """Best of ``restarts`` k-means++-seeded ``lloyd_per_centroid`` runs,
+    restart r drawing from ``default_rng([seed, r])`` and replacing the
+    best only when lower by more than 1e-12. Oracle for
+    ``baselines.kmeans``."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    best = None
+    for restart in range(restarts):
+        rng = np.random.default_rng([seed, restart])
+        centers = [int(rng.integers(n))]
+        d2 = np.sum((points - points[centers[0]]) ** 2, axis=1)
+        for _ in range(1, k):
+            total = d2.sum()
+            if total <= 0:
+                centers.append(int(np.setdiff1d(np.arange(n), centers)[0]))
+            else:
+                centers.append(int(rng.choice(n, p=d2 / total)))
+            d2 = np.minimum(d2, np.sum((points - points[centers[-1]]) ** 2, axis=1))
+        assign, _, score = lloyd_per_centroid(points, points[centers])
+        if best is None or score < best[0] - 1e-12:
+            best = (score, assign)
+    return best[1]

@@ -8,6 +8,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order
 
 from transduct import (
+    BlobSpec,
     LabelSet,
     baselines,
     handle_negatives,
@@ -16,13 +17,14 @@ from transduct import (
     knn_graph,
     label_propagation,
     label_spreading,
+    make_synthetic,
     pearson_matrix,
 )
 from transduct.baselines import lloyd
 from transduct.core import DENSE_PRODUCT_FLIP, check_graph, unreached
 from transduct.errors import ConfigError, DataError, NumericalError
 
-from oracles import harmonic_full_system, label_spreading_closed_form
+from oracles import harmonic_full_system, kmeans_per_centroid, label_spreading_closed_form, lloyd_per_centroid
 
 CHAIN_W = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0.0]])
 CHAIN_LABELS = LabelSet(2, [0, -1, 1])
@@ -602,3 +604,72 @@ class TestKmeans:
             b = kmeans(points, 3, seed=6)
         assert a.shape == (len(points),) and 0 <= a.min() and a.max() < 3
         np.testing.assert_array_equal(a, b)
+
+
+def near_tie_draws(kind, seed, count=40):
+    """(points, k, start centroids) on a grid of multiples of 0.3, which
+    floats hold inexactly, drawn so that k-means meets exact and near
+    ties: duplicated rows; points on the bisector of two start centroids,
+    one the other with its first two coordinates swapped, so that the two
+    distances sum the same terms in another order; and fewer distinct
+    points than clusters, whose empty clusters the repair re-seeds."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, d, k = int(rng.integers(6, 40)), int(rng.integers(2, 10)), int(rng.integers(2, 6))
+
+        def grid(*shape):
+            return rng.integers(-30, 31, size=shape) * 0.3
+
+        if kind == "grid-duplicates":
+            points = grid(n, d)
+            points = np.concatenate([points, points[rng.integers(0, n, size=n // 2)]])
+            start = points[rng.choice(len(points), size=k, replace=False)]
+        elif kind == "equidistant":
+            points = grid(n, d)
+            points[:, 1] = points[:, 0]
+            start = grid(k, d)
+            start[1] = start[0]
+            start[1, :2] = start[0, 1::-1]
+        else:
+            distinct = grid(k - 1, d)
+            points = distinct[rng.integers(0, k - 1, size=n)]
+            start = points[rng.integers(0, n, size=k)]
+        yield points, k, start
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-540, 2.0**500], ids=["unit", "subnormal-squares", "huge"])
+@pytest.mark.parametrize("kind", ["grid-duplicates", "equidistant", "fewer-points-than-clusters"])
+def test_lloyd_and_kmeans_keep_the_per_centroid_bits(kind, scale):
+    """The product form with its exact recheck picks what the per-centroid
+    subtract, square and row sum picks, so the assignment, centroids and
+    WCSS keep their bits, on near ties and at both ends of the exponent
+    range. Without the recheck the equidistant and repair draws differ;
+    at 2^-540 the squares are subnormal and only the bound's absolute
+    term covers their rounding."""
+    for i, (points, k, start) in enumerate(near_tie_draws(kind, seed=len(kind))):
+        points, start = points * scale, start * scale
+        # repairs can cycle without converging: 40 steps hold many of them
+        assign, centroids, wcss = lloyd(points, start, 40)
+        want_assign, want_centroids, want_wcss = lloyd_per_centroid(points, start, 40)
+        np.testing.assert_array_equal(assign, want_assign)
+        np.testing.assert_array_equal(centroids, want_centroids)
+        assert wcss == want_wcss
+        if i % 10 == 0:
+            np.testing.assert_array_equal(kmeans(points, k, seed=i), kmeans_per_centroid(points, k, seed=i))
+
+
+@pytest.mark.parametrize("order", ["shuffled", "by-class"])
+def test_kmeans_holds_one_scratch_copy_of_the_points(order):
+    """The seeding, every restart's rechecks, empty-cluster repairs and
+    WCSS share one n x d buffer; beside it only a cluster's member rows
+    are copied, for its mean. Three n x d arrays at once would fail."""
+    points = make_synthetic(BlobSpec(blobs=4, per_blob=1000, dim=64, stddev=2.5), 2)[0].data
+    if order == "shuffled":
+        points = points[np.random.default_rng(2).permutation(len(points))]
+    tracemalloc.start()
+    try:
+        kmeans(points, 4, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * points.nbytes

@@ -22,7 +22,7 @@ from transduct import (
     run_dynamics,
 )
 from transduct import core
-from transduct.core import DENSE_PRODUCT_FLIP, CsrGraph, check_graph, graph_product, iterate, normalize_rows
+from transduct.core import DENSE_PRODUCT_FLIP, CsrGraph, check_graph, graph_product, iterate, normalize_rows, squared_norms
 from transduct.errors import DataError, DuplicateId, EmptyInput, NonFinite, OutOfRange, ShapeMismatch
 from transduct.pipeline import _report
 
@@ -477,3 +477,14 @@ def test_weights_near_the_float64_limit_warn_nowhere():
                 continue
             assert (x >= 0).all() and np.allclose(x.sum(axis=1), 1.0, rtol=0, atol=1e-9)
     assert 0 < rejected < 200 * 4
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_squared_norms_in_blocks_keep_the_whole_sums_bits(layout):
+    """Summed NORM_ROWS rows at a time, at an n that is not a multiple of
+    it, the norms equal ``np.sum(data**2, axis=1)`` bit for bit, in each
+    memory layout that sum follows."""
+    data = np.random.default_rng(6).normal(size=(2500, 74)) * 10.0 ** np.arange(-3, 4).repeat(11)[:74]
+    data = {"C": data, "F": np.asfortranarray(data), "strided": data[:, ::2]}[layout]
+    assert data.shape[0] % core.NORM_ROWS
+    np.testing.assert_array_equal(squared_norms(data), np.sum(data**2, axis=1))

@@ -199,11 +199,11 @@ class TestRecallAtK:
                 assert (similarity._candidates(first, max(ks)) is not None) == prunes
                 assert recall_at_k(data, truth, ks) == expected
 
-    def test_peak_memory_is_two_reused_blocks(self):
-        """Distances are computed in two reused 64 x n blocks (4.1 MB
-        here), with no fresh n-wide array per block: it peaks near 5.1 MB.
-        Shuffled data, and blobs in class order, whose candidates crowd
-        into one class."""
+    def test_peak_memory_is_one_reused_block(self):
+        """Distances are computed in one reused 64 x n block (2.0 MB here)
+        and one reused n-vector of norm sums, with no fresh
+        n-wide array per block: it peaks near 3.1 MB. Shuffled data, and
+        blobs in class order, whose candidates crowd into one class."""
         n = 4000
         rng = np.random.default_rng(1)
         shuffled = rng.normal(size=(n, 16))
