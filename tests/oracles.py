@@ -185,15 +185,15 @@ def lloyd_per_centroid(points, centroids, max_iterations: int = 300):
     return assign, centroids, float(np.sum((points - centroids[assign]) ** 2))
 
 
-def kmeans_per_centroid(points, k: int, seed: int = 0, restarts: int = 10) -> np.ndarray:
-    """Best of ``restarts`` k-means++-seeded ``lloyd_per_centroid`` runs,
+def kmeans_per_centroid(points, k: int, seed: int = 0) -> np.ndarray:
+    """Best of 10 k-means++-seeded ``lloyd_per_centroid`` runs,
     restart r drawing from ``default_rng([seed, r])`` and replacing the
     best only when lower by more than 1e-12. Oracle for
     ``baselines.kmeans``."""
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     best = None
-    for restart in range(restarts):
+    for restart in range(10):
         rng = np.random.default_rng([seed, restart])
         centers = [int(rng.integers(n))]
         d2 = np.sum((points - points[centers[0]]) ** 2, axis=1)
