@@ -218,7 +218,7 @@ def label_propagation(
 
     Iterates F <- D^{-1} (W F), the walk P = D^{-1} W applied without
     scaling the graph; on connected graphs this converges to the harmonic
-    solution. If the step cap is hit first the best iterate is returned
+    solution. If the step cap is hit first the last iterate is returned
     with converged=False in the metadata rather than raising.
     """
     check_settings(max_iterations=max_iterations, tolerance=tolerance)

@@ -13,6 +13,7 @@ import itertools
 import json
 import os
 import warnings
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -32,6 +33,11 @@ PARSE_BLOCK_ROWS = 256
 #: rejects it. A ``\r`` is not among them: read with ``newline=""``, it
 #: can only end a line, and ``_split_lines`` strips it as the module does.
 _CSV_ONLY = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
+#: Bytes per read of the checksum pass over a features file.
+_CHECKSUM_CHUNK = 64 * 1024
+#: The features file parsed last, as ``(key, FeatureSet)``, or None; see
+#: ``read_features_csv``.
+_last_parsed = None
 
 
 def _row_format(width: int) -> str:
@@ -199,19 +205,51 @@ def _read_records(path, records) -> FeatureSet:
         raise ParseError(path, lines[int(np.argmin(finite))], "value is NaN or infinite") from None
 
 
+def _file_key(fh):
+    """What decides the FeatureSet the open file ``fh`` parses to: its
+    device, inode, size and modification time, a CRC-32 of its bytes
+    (which catches a rewrite of the same length within one timestamp
+    tick), and the process-global ``csv.field_size_limit()``. Leaves
+    ``fh`` at its start."""
+    st = os.fstat(fh.fileno())
+    chunk = bytearray(_CHECKSUM_CHUNK)
+    view = memoryview(chunk)
+    crc = 0
+    while size := fh.buffer.readinto(chunk):
+        crc = zlib.crc32(view[:size], crc)
+    fh.seek(0)
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, crc, csv.field_size_limit()
+
+
 def read_features_csv(path) -> FeatureSet:
     """Parse `id,f0,f1,...` rows into a FeatureSet.
 
     Each value parses exactly as ``float()`` parses it, and ids may be
     quoted as the ``csv`` module quotes them. A value ``float()`` rejects,
-    or a NaN or infinite one, is a ParseError naming its line. The file
-    is read once, one line at a time; from the first line with a quote,
-    or another character of ``_CSV_ONLY``, the ``csv`` module splits the
+    or a NaN or infinite one, is a ParseError naming its line. The rows
+    are parsed one line at a time; from the first line with a quote, or
+    another character of ``_CSV_ONLY``, the ``csv`` module splits the
     rest.
+
+    The last FeatureSet parsed is kept with its file's ``_file_key``. A
+    read whose key matches returns that FeatureSet, having read the bytes
+    once to checksum them and parsed nothing; any other read checksums
+    the bytes, then reads them again to parse, and keeps its result only
+    if the parse succeeds. A file that cannot seek, such as a pipe, is
+    parsed in one pass and not kept.
     """
+    global _last_parsed
     path = Path(path)
     with _open_utf8(path) as fh:
-        return _read_records(path, _split_lines(path, fh))
+        if not fh.seekable():
+            return _read_records(path, _split_lines(path, fh))
+        key, last = _file_key(fh), _last_parsed  # one read of the entry, which another thread may replace
+        if last is not None and last[0] == key:
+            return last[1]
+        _last_parsed = None  # the stale matrix is not held through the parse
+        features = _read_records(path, _split_lines(path, fh))
+    _last_parsed = key, features
+    return features
 
 
 def read_label_pairs(path) -> list[tuple[str, str | None]]:

@@ -293,7 +293,10 @@ def _score(names, allowed, data, truth, pred, num_classes, skipped, seed=0, assi
     rows = np.flatnonzero(truth != UNLABELED)
     scored = rows[pred[rows] != UNLABELED]
     ks = sorted({k for _, kind, k in parsed if kind == "recall"})
-    subset = data if rows.size == len(data) else data[rows]  # no n x d copy when every row is a truth row
+    reads_data = bool(ks) or (assignment is None and any(kind == "nmi" for _, kind, _ in parsed))
+    # the truth rows of ``data``, copied only for a metric that reads them
+    # and only when some row is not a truth row
+    subset = data[rows] if reads_data and rows.size < len(data) else data
     recall = metrics_mod.recall_at_k(subset, truth[rows], ks) if ks else {}
     notes: list[str] = []
     values: dict[str, float] = {}
@@ -364,6 +367,7 @@ def run_pipeline(cfg: RunConfig) -> tuple[Path, dict]:
     w, zero_variance = _build_similarity(features, cfg)
     orphans = unreached(w, anchors)
     assignment, facts = _propagate(w, anchors, logits, cfg)
+    del w  # the graph is not needed to decode, score or write
     assignment[orphans] = 1.0 / m
 
     pred = argmax_decode(assignment)

@@ -1,6 +1,8 @@
 """The CSV reader and writers against their oracles in ``oracles.py``: the
 same ids and data bits, or the same error, from every file, and the same
 bytes from every table."""
+import csv
+import os
 import tracemalloc
 from unittest import mock
 
@@ -226,7 +228,93 @@ def test_reader_peak_memory(tmp_path):
     assert peak <= 1.6 * data.nbytes
 
 
-EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1e-310,
+def test_an_unchanged_file_is_parsed_once(tmp_path):
+    """A second read of an unchanged file returns the FeatureSet of the
+    first and parses nothing."""
+    path = tmp_path / "f.csv"
+    path.write_text("id,f0,f1\na,1,2\nb,3,4\n")
+    first = io.read_features_csv(path)
+    with mock.patch.object(io, "_read_records", wraps=io._read_records) as parse:
+        assert io.read_features_csv(str(path)) is first
+    assert parse.call_count == 0
+
+
+def test_a_same_length_rewrite_within_one_timestamp_is_parsed_again(tmp_path):
+    """The checksum tells apart two files of one inode, size and mtime."""
+    path = tmp_path / "f.csv"
+    path.write_text("id,f0\na,1\n")
+    assert io.read_features_csv(path).data.tolist() == [[1.0]]
+    before = path.stat()
+    with open(path, "r+") as fh:
+        fh.write("id,f0\na,2\n")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == (before.st_ino, before.st_size, before.st_mtime_ns)
+    assert io.read_features_csv(path).data.tolist() == [[2.0]]
+
+
+def test_a_read_that_raises_stores_nothing(tmp_path):
+    """A file that fails to parse fails again on every read, and parses
+    once it is fixed; the fixed file is then kept. The one entry goes
+    with any read of another file, even one that fails."""
+    good = tmp_path / "good.csv"
+    good.write_text("id,f0\na,1\n")
+    kept = io.read_features_csv(good)
+    path = tmp_path / "f.csv"
+    path.write_text("id,f0\na,x\n")
+    with mock.patch.object(io, "_read_records", wraps=io._read_records) as parse:
+        for _ in range(2):
+            with pytest.raises(ParseError, match="bad float"):
+                io.read_features_csv(path)
+        assert parse.call_count == 2
+        assert io.read_features_csv(good) is not kept
+        path.write_text("id,f0\na,3\n")
+        fixed = io.read_features_csv(path)
+        assert fixed.data.tolist() == [[3.0]] and io.read_features_csv(path) is fixed
+        assert parse.call_count == 4
+
+
+def test_a_lowered_field_limit_fails_a_kept_file(tmp_path):
+    """``csv.field_size_limit()`` is part of the key: once it is lowered,
+    a file read before with a long field raises, as a fresh read would."""
+    path = tmp_path / "f.csv"
+    path.write_text(f"id,f0\na,{'1' * 200}\n")
+    io.read_features_csv(path)
+    old = csv.field_size_limit(100)
+    try:
+        with pytest.raises(ParseError) as info:
+            io.read_features_csv(path)
+    finally:
+        csv.field_size_limit(old)
+    assert str(info.value) == f"{path}:2: field larger than field limit (100)"
+    assert io.read_features_csv(path).data.shape == (1, 1)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_a_path_that_is_no_file_fails_as_open_does(tmp_path, kind):
+    path = tmp_path / "f.csv"
+    if kind == "directory":
+        path.mkdir()
+    want = outcome(oracles.read_features_csv, path)
+    assert want[0] in (FileNotFoundError, IsADirectoryError)
+    assert outcome(io.read_features_csv, path) == want
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_pipe_is_read_in_one_pass(tmp_path):
+    """A pipe cannot be read twice, so it is parsed without the checksum
+    pass and not kept."""
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, b"id,f0,f1\na,1,2\n")
+        os.close(write_end)
+        features = io.read_features_csv(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert features.ids == ("a",) and features.data.tolist() == [[1.0, 2.0]]
+
+
+EXTREMES =[0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1e-310,
             1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, 2 / 3, 1e16, 123456789012345680.0]
 #: Ids and labels the csv module has to quote, and an empty label.
 AWKWARD = ["a,b", 'say "hi"', "two\nlines", "cr\r", "", " lead", "tr ", "#x", "é"]

@@ -8,6 +8,7 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -40,7 +41,7 @@ from transduct.errors import (
     ParseError,
     UnknownId,
 )
-from transduct import cli, pipeline
+from transduct import cli, io, pipeline
 from transduct.cli import main
 from transduct.io import (
     read_features_csv,
@@ -639,6 +640,35 @@ class TestRunPipeline:
         with pytest.raises(UnknownId, match="^.*logits.csv: id 'ghost' does not appear in the feature file$"):
             run_pipeline(cfg)
 
+    def test_a_partial_truth_run_copies_features_only_for_recall(self, tmp_path):
+        """``_score`` copies the truth rows of the n x d matrix only for a
+        metric that reads them; a run that scores accuracy alone makes no
+        such copy, though the truth file labels half the rows."""
+        features, labels = make_synthetic(BlobSpec(blobs=3, per_blob=100, dim=64), seed=0)
+        fpath, lpath, tpath = tmp_path / "f.csv", tmp_path / "l.csv", tmp_path / "t.csv"
+        names = [f"c{v}" for v in labels.labels]
+        write_features_csv(fpath, features)
+        write_labels_csv(lpath, features.ids, names)
+        write_labels_csv(tpath, features.ids, [name if i % 2 else None for i, name in enumerate(names)])
+        score, peaks = pipeline._score, {}
+
+        def measured(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                return score(*args, **kwargs)
+            finally:
+                peaks[args[0]] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+
+        with mock.patch.object(pipeline, "_score", measured):
+            for metrics in [("accuracy",), ("accuracy", "recall@1")]:
+                cfg = RunConfig(method="harmonic", features_path=str(fpath), labels_path=str(lpath),
+                                truth_path=str(tpath), anchor_fraction=0.1, metrics=metrics,
+                                out_dir=str(tmp_path / "out"))
+                run_pipeline(cfg)
+        copy = features.data.nbytes // 2
+        assert peaks[("accuracy",)] < copy // 4 and peaks[("accuracy", "recall@1")] >= copy
+
 
 class TestRunEval:
     def test_eval_metrics(self, blob_dataset, tmp_path):
@@ -763,6 +793,31 @@ class TestCli:
         asked = ("out of memory" if refused is None else
                  "Unable to allocate 39.1 MiB for an array with shape (20000, 256) and data type float64")
         assert capsys.readouterr().err == f"memory error: {asked}\n"
+
+    def test_a_kept_parse_writes_what_a_fresh_process_writes(self, blob_dataset, tmp_path):
+        """Two in-process runs on one features file, the second on the
+        parse the first kept, write the bytes of a ``transduct run`` in a
+        fresh interpreter, apart from the output directory."""
+        fpath, lpath, *_ = blob_dataset
+        with mock.patch.object(io, "_read_records", wraps=io._read_records) as parse:
+            for name in ("first", "second"):
+                run_pipeline(RunConfig(method="gtg", features_path=str(fpath), labels_path=str(lpath),
+                                       truth_path=str(lpath), anchor_fraction=0.1, seed=3,
+                                       metrics=("accuracy", "recall@1"), out_dir=str(tmp_path / name)))
+        assert parse.call_count == 1
+        r = self.run_cli(
+            "run", "--features", str(fpath), "--labels", str(lpath), "--truth", str(lpath),
+            "--method", "gtg", "--anchor-fraction", "0.1", "--seed", "3",
+            "--metrics", "accuracy,recall@1", "--out-dir", str(tmp_path / "fresh"),
+        )
+        assert r.returncode == 0, r.stderr
+
+        def written(name):
+            out = tmp_path / name
+            report = (out / "report.json").read_text().replace(json.dumps(str(out)), '"OUT"')
+            return (out / "predictions.csv").read_bytes(), report
+
+        assert written("first") == written("second") == written("fresh")
 
     def test_synth_run_eval_round_trip(self, tmp_path):
         data = tmp_path / "data"
