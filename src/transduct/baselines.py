@@ -268,21 +268,22 @@ def _residuals(points, assign, centroids, buffer) -> np.ndarray:
     return np.square(buffer, out=buffer)
 
 
-def _kmeans_pp_init(points, k, rng, buffer) -> np.ndarray:
+def _kmeans_pp_init(points, k, rng, buffer, d2) -> np.ndarray:
     """k-means++ seeding: new centers drawn proportional to squared
-    distance from the chosen set."""
+    distance from the chosen set, kept in the first row of ``d2``."""
     n = points.shape[0]
     centers = [int(rng.integers(n))]
-    d2 = _distances(points, points[centers[0]], buffer)
+    closest = d2[0]
+    closest[:] = _distances(points, points[centers[0]], buffer)
     for _ in range(1, k):
-        total = d2.sum()
+        total = closest.sum()
         if total <= 0:
             # all remaining mass at chosen centers; pick any uncovered index
             candidates = np.setdiff1d(np.arange(n), centers)
             centers.append(int(candidates[0]))
         else:
-            centers.append(int(rng.choice(n, p=d2 / total)))
-        d2 = np.minimum(d2, _distances(points, points[centers[-1]], buffer))
+            centers.append(int(rng.choice(n, p=closest / total)))
+        np.minimum(closest, _distances(points, points[centers[-1]], buffer), out=closest)
     return points[centers].copy()
 
 
@@ -323,27 +324,22 @@ def _nearest(points, norms, centroids, d2, buffer) -> np.ndarray:
     return assign
 
 
-def lloyd(points, centroids, max_iterations: int = 300, *, buffer=None) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lloyd iterations from given centroids.
+def lloyd(points, norms, centroids, buffer, d2, max_iterations: int = 300) -> tuple[np.ndarray, np.ndarray, float]:
+    """Lloyd iterations from given centroids, on ``kmeans``'s plan.
 
-    Returns (assignment, centroids, WCSS of the two). Empty clusters are
-    repaired by re-seeding at the point farthest from its current
-    centroid. Each point goes to its nearest centroid by the exact
-    subtract, square and row sum (``_distances``), found by one product
-    per centroid and rechecked exactly only where two centroids come
-    close (``_nearest``). The rechecked rows, the repair's residuals and
-    the WCSS's are written into ``buffer``, a float64 array of the
-    points' shape (allocated if None), so the only other n x d temporary
-    is the member rows of the cluster whose mean is being taken. Values
-    so large that a distance could overflow raise NonFinite
-    (``core.squared_norms``).
+    Returns (assignment, centroids, WCSS of the two); ``centroids`` is
+    copied, then updated in place. Empty clusters are repaired by
+    re-seeding at the point farthest from its current centroid. Each
+    point goes to its nearest centroid by the exact subtract, square and
+    row sum (``_distances``), found by one product per centroid and
+    rechecked exactly only where two centroids come close (``_nearest``).
+    ``points`` is a float64 n x d array and ``norms`` its
+    ``core.squared_norms``; ``buffer`` (of the points' shape) takes the
+    rechecked rows, the repair's residuals and the WCSS's, and ``d2``
+    (k x n) the distances, so the only other n x d temporary is the
+    member rows of the cluster whose mean is being taken.
     """
-    points = np.asarray(points, dtype=np.float64)
     centroids = np.array(centroids, dtype=np.float64)
-    norms = squared_norms(points)
-    if buffer is None:
-        buffer = np.empty_like(points)
-    d2 = np.empty((centroids.shape[0], points.shape[0]))
     assign = None
     for _ in range(max_iterations):
         new_assign = _nearest(points, norms, centroids, d2, buffer)
@@ -368,20 +364,23 @@ def kmeans(features, k: int, seed: int = 0) -> np.ndarray:
     Deterministic given ``seed``: restart r uses its own generator seeded
     from (seed, r), and a restart replaces the best one so far only if
     its WCSS is lower by more than an absolute 1e-12, so the earlier of
-    two restarts that close wins. Values so large that a distance could
-    overflow raise NonFinite (``core.squared_norms``). The seeding and
-    every restart share one n x d scratch buffer.
+    two restarts that close wins. The plan is made once per call: the
+    points' squared norms, whose check raises NonFinite for values so
+    large that a distance could overflow (``core.squared_norms``), one
+    n x d scratch buffer and one k x n distance block, which the seeding
+    and every restart share.
     """
     points = feature_data(features)
     k = integer("k", k, 1, points.shape[0])
     seed = integer("seed", seed, low=0)
-    squared_norms(points)
+    norms = squared_norms(points)
     buffer = np.empty_like(points)
+    d2 = np.empty((k, points.shape[0]))
     best = None
     for restart in range(KMEANS_RESTARTS):
         rng = np.random.default_rng([seed, restart])
-        centroids = _kmeans_pp_init(points, k, rng, buffer)
-        assign, centroids, score = lloyd(points, centroids, buffer=buffer)
+        centroids = _kmeans_pp_init(points, k, rng, buffer, d2)
+        assign, centroids, score = lloyd(points, norms, centroids, buffer, d2)
         if best is None or score < best[0] - 1e-12:
             best = (score, assign)
     return best[1]

@@ -21,7 +21,7 @@ from transduct import (
     pearson_matrix,
 )
 from transduct.baselines import lloyd
-from transduct.core import DENSE_PRODUCT_FLIP, check_graph, unreached
+from transduct.core import DENSE_PRODUCT_FLIP, check_graph, squared_norms, unreached
 from transduct.errors import ConfigError, DataError, NumericalError
 
 from oracles import harmonic_full_system, kmeans_per_centroid, label_spreading_closed_form, lloyd_per_centroid
@@ -532,6 +532,13 @@ def brute_force_kmeans(points, k):
     return best
 
 
+def planned_lloyd(points, start, max_iterations):
+    """``lloyd`` on the plan ``kmeans`` makes: the points' squared norms,
+    an n x d scratch buffer and a k x n distance block."""
+    d2 = np.empty((len(start), len(points)))
+    return lloyd(points, squared_norms(points), start, np.empty_like(points), d2, max_iterations)
+
+
 def wcss_of(points, assign):
     total = 0.0
     for c in np.unique(assign):
@@ -567,7 +574,7 @@ class TestKmeans:
             # start for 1, 2, ... iterations until the assignment repeats
             history, previous = [], None
             for iterations in range(1, 301):
-                assign, _, wcss = lloyd(points, centroids, iterations)
+                assign, _, wcss = planned_lloyd(points, centroids, iterations)
                 history.append(wcss)
                 if np.array_equal(assign, previous):
                     break
@@ -649,7 +656,7 @@ def test_lloyd_and_kmeans_keep_the_per_centroid_bits(kind, scale):
     for i, (points, k, start) in enumerate(near_tie_draws(kind, seed=len(kind))):
         points, start = points * scale, start * scale
         # repairs can cycle without converging: 40 steps hold many of them
-        assign, centroids, wcss = lloyd(points, start, 40)
+        assign, centroids, wcss = planned_lloyd(points, start, 40)
         want_assign, want_centroids, want_wcss = lloyd_per_centroid(points, start, 40)
         np.testing.assert_array_equal(assign, want_assign)
         np.testing.assert_array_equal(centroids, want_centroids)
