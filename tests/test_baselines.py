@@ -665,6 +665,58 @@ def test_lloyd_and_kmeans_keep_the_per_centroid_bits(kind, scale):
             np.testing.assert_array_equal(kmeans(points, k, seed=i), kmeans_per_centroid(points, k, seed=i))
 
 
+def counted(monkeypatch, name):
+    """Wrap ``baselines.<name>`` for this test; the list returned gets
+    one entry per call."""
+    calls, real = [], getattr(baselines, name)
+
+    def wrapper(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(baselines, name, wrapper)
+    return calls
+
+
+def test_lloyd_skips_the_whole_periods_of_a_cycle(monkeypatch):
+    """13 copies of one row with both start centroids on it: the mean of
+    the copies misses the row by an ulp in some coordinates, so every
+    step moves all points to the centroid that is exactly the row, and
+    the repair re-seeds the emptied cluster with point 0. The assignment
+    alternates, so it never repeats on consecutive steps; the loop sees
+    the cycle within a few steps and returns the bits of all 300."""
+    points = np.tile(np.arange(1, 9) * 0.3, (13, 1))
+    nearest = counted(monkeypatch, "_nearest")
+    assign, centroids, wcss = planned_lloyd(points, points[:2], 300)
+    want_assign, want_centroids, want_wcss = lloyd_per_centroid(points, points[:2], 300)
+    np.testing.assert_array_equal(assign, want_assign)
+    np.testing.assert_array_equal(centroids, want_centroids)
+    assert wcss == want_wcss
+    assert len(nearest) <= 5
+
+
+@pytest.mark.parametrize("kind", ["grid-duplicates", "equidistant", "fewer-points-than-clusters"])
+def test_skipped_cycles_keep_the_per_centroid_bits_at_every_cap(kind):
+    """A skip lands where the unskipped loop would stop. Of these draws,
+    the repair ones cycle with period 2 or 6, and the caps stop them at
+    six of period 6's phases and both of period 2's."""
+    for points, k, start in itertools.islice(near_tie_draws(kind, seed=len(kind)), 0, None, 10):
+        for cap in (1, 2, 3, 39, 40, 41, 300, 301):
+            assign, centroids, wcss = planned_lloyd(points, start, cap)
+            want_assign, want_centroids, want_wcss = lloyd_per_centroid(points, start, cap)
+            np.testing.assert_array_equal(assign, want_assign)
+            np.testing.assert_array_equal(centroids, want_centroids)
+            assert wcss == want_wcss
+
+
+def test_kmeans_computes_the_norms_once(monkeypatch):
+    """The norms, and with them the overflow check, are planned once per
+    call, not once more by each of the ten restarts."""
+    norms = counted(monkeypatch, "squared_norms")
+    kmeans(np.random.default_rng(5).normal(size=(50, 3)), 3, seed=0)
+    assert len(norms) == 1
+
+
 @pytest.mark.parametrize("order", ["shuffled", "by-class"])
 def test_kmeans_holds_one_scratch_copy_of_the_points(order):
     """The seeding, every restart's rechecks, empty-cluster repairs and
