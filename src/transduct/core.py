@@ -84,9 +84,11 @@ def label_vector(values, what: str = "label vector", rows: int | None = None) ->
 class FeatureSet:
     """An ``n x d`` matrix of per-sample embeddings plus opaque string ids.
 
-    ``data`` is kept read-only. An array that is already read-only and owns
-    its memory, such as the one ``io.read_features_csv`` parses, is kept as
-    it is; any other is copied, so no caller can write through to it.
+    ``data`` is kept read-only. A read-only array that owns its memory, or
+    views a read-only array, such as the view ``io.read_features_csv``
+    hands over, is kept as it is. Any other is copied, and the copy kept
+    behind a view, so no caller can write through to it: numpy refuses
+    to make a view of a read-only array writeable.
     """
 
     data: np.ndarray
@@ -94,9 +96,11 @@ class FeatureSet:
 
     def __post_init__(self):
         data = feature_data(self.data)
-        if data.flags.writeable or not data.flags.owndata:
+        base = data if data.base is None else data.base
+        if data.flags.writeable or not isinstance(base, np.ndarray) or base.flags.writeable:
             data = np.array(data)  # a copy of its own
             data.setflags(write=False)
+            data = data.view()
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "ids", tuple(str(i) for i in self.ids))
         if len(self.ids) != self.n:

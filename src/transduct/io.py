@@ -197,9 +197,9 @@ def _read_records(path, records) -> FeatureSet:
     if not ids:
         raise ParseError(path, 1, "no data rows")
     data.resize((len(ids), width), refcheck=False)
-    data.setflags(write=False)  # nothing else holds ``data``: FeatureSet keeps it, uncopied
+    data.setflags(write=False)  # nothing else holds ``data``: FeatureSet keeps a view of it, uncopied
     try:
-        return FeatureSet(data, tuple(ids))
+        return FeatureSet(data.view(), tuple(ids))
     except NonFinite:
         finite = np.isfinite(data).all(axis=1)
         raise ParseError(path, lines[int(np.argmin(finite))], "value is NaN or infinite") from None

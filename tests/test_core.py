@@ -117,6 +117,12 @@ class TestContainers:
         view[0, 0] = 9.0
         assert fs.data[0, 0] == 1.0
 
+    def test_feature_set_copy_cannot_be_made_writeable(self):
+        fs = FeatureSet(np.array([[1.0, 2.0]]), ("a",))
+        with pytest.raises(ValueError):
+            fs.data.setflags(write=True)
+        assert FeatureSet(fs.data, ("a",)).data is fs.data
+
     def test_feature_set_keeps_a_read_only_array_it_is_given(self):
         data = np.array([[1.0, 2.0], [3.0, 4.0]])
         data.setflags(write=False)

@@ -239,6 +239,19 @@ def test_an_unchanged_file_is_parsed_once(tmp_path):
     assert parse.call_count == 0
 
 
+def test_the_kept_feature_set_cannot_be_written_through(tmp_path):
+    """The FeatureSet kept for the next read of a file hands out a view of
+    a read-only array, which numpy refuses to make writeable, so no
+    caller can change what a later read returns."""
+    path = tmp_path / "f.csv"
+    path.write_text("id,f0,f1\na,1,2\nb,3,4\n")
+    data = io.read_features_csv(path).data
+    with pytest.raises(ValueError):
+        data.setflags(write=True)
+        data[0, 0] = 99.0
+    np.testing.assert_array_equal(io.read_features_csv(path).data, [[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_a_same_length_rewrite_within_one_timestamp_is_parsed_again(tmp_path):
     """The checksum tells apart two files of one inode, size and mtime."""
     path = tmp_path / "f.csv"
