@@ -345,7 +345,7 @@ def lloyd(points, norms, centroids, buffer, d2, max_iterations: int = 300) -> tu
     earlier step's bit for bit, the steps repeat with that period and
     never stop early: the whole periods that fit below
     ``max_iterations`` are skipped, which returns what running them
-    would. ``seen`` holds at most ``max_iterations`` such pairs.
+    would. At most ``max_iterations`` pairs are kept.
     """
     centroids = np.array(centroids, dtype=np.float64)
     assign = None
