@@ -340,19 +340,19 @@ def lloyd(points, norms, centroids, buffer, d2, max_iterations: int = 300) -> tu
     member rows of the cluster whose mean is being taken.
 
     The loop stops when two consecutive assignments are equal, or after
-    ``max_iterations`` steps. A step's centroids depend only on the
-    centroids before it, so once a step's (before, after) pair equals an
-    earlier step's bit for bit, the steps repeat with that period and
-    never stop early: the whole periods that fit below
+    ``max_iterations`` steps. A step's assignment and centroids depend
+    only on the centroids before it, so once those equal the centroids
+    before an earlier step bit for bit, the steps repeat with that period
+    and never stop early: the whole periods that fit below
     ``max_iterations`` are skipped, which returns what running them
-    would. At most ``max_iterations`` pairs are kept.
+    would. At most ``max_iterations`` sets of centroids are kept.
     """
     centroids = np.array(centroids, dtype=np.float64)
     assign = None
     seen = {}
     step = 0
     while step < max_iterations:
-        before = centroids.tobytes()
+        key = centroids.tobytes()
         new_assign = _nearest(points, norms, centroids, d2, buffer)
         for c in range(centroids.shape[0]):
             members = new_assign == c
@@ -366,11 +366,10 @@ def lloyd(points, norms, centroids, buffer, d2, max_iterations: int = 300) -> tu
         if assign is not None and np.array_equal(assign, new_assign):
             break
         assign = new_assign
-        pair = before + centroids.tobytes()
-        if pair in seen:
-            period = step - seen[pair]
+        if key in seen:
+            period = step - seen[key]
             step += (max_iterations - 1 - step) // period * period
-        seen[pair] = step
+        seen[key] = step
         step += 1
     return assign, centroids, float(np.sum(_residuals(points, assign, centroids, buffer)))
 
